@@ -24,12 +24,13 @@ from .metrics import (
     squeezing_pct,
     tv_point,
 )
-from .noise import NoiseBasis, Quad, field_from_mode, lincomb, variance
+from .noise import NoiseBasis, Quad, covariance, field_from_mode, lincomb, variance
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
     PSA_GAIN_OPTIMAL,
     DealerConfig,
+    Shares,
     deal,
     reconstruct_12,
     reconstruct_2psa,
@@ -68,6 +69,11 @@ DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
 TABLE_VQ_CAP = 1e6
 
 
+def _require_finite(values: Sequence[float]) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("parameters must be finite numbers")
+
+
 @dataclass
 class ScenarioConfig:
     """One scenario: scheme plus the dealer, loop and secret parameters."""
@@ -85,6 +91,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        numbers = [self.r, self.eta, self.epsilon, *self.secret_means]
+        if self.vm_db is not None:
+            numbers.append(self.vm_db)
+        if isinstance(self.gain, (int, float)):
+            numbers.append(self.gain)
+        _require_finite(numbers)
         if self.r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
         if self.vm_db is not None and self.vm_db < 0:
@@ -103,47 +115,32 @@ class ScenarioConfig:
         return 0.0 if self.vm_db is None else 10.0 ** (self.vm_db / 10.0)
 
 
-def _resolve_gain(cfg: ScenarioConfig) -> float:
+_DEFAULT_GAINS = {"psa2": PSA_GAIN_OPTIMAL, "feedforward": FF_GAIN_OPTIMAL}
+
+
+def _resolve_gain(cfg: ScenarioConfig, shares: Shares, quad: Quad) -> float:
     g = cfg.gain
-    if g is None:
-        return {
-            "psa2": PSA_GAIN_OPTIMAL,
-            "feedforward": FF_GAIN_OPTIMAL,
-        }.get(cfg.scheme, 0.0)
     if g == "optimal":
-        if cfg.scheme == "psa2":
-            return PSA_GAIN_OPTIMAL
         if cfg.scheme == "feedforward":
             return optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq")
         if cfg.scheme == "single_quadrature":
-            return _optimal_readout_gain(cfg)
-        return 0.0
-    return float(g)
-
-
-def _optimal_readout_gain(cfg: ScenarioConfig) -> float:
-    """Electronic gain minimising the single-quadrature estimator variance."""
-    quad = Quad.PLUS if cfg.quad == "plus" else Quad.MINUS
-    basis = NoiseBasis()
-    secret = field_from_mode(basis, basis.vacuum(), *cfg.secret_means)
-    shares = deal(secret, DealerConfig(cfg.r, cfg.v_m, EprSource(cfg.source)))
-
-    def est_var(g: float) -> float:
-        return variance(lincomb([(1.0, shares.share2), (g, shares.share3)]), quad)
-
-    return metrics._bracketed_min(est_var, -8.0, 8.0)
+            # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it
+            return -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
+    elif g is not None:
+        return float(g)
+    return _DEFAULT_GAINS.get(cfg.scheme, 0.0)
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute one scenario and return the metrics record."""
     cfg.validate()
-    gain = _resolve_gain(cfg)
     basis = NoiseBasis()
     secret = field_from_mode(basis, basis.vacuum(), *cfg.secret_means)
     shares = deal(secret, DealerConfig(cfg.r, cfg.v_m, EprSource(cfg.source)))
+    quad = Quad.PLUS if cfg.quad == "plus" else Quad.MINUS
+    gain = _resolve_gain(cfg, shares, quad)
 
     if cfg.scheme == "single_quadrature":
-        quad = Quad.PLUS if cfg.quad == "plus" else Quad.MINUS
         combined = lincomb([(1.0, shares.share2), (gain, shares.share3)])
         t = metrics.transfer_coefficient(secret, combined, quad)
         vcv = metrics.conditional_variance(secret, combined, quad)
@@ -436,12 +433,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write to this path instead of stdout")
         p.add_argument("--config", help="JSON file with default parameter values")
 
+    def add_squeezing(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--r", type=float, help="squeezing parameter")
+        group.add_argument(
+            "--squeezing-pct", type=float, help="squeezing as a percentage, alternative to --r"
+        )
+
     run_p = sub.add_parser("run", help="run a single scenario")
     run_p.add_argument("--scheme", choices=SCHEMES)
-    run_p.add_argument("--r", type=float, help="squeezing parameter")
-    run_p.add_argument(
-        "--squeezing-pct", type=float, help="squeezing as a percentage, alternative to --r"
-    )
+    add_squeezing(run_p)
     run_p.add_argument("--vm-db", type=float, help="added modulation, dB above shot noise")
     run_p.add_argument("--eta", type=float, default=1.0)
     run_p.add_argument("--gain", type=_parse_gain, help='loop gain, or "optimal"')
@@ -456,8 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(run_p)
 
     tv_p = sub.add_parser("tv-curve", help="gain sweep for the T-V diagram")
-    tv_p.add_argument("--r", type=float)
-    tv_p.add_argument("--squeezing-pct", type=float)
+    add_squeezing(tv_p)
     tv_p.add_argument(
         "--gains", type=_parse_gains, default=list(DEFAULT_GAIN_GRID),
         help="comma-separated monotone gain grid",
@@ -484,21 +484,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: Sequence[str]) -> None:
-    """Fill unset options from a JSON config file; explicit flags always win."""
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_tokens(path: str) -> list[str]:
+    """Flag tokens for the option defaults in a JSON config file.
+
+    A scalar value becomes one token after its flag, a list one token per
+    element; argparse then types and checks them like typed flags.
+    """
     with open(path, encoding="utf-8") as fh:
         defaults = json.load(fh)
+    if not isinstance(defaults, dict):
+        raise ValueError("config file must hold a JSON object")
+    tokens = []
     for key, value in defaults.items():
-        attr = key.replace("-", "_")
-        flag = "--" + key.replace("_", "-")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r}")
-        given = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not given:
-            setattr(args, attr, value)
+        values = value if isinstance(value, list) else [value]
+        if not all(isinstance(v, (str, int, float)) for v in values):
+            raise ValueError(f"config key {key!r} must be a scalar or a list of scalars")
+        tokens += ["--" + key.replace("_", "-"), *map(str, values)]
+    return tokens
 
 
 def _resolve_r(args: argparse.Namespace) -> float:
@@ -511,12 +513,13 @@ def _resolve_r(args: argparse.Namespace) -> float:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_file(args, argv)
+        if getattr(args, "config", None):
+            # config tokens go right after the subcommand, so explicit flags win
+            args = parser.parse_args(argv[:1] + _config_tokens(args.config) + argv[1:])
         if args.command == "run":
             if args.scheme is None:
                 raise ValueError("run needs --scheme (or a config file providing it)")
@@ -546,6 +549,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _render(rows, CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "table":
+            _require_finite([args.r_large, args.vm_db_large, args.cap])
             rows = table_entries(args.r_large, args.vm_db_large, args.cap)
             _render(rows, ("subset", "condition", "t_q", "v_q"), args.format, args.output)
             return 0
@@ -556,7 +560,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.output:
                 sys.stdout.write("verify: PASS\n" if summary["pass"] else "verify: FAIL\n")
             return 0 if summary["pass"] else 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"cvqss: error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError("unreachable")

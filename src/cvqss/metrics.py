@@ -201,56 +201,36 @@ def fidelity_closed_form(
 
 
 # ---------------------------------------------------------------------------
-# Deterministic scalar optimisation of the closed forms.
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-GAIN_SEARCH_RANGE = (0.0, 8.0)
-
-
-def _golden_section_min(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Golden-section minimum of a unimodal f on [a, b]."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _bracketed_min(f, lo: float, hi: float, tol: float = 1e-10, coarse: int = 64) -> float:
-    """Coarse grid bracket then golden section; robust to an edge minimum."""
-    xs = [lo + (hi - lo) * i / coarse for i in range(coarse + 1)]
-    vals = [f(x) for x in xs]
-    i = min(range(len(xs)), key=vals.__getitem__)
-    a = xs[max(0, i - 1)]
-    b = xs[min(coarse, i + 1)]
-    return _golden_section_min(f, a, b, tol)
+# Exact optima of the closed forms.
 
 
 def optimal_gain(
     r: float, v_m: float = 0.0, eta: float = 1.0, objective: str = "max_tq"
 ) -> float:
-    """Feedforward gain optimising a closed-form objective over [0, 8].
+    """Feedforward gain optimising a closed-form objective, in closed form.
 
     "max_tq" maximises the information transfer sum; "min_vq" minimises the
-    conditional-variance product.  Both approach 2 sqrt(2) for strong
-    squeezing or strong added noise; with finite squeezing and no noise the
-    transfer optimum sits strictly below it.
+    conditional-variance product.  Both objectives weigh the noise that
+    cancels at 2 sqrt(2), loud = e^{2r} + 2 v_m, against the noise that
+    grows with the gain, quiet; the stationarity condition is linear in g
+    (the g^2 terms cancel), so each has the single optimum
+
+        g = 2 sqrt(2) loud / (loud + quiet),
+
+    with quiet = 3 e^{-2r} + 4 (1 - eta)/eta for "max_tq" and three times
+    that for "min_vq".  Both approach 2 sqrt(2) for strong squeezing or
+    strong added noise; with finite squeezing and no noise the transfer
+    optimum sits strictly below it.
     """
-    if objective == "max_tq":
-        f = lambda g: -closed_form("ff_cp", r, v_m, eta, g)[0]
-    elif objective == "min_vq":
-        f = lambda g: closed_form("ff_cp", r, v_m, eta, g)[1]
-    else:
+    if objective not in ("max_tq", "min_vq"):
         raise ValueError(f"unknown objective {objective!r}")
-    return _bracketed_min(f, *GAIN_SEARCH_RANGE)
+    if eta <= 0.0:
+        raise ValueError("feedforward closed form undefined at zero efficiency")
+    quiet = 3.0 * math.exp(-2.0 * r) + 4.0 * (1.0 - eta) / eta
+    if objective == "min_vq":
+        quiet *= 3.0
+    loud = math.exp(2.0 * r) + 2.0 * v_m
+    return 2.0 * _SQRT2 / (1.0 + quiet / loud)
 
 
 def squeezing_pct(r: float) -> float:

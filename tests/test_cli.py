@@ -4,9 +4,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cvqss.metrics
-from cvqss import collaboration_beams, tv_point
+from cvqss import EprSource, Quad, collaboration_beams, single_quadrature_estimate, tv_point
 from cvqss.cli import (
     CSV_COLUMNS,
     ScenarioConfig,
@@ -54,6 +56,30 @@ class TestRunScenario:
         assert rec["gain"] == pytest.approx(TWO_SQRT2, abs=1e-6)
         rec = run_scenario(ScenarioConfig("psa2", r=0.5, gain="optimal"))
         assert rec["gain"] == pytest.approx((math.sqrt(2) + 1) / (math.sqrt(2) - 1), abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        vm_db=st.one_of(st.none(), st.floats(0.0, 20.0)),
+        quad=st.sampled_from(("plus", "minus")),
+        source=st.sampled_from(("type1", "type2")),
+    )
+    def test_optimal_readout_gain_minimises_the_estimator_variance(self, r, vm_db, quad, source):
+        cfg = ScenarioConfig(
+            "single_quadrature", r, vm_db, gain="optimal", quad=quad, source=source
+        )
+        g = run_scenario(cfg)["gain"]
+        _, shares = dealt(r, cfg.v_m, EprSource(source))
+        q = Quad.PLUS if quad == "plus" else Quad.MINUS
+        best = single_quadrature_estimate(shares, q, g).variance
+        for nudged in (g - 1e-6, g + 1e-6):
+            assert single_quadrature_estimate(shares, q, nudged).variance >= best
+
+    def test_optimal_gain_for_fixed_gain_schemes_is_the_default(self):
+        for scheme in ("mz12", "psa2", "single_player_1", "single_player_2"):
+            default = run_scenario(ScenarioConfig(scheme, r=0.5, vm_db=10.0))
+            optimal = run_scenario(ScenarioConfig(scheme, r=0.5, vm_db=10.0, gain="optimal"))
+            assert optimal == default
 
     def test_single_quadrature_reports_one_quadrature_only(self):
         rec = run_scenario(ScenarioConfig("single_quadrature", r=0.5, gain=-0.5, quad="plus"))
@@ -128,6 +154,13 @@ class TestRunCommand:
         assert main(["run", "--config", str(cfg), "--r", "1.5"]) == 0
         _, rows = parse_csv(capsys.readouterr().out)
         assert float(rows[0]["r"]) == 1.5
+
+    def test_config_values_are_typed_like_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scheme": "mz12", "r": "0.5", "means": [1, -2]}))
+        assert main(["run", "--config", str(cfg), "--format", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["r"] == 0.5
 
     def test_missing_scheme_is_a_usage_error(self, capsys):
         assert main(["run", "--r", "0.5"]) == 2
@@ -253,3 +286,56 @@ class TestVerify:
                               gains=(0.0, TWO_SQRT2))
         assert summary["pass"] is True
         assert summary["families"]["feedforward_tv"]["count"] == 4
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+BAD_CONFIGS = {
+    "command": {"command": "verify", "scheme": "mz12"},
+    "untyped": {"scheme": "mz12", "r": "half"},
+    "choice": {"scheme": "mz12", "format": "xml"},
+    "unknown_key": {"scheme": "mz12", "colour": "blue"},
+    "nested": {"scheme": "mz12", "means": {"x": 1}},
+    "not_an_object": [1, 2],
+}
+
+BAD_ARGV = [
+    ["run", "--scheme", "feedforward", "--r", "nan"],
+    ["run", "--scheme", "feedforward", "--r", "inf"],
+    ["run", "--scheme", "feedforward", "--vm-db", "nan"],
+    ["run", "--scheme", "feedforward", "--eta", "nan"],
+    ["run", "--scheme", "feedforward", "--gain", "nan"],
+    ["run", "--scheme", "feedforward", "--gain", "-inf"],
+    ["run", "--scheme", "feedforward", "--means", "nan", "1"],
+    ["run", "--scheme", "feedforward", "--epsilon", "nan"],
+    ["run", "--scheme", "mz12", "--r", "400"],
+    ["run", "--scheme", "mz12", "--r", "1", "--squeezing-pct", "10"],
+    ["tv-curve", "--r", "1", "--squeezing-pct", "10"],
+    ["tv-curve", "--gains", "0,nan"],
+    ["tv-curve", "--r", "0.5", "--vm-db", "inf"],
+    ["table", "--r-large", "nan"],
+    ["table", "--vm-db-large", "inf"],
+    ["table", "--cap", "nan"],
+    ["table", "--r-large", "400"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(argv, None) for argv in BAD_ARGV] + [(["run"], cfg) for cfg in BAD_CONFIGS.values()],
+    ids=[" ".join(argv) for argv in BAD_ARGV] + [f"config-{k}" for k in BAD_CONFIGS],
+)
+def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cvqss: error" in captured.err or "usage:" in captured.err

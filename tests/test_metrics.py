@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqss import (
     FF_GAIN_OPTIMAL,
@@ -200,10 +202,9 @@ class TestOptimalGain:
             assert optimal_gain(r) < TWO_SQRT2 - 1e-6
 
     def test_no_squeezing_values(self):
-        # Golden values from a converged run of this optimiser: the
-        # transfer optimum at r = 0 is 1/sqrt(2) with T_q = 5/6.
+        # At r = 0 the transfer optimum is 2 sqrt(2) / 4 = 1/sqrt(2), with T_q = 5/6.
         g = optimal_gain(0.0)
-        assert g == pytest.approx(0.7071068076719061, abs=1e-6)
+        assert g == math.sqrt(0.5)
         assert closed_form("ff_cp", 0.0, 0.0, 1.0, g)[0] == pytest.approx(
             5.0 / 6.0, abs=1e-9
         )
@@ -218,8 +219,39 @@ class TestOptimalGain:
         for r in (0.0, 0.3, 1.0, 2.5):
             expected = TWO_SQRT2 / (1.0 + 9.0 * math.exp(-4.0 * r))
             assert optimal_gain(r, objective="min_vq") == pytest.approx(
-                expected, abs=1e-6
+                expected, rel=1e-12
             )
+
+    @settings(max_examples=200)
+    @given(
+        r=st.floats(0.0, 8.0),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        eta=st.floats(0.05, 1.0),
+    )
+    def test_formula_gains_are_optimal(self, r, v_m, eta):
+        # Nudging either formula gain never improves its objective.
+        for objective, sign, idx in (("max_tq", -1.0, 0), ("min_vq", 1.0, 1)):
+            g = optimal_gain(r, v_m, eta, objective)
+            assert 0.0 <= g < TWO_SQRT2
+            best = sign * closed_form("ff_cp", r, v_m, eta, g)[idx]
+            for nudged in (g - 1e-6, g + 1e-6):
+                value = sign * closed_form("ff_cp", r, v_m, eta, nudged)[idx]
+                assert value >= best
+
+    @pytest.mark.parametrize("r, v_m, eta", [(0.0, 0.0, 1.0), (0.5, 10.0, 0.9), (2.0, 1.0, 0.3)])
+    def test_formulas_as_stated(self, r, v_m, eta):
+        e2r, em2r, loss = math.exp(2.0 * r), math.exp(-2.0 * r), (1.0 - eta) / eta
+        loud = TWO_SQRT2 * (e2r + 2.0 * v_m)
+        assert optimal_gain(r, v_m, eta, "max_tq") == pytest.approx(
+            loud / (e2r + 3.0 * em2r + 2.0 * v_m + 4.0 * loss), rel=1e-12
+        )
+        assert optimal_gain(r, v_m, eta, "min_vq") == pytest.approx(
+            loud / (e2r + 9.0 * em2r + 2.0 * v_m + 12.0 * loss), rel=1e-12
+        )
+
+    def test_zero_efficiency_rejected(self):
+        with pytest.raises(ValueError):
+            optimal_gain(0.5, eta=0.0)
 
     def test_unknown_objective_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +263,7 @@ class TestCrossover:
         p = crossover_squeezing()
         assert abs(p - 0.42) <= 0.02
         # analytically 1 - 1/sqrt(3)
-        assert p == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), abs=1e-6)
+        assert p == pytest.approx(1.0 - 1.0 / math.sqrt(3.0), abs=1e-12)
 
     def test_collaboration_dominates_at_high_squeezing(self):
         r = r_from_squeezing_pct(0.99)

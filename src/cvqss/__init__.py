@@ -64,6 +64,7 @@ from .protocol import (
     Shares,
     collaboration_beams,
     deal,
+    feedforward_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,

@@ -32,6 +32,7 @@ from .protocol import (
     DealerConfig,
     Shares,
     deal,
+    feedforward_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -325,8 +326,7 @@ def verify_grid(
                 dev = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
                 record("single_player", {"r": r, "v_m": v_m, "player": player}, dev)
             for eta in eta_values:
-                for g in gains:
-                    out = reconstruct_ff(shares, g, eta)
+                for g, out in zip(gains, feedforward_sweep(shares, gains, eta)):
                     sim = tv_point(secret, out)
                     ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
                     dev = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))

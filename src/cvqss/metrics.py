@@ -16,6 +16,7 @@ from .noise import FieldState, Quad, covariance, variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_ZERO_SECRET_MEAN = "signal transfer undefined for a zero secret mean; use a displaced secret"
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> flo
     """T = SNR_out / SNR_secret for one quadrature, SNR = <X>^2 / V."""
     ms = secret.mean(quad)
     if ms == 0.0:
-        raise ValueError("signal transfer undefined for a zero secret mean; use a displaced secret")
+        raise ValueError(_ZERO_SECRET_MEAN)
     mo = out.mean(quad)
     snr_secret = ms * ms / variance(secret, quad)
     snr_out = mo * mo / variance(out, quad)
@@ -106,25 +107,39 @@ def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> flo
     return variance(out, quad) - cov * cov / variance(secret, quad)
 
 
+def _transfer_and_cv(secret: FieldState, out: FieldState, quad: Quad) -> tuple[float, float]:
+    """(T, V_cv) of one quadrature with each variance computed once.
+
+    The arithmetic is that of transfer_coefficient and conditional_variance,
+    so the results are bit-identical to theirs.
+    """
+    ms = secret.mean(quad)
+    if ms == 0.0:
+        raise ValueError(_ZERO_SECRET_MEAN)
+    mo = out.mean(quad)
+    vs, vo = variance(secret, quad), variance(out, quad)
+    cov = covariance(secret, out, quad)
+    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs
+
+
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
     """(T_q, V_q) for the T-V diagram; ideal reconstruction sits at (2, 0)."""
-    t_q = transfer_coefficient(secret, out, Quad.PLUS) + transfer_coefficient(
-        secret, out, Quad.MINUS
-    )
-    v_q = conditional_variance(secret, out, Quad.PLUS) * conditional_variance(
-        secret, out, Quad.MINUS
-    )
-    return t_q, v_q
+    t_plus, vcv_plus = _transfer_and_cv(secret, out, Quad.PLUS)
+    t_minus, vcv_minus = _transfer_and_cv(secret, out, Quad.MINUS)
+    return t_plus + t_minus, vcv_plus * vcv_minus
 
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
+    fid = fidelity(secret, out)
+    t_plus, vcv_plus = _transfer_and_cv(secret, out, Quad.PLUS)
+    t_minus, vcv_minus = _transfer_and_cv(secret, out, Quad.MINUS)
     return Metrics(
-        fidelity=fidelity(secret, out),
-        t_plus=transfer_coefficient(secret, out, Quad.PLUS),
-        t_minus=transfer_coefficient(secret, out, Quad.MINUS),
-        vcv_plus=conditional_variance(secret, out, Quad.PLUS),
-        vcv_minus=conditional_variance(secret, out, Quad.MINUS),
+        fidelity=fid,
+        t_plus=t_plus,
+        t_minus=t_minus,
+        vcv_plus=vcv_plus,
+        vcv_minus=vcv_minus,
         k_plus=_mean_mismatch(secret, out, Quad.PLUS),
         k_minus=_mean_mismatch(secret, out, Quad.MINUS),
     )

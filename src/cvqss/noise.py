@@ -26,6 +26,10 @@ class Quad(Enum):
     PLUS = "+"
     MINUS = "-"
 
+    # Members are singletons, so identity hashing agrees with equality and,
+    # unlike Enum's name hash, runs in C for every (mid, Quad) key.
+    __hash__ = object.__hash__
+
 
 class ModeKind(Enum):
     VACUUM = "vacuum"
@@ -50,9 +54,6 @@ class NoiseMode:
     v_plus: float
     v_minus: float
 
-    def variance(self, quad: Quad) -> float:
-        return self.v_plus if quad is Quad.PLUS else self.v_minus
-
 
 class NoiseBasis:
     """Append-only registry of the noise modes active in one scenario.
@@ -63,6 +64,8 @@ class NoiseBasis:
 
     def __init__(self) -> None:
         self._modes: list[NoiseMode] = []
+        # Variance of every registered source, read by the algebra below.
+        self._variances: dict[Source, float] = {}
 
     def __len__(self) -> int:
         return len(self._modes)
@@ -101,6 +104,8 @@ class NoiseBasis:
                 raise ValueError("classical modulation is symmetric: v_plus = v_minus")
         mid = len(self._modes)
         self._modes.append(NoiseMode(mid, kind, v_plus, v_minus))
+        self._variances[(mid, Quad.PLUS)] = v_plus
+        self._variances[(mid, Quad.MINUS)] = v_minus
         return mid
 
     # Convenience constructors for the four kinds in use.
@@ -121,8 +126,7 @@ class NoiseBasis:
         return self.register(ModeKind.DETECTOR_VACUUM, 1.0, 1.0)
 
     def source_variance(self, source: Source) -> float:
-        mid, quad = source
-        return self.mode(mid).variance(quad)
+        return self._variances[source]
 
 
 def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
@@ -146,9 +150,13 @@ class FieldState:
     coeffs_minus: Mapping[Source, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # Every key must be a registered (mid, Quad) source: this rejects
+        # stale ids and malformed quadratures alike.
+        known = self.basis._variances.keys()
         for coeffs in (self.coeffs_plus, self.coeffs_minus):
-            for mid, _quad in coeffs:
-                self.basis.mode(mid)  # raises KeyError on stale ids
+            if not coeffs.keys() <= known:
+                bad = next(src for src in coeffs if src not in known)
+                raise KeyError(f"unknown noise mode id in source {bad!r}")
 
     def mean(self, quad: Quad) -> float:
         return self.mean_plus if quad is Quad.PLUS else self.mean_minus
@@ -179,9 +187,8 @@ def field_from_mode(
 
 def variance(fld: FieldState, quad: Quad) -> float:
     """Fluctuation variance of one quadrature, in shot-noise units."""
-    return sum(
-        c * c * fld.basis.source_variance(src) for src, c in fld.coeffs(quad).items()
-    )
+    table = fld.basis._variances
+    return sum(c * c * table[src] for src, c in fld.coeffs(quad).items())
 
 
 def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
@@ -191,7 +198,8 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     ca, cb = a.coeffs(quad), b.coeffs(quad)
     if len(cb) < len(ca):
         ca, cb = cb, ca
-    return sum(c * cb[src] * a.basis.source_variance(src) for src, c in ca.items() if src in cb)
+    table = a.basis._variances
+    return sum(c * cb[src] * table[src] for src, c in ca.items() if src in cb)
 
 
 def lincomb(terms: Iterable[tuple[float, FieldState]]) -> FieldState:

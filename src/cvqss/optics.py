@@ -207,8 +207,9 @@ class Photocurrent:
 def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
     """Detect the amplitude quadrature with efficiency eta.
 
-    d_mode must be a fresh detector_vacuum mode; it models the vacuum noise
-    entering through the detector's loss port.
+    d_mode must be a detector_vacuum mode (deal declares one per set of
+    shares); it models the vacuum noise entering through the detector's
+    loss port.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("detection efficiency must be in [0, 1]")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
 from .noise import FieldState, ModeKind, Quad, lincomb, variance
@@ -44,12 +45,18 @@ class DealerConfig:
 
 @dataclass(frozen=True)
 class Shares:
-    """The three dealt beams plus the configuration that produced them."""
+    """The three dealt beams plus the configuration that produced them.
+
+    detector is the detector_vacuum mode declared with the shares: every
+    feedforward reconstruction from them admixes it through its detector's
+    loss port, so reconstructing never grows the basis.
+    """
 
     share1: FieldState
     share2: FieldState
     share3: FieldState
     config: DealerConfig
+    detector: int
 
     def share(self, i: int) -> FieldState:
         return (self.share1, self.share2, self.share3)[i - 1]
@@ -81,7 +88,8 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     Share 1 and 2 are the outputs of a 1:1 beam splitter between the secret
     and entangled beam 1; share 3 is entangled beam 2.  With modulation the
     shared classical mode rides on the entangled beams with opposite signs
-    in X+, so shares 1 and 2 carry equal added noise.
+    in X+, so shares 1 and 2 carry equal added noise.  The feedforward
+    detector's vacuum mode is registered last.
     """
     _require_coherent(secret)
     basis = secret.basis
@@ -94,7 +102,7 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
         epr1 = phase_modulate(pair.beam1, mod, +1)
         epr2 = phase_modulate(pair.beam2, mod, -1)
     share1, share2 = beam_splitter(secret, epr1, 0.5)
-    return Shares(share1, share2, epr2, config)
+    return Shares(share1, share2, epr2, config, basis.detector())
 
 
 def reconstruct_12(shares: Shares) -> FieldState:
@@ -177,15 +185,31 @@ def reconstruct_ff(
     keeps the local-oscillator mixing splitter finite instead of taking its
     high-reflectivity limit; the closed forms assume epsilon = 0.
     """
-    if gain < 0.0:
+    return feedforward_sweep(shares, (gain,), eta, players, epsilon)[0]
+
+
+def feedforward_sweep(
+    shares: Shares,
+    gains: Sequence[float],
+    eta: float = 1.0,
+    players: tuple[int, int] = (2, 3),
+    epsilon: float = 0.0,
+) -> list[FieldState]:
+    """reconstruct_ff at each loop gain, building the gain-free stages once.
+
+    The 2/3 splitter and the detection do not depend on the gain, so they
+    run once per call and each gain costs one feedforward mix.  Entry i
+    equals reconstruct_ff(shares, gains[i], eta, players, epsilon); with
+    epsilon > 0 all entries share one local-oscillator vacuum mode.
+    """
+    if any(g < 0.0 for g in gains):
         raise ValueError("feedforward gain must be nonnegative")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
-    basis = kept.basis
-    current = detect(detected, eta, basis.detector())
-    lo_mode = basis.vacuum() if epsilon > 0.0 else None
-    return feedforward_mix(kept, current, gain, epsilon, lo_mode)
+    current = detect(detected, eta, shares.detector)
+    lo_mode = kept.basis.vacuum() if epsilon > 0.0 else None
+    return [feedforward_mix(kept, current, g, epsilon, lo_mode) for g in gains]
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:
@@ -235,6 +259,7 @@ __all__ = [
     "Shares",
     "collaboration_beams",
     "deal",
+    "feedforward_sweep",
     "reconstruct_12",
     "reconstruct_2psa",
     "reconstruct_ff",

@@ -191,7 +191,7 @@ def test_criterion_09_equation_coefficient_regression():
     })
 
     # photocurrent
-    d = basis.detector()
+    d = shares.detector
     current = detect(detected, eta, d)
     se = math.sqrt(eta)
     for src, expected in {
@@ -204,8 +204,8 @@ def test_criterion_09_equation_coefficient_regression():
 
     # reconstructed output (the modulation term's overall sign follows the
     # composition of the share and splitter relations above)
-    out = reconstruct_ff(shares, gain, eta)  # registers its own detector mode
-    det_id = max(mm.mid for mm in out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM))
+    out = reconstruct_ff(shares, gain, eta)
+    det_id = shares.detector
     anti = gain / (2.0 * sqrt6) - 1.0 / SQRT3
     assert_coeffs(out, P, {
         (psi_id, P): 1.0 / SQRT3 + gain / sqrt6,

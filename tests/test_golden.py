@@ -1,4 +1,4 @@
-"""Byte-pinned CLI outputs: default-gain runs, a tv-curve sweep and the table."""
+"""Byte-pinned CLI outputs: default-gain runs, a tv-curve sweep, the table and verify."""
 
 from pathlib import Path
 
@@ -15,6 +15,7 @@ CASES = {
     },
     "tv_curve.csv": ["tv-curve", "--r", "0.5", "--vm-db", "20"],
     "table.json": ["table", "--format", "json"],
+    "verify.json": ["verify"],
 }
 
 

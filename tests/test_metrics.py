@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqss import (
+    EprSource,
     FF_GAIN_OPTIMAL,
     PSA_GAIN_OPTIMAL,
     Quad,
@@ -126,6 +127,30 @@ class TestTvPoint:
         t_q, v_q = tv_point(psi, shares.share1)
         assert t_q == pytest.approx(1.0, abs=1e-12)
         assert v_q == pytest.approx(0.25, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        v_m=st.floats(0.0, 100.0),
+        source=st.sampled_from(EprSource),
+        means=st.tuples(*2 * [st.floats(0.1, 5.0) | st.floats(-5.0, -0.1)]),
+        output=st.sampled_from(["share1", "share2", "feedforward"]),
+        gain=st.floats(0.0, 8.0),
+        eta=st.floats(0.05, 1.0),
+    )
+    def test_equals_the_per_quadrature_metrics_exactly(
+        self, r, v_m, source, means, output, gain, eta
+    ):
+        psi, shares = dealt(r, v_m, source, means)
+        if output == "feedforward":
+            out = reconstruct_ff(shares, gain, eta)
+        else:
+            out = shares.share(int(output[-1]))
+        t = {q: transfer_coefficient(psi, out, q) for q in Quad}
+        v = {q: conditional_variance(psi, out, q) for q in Quad}
+        assert tv_point(psi, out) == (t[P] + t[M], v[P] * v[M])
+        m = evaluate(psi, out)
+        assert (m.t_plus, m.t_minus, m.vcv_plus, m.vcv_minus) == (t[P], t[M], v[P], v[M])
 
 
 class TestClosedForms:

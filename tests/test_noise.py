@@ -84,6 +84,20 @@ class TestFieldConstruction:
         with pytest.raises(KeyError):
             FieldState(basis, 0.0, 0.0, {(0, Quad.PLUS): 1.0}, {})
 
+    def test_stale_id_rejected_in_either_quadrature(self, basis):
+        mid = basis.vacuum()
+        with pytest.raises(KeyError, match="unknown noise mode id"):
+            FieldState(basis, 0.0, 0.0, {(mid, Quad.PLUS): 1.0}, {(mid + 1, Quad.MINUS): 1.0})
+
+    @pytest.mark.parametrize("quad", ["+", "plus", 0, None])
+    def test_non_quad_quadrature_rejected(self, basis, quad):
+        # A string "+" key was once read as the MINUS variance: e^{2} instead
+        # of e^{-2} for this r = 1 squeezed mode.
+        mid = basis.squeezed(1.0)
+        assert basis.source_variance((mid, Quad.PLUS)) == math.exp(-2.0)
+        with pytest.raises(KeyError, match="unknown noise mode id"):
+            FieldState(basis, 0.0, 0.0, {(mid, quad): 1.0}, {})
+
 
 class TestVariance:
     def test_balanced_mix_of_vacua_stays_at_shot_noise(self, basis):

@@ -8,12 +8,15 @@ sign and phase conventions of the whole pipeline.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqss import (
     DealerConfig,
     EprSource,
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
+    FieldState,
     ModeKind,
     NoiseBasis,
     PSA_GAIN_OPTIMAL,
@@ -23,6 +26,7 @@ from cvqss import (
     deal,
     detect,
     evaluate,
+    feedforward_sweep,
     field_from_mode,
     fields_close,
     fidelity,
@@ -370,6 +374,84 @@ class TestFeedforward:
         _, shares = dealt(r=0.5)
         with pytest.raises(ValueError):
             reconstruct_ff(shares, 1.0, 1.0, epsilon=1.0)
+
+    def test_reconstructions_share_the_deals_detector(self):
+        _, shares = dealt(r=0.5, v_m=100.0)
+        basis = shares.share1.basis
+        assert basis.mode(shares.detector).kind is ModeKind.DETECTOR_VACUUM
+        size = len(basis)
+        outs = [reconstruct_ff(shares, gain, 0.9) for gain in (1.3, FF_GAIN_OPTIMAL)]
+        assert len(basis) == size
+        for out in outs:
+            assert out.coeff(P, (shares.detector, P)) != 0.0
+
+
+def _relabel(fld, old, new):
+    """fld with the coefficients of mode old moved onto mode new."""
+
+    def move(coeffs):
+        return {(new if mid == old else mid, q): c for (mid, q), c in coeffs.items()}
+
+    return FieldState(
+        fld.basis, fld.mean_plus, fld.mean_minus, move(fld.coeffs_plus), move(fld.coeffs_minus)
+    )
+
+
+class TestFeedforwardSweep:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        v_m=st.floats(0.0, 100.0),
+        source=st.sampled_from(EprSource),
+        players=st.sampled_from([(2, 3), (1, 3)]),
+        eta=st.floats(0.05, 1.0),
+        epsilon=st.one_of(st.just(0.0), st.floats(1e-6, 0.5)),
+        gains=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=5),
+    )
+    def test_each_entry_is_the_single_gain_reconstruction(
+        self, r, v_m, source, players, eta, epsilon, gains
+    ):
+        _, shares = dealt(r, v_m, source)
+        basis = shares.share1.basis
+        lo = len(basis)  # the sweep's oscillator vacuum, when epsilon > 0
+        swept = feedforward_sweep(shares, gains, eta, players, epsilon)
+        assert len(swept) == len(gains)
+        assert len(basis) == lo + (epsilon > 0.0)
+        for gain, out in zip(gains, swept):
+            single = reconstruct_ff(shares, gain, eta, players, epsilon)
+            if epsilon > 0.0:
+                # each reconstruct_ff call brings its own oscillator vacuum
+                single = _relabel(single, len(basis) - 1, lo)
+            assert fields_close(out, single, atol=0.0)
+
+    @given(
+        gains=st.lists(st.floats(0.0, 8.0), max_size=4),
+        bad=st.floats(max_value=0.0, exclude_max=True),
+        at=st.integers(0, 4),
+        epsilon=st.sampled_from([0.0, 0.01]),
+    )
+    def test_negative_gain_rejected(self, gains, bad, at, epsilon):
+        _, shares = dealt(r=0.5)
+        size = len(shares.share1.basis)
+        gains.insert(at, bad)
+        with pytest.raises(ValueError):
+            feedforward_sweep(shares, gains, 0.9, epsilon=epsilon)
+        assert len(shares.share1.basis) == size
+
+    @given(
+        eta=st.one_of(
+            st.floats(max_value=0.0),
+            st.floats(min_value=1.0, exclude_min=True),
+            st.just(math.nan),
+        ),
+        epsilon=st.sampled_from([0.0, 0.01]),
+    )
+    def test_efficiency_outside_unit_interval_rejected(self, eta, epsilon):
+        _, shares = dealt(r=0.5)
+        size = len(shares.share1.basis)
+        with pytest.raises(ValueError):
+            feedforward_sweep(shares, [0.0, 1.0], eta, epsilon=epsilon)
+        assert len(shares.share1.basis) == size
 
 
 class TestSymplecticCorrect:

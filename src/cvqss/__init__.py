@@ -59,7 +59,6 @@ from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
     PSA_GAIN_OPTIMAL,
-    ClassicalSignal,
     DealerConfig,
     Shares,
     collaboration_beams,
@@ -69,7 +68,7 @@ from .protocol import (
     reconstruct_2psa,
     reconstruct_ff,
     secret_coefficient,
-    single_quadrature_estimate,
+    single_quadrature_readout,
     symplectic_correct,
 )
 

@@ -24,7 +24,7 @@ from .metrics import (
     squeezing_pct,
     tv_point,
 )
-from .noise import NoiseBasis, Quad, covariance, field_from_mode, lincomb, variance
+from .noise import NoiseBasis, Quad, covariance, field_from_mode, variance
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -36,6 +36,7 @@ from .protocol import (
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
+    single_quadrature_readout,
     symplectic_correct,
 )
 from .entanglement import EprSource
@@ -142,7 +143,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     gain = _resolve_gain(cfg, shares, quad)
 
     if cfg.scheme == "single_quadrature":
-        combined = lincomb([(1.0, shares.share2), (gain, shares.share3)])
+        combined = single_quadrature_readout(shares, gain)
         t = metrics.transfer_coefficient(secret, combined, quad)
         vcv = metrics.conditional_variance(secret, combined, quad)
         inf = float("inf")

@@ -75,9 +75,8 @@ def duan_sum(pair: EprPair) -> float:
     give exactly 4 exp(-2r) regardless of modulation, which cancels in both
     combinations.
     """
-    plus_sum = lincomb([(1.0, pair.beam1), (1.0, pair.beam2)])
-    minus_diff = lincomb([(1.0, pair.beam1), (-1.0, pair.beam2)])
-    return variance(plus_sum, Quad.PLUS) + variance(minus_diff, Quad.MINUS)
+    joint = lincomb([(1.0, pair.beam1), ((1.0, 0.0, 0.0, -1.0), pair.beam2)])
+    return variance(joint, Quad.PLUS) + variance(joint, Quad.MINUS)
 
 
 def duan_sum_normalized(pair: EprPair) -> float:

@@ -81,6 +81,11 @@ def fidelity(secret: FieldState, out: FieldState) -> float:
     variance coherent state.
     """
     k = _mean_mismatch(secret, out, Quad.PLUS) + _mean_mismatch(secret, out, Quad.MINUS)
+    return _overlap(secret, out, k)
+
+
+def _overlap(secret: FieldState, out: FieldState, k: float) -> float:
+    """fidelity's formula for a given mean-mismatch exponent sum k = k+ + k-."""
     vs_p, vs_m = variance(secret, Quad.PLUS), variance(secret, Quad.MINUS)
     vo_p, vo_m = variance(out, Quad.PLUS), variance(out, Quad.MINUS)
     return (
@@ -131,17 +136,18 @@ def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    fid = fidelity(secret, out)
+    k_plus = _mean_mismatch(secret, out, Quad.PLUS)
+    k_minus = _mean_mismatch(secret, out, Quad.MINUS)
     t_plus, vcv_plus = _transfer_and_cv(secret, out, Quad.PLUS)
     t_minus, vcv_minus = _transfer_and_cv(secret, out, Quad.MINUS)
     return Metrics(
-        fidelity=fid,
+        fidelity=_overlap(secret, out, k_plus + k_minus),
         t_plus=t_plus,
         t_minus=t_minus,
         vcv_plus=vcv_plus,
         vcv_minus=vcv_minus,
-        k_plus=_mean_mismatch(secret, out, Quad.PLUS),
-        k_minus=_mean_mismatch(secret, out, Quad.MINUS),
+        k_plus=k_plus,
+        k_minus=k_minus,
     )
 
 
@@ -239,7 +245,7 @@ def optimal_gain(
     """
     if objective not in ("max_tq", "min_vq"):
         raise ValueError(f"unknown objective {objective!r}")
-    if eta <= 0.0:
+    if not 0.0 < eta < math.inf:
         raise ValueError("feedforward closed form undefined at zero efficiency")
     quiet = 3.0 * math.exp(-2.0 * r) + 4.0 * (1.0 - eta) / eta
     if objective == "min_vq":

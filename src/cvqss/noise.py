@@ -44,6 +44,10 @@ class ModeKind(Enum):
 # reference the MINUS component of some source.
 Source = tuple[int, Quad]
 
+# A lincomb weight: a number, or a quadrature map (a, b, c, d) sending
+# (X+, X-) to (a X+ + b X-, c X+ + d X-).
+Weight = float | tuple[float, float, float, float]
+
 
 @dataclass(frozen=True)
 class NoiseMode:
@@ -75,9 +79,6 @@ class NoiseBasis:
             raise KeyError(f"unknown noise mode id {mid}")
         return self._modes[mid]
 
-    def modes(self) -> tuple[NoiseMode, ...]:
-        return tuple(self._modes)
-
     def modes_of_kind(self, kind: ModeKind) -> tuple[NoiseMode, ...]:
         return tuple(m for m in self._modes if m.kind is kind)
 
@@ -89,7 +90,7 @@ class NoiseBasis:
         (v_plus * v_minus = 1), classical modulation has equal variance in
         both quadratures (0 means no added noise).
         """
-        if v_plus < 0 or v_minus < 0:
+        if not (0.0 <= v_plus < math.inf and 0.0 <= v_minus < math.inf):
             raise ValueError("noise-mode variances must be nonnegative")
         if kind in (ModeKind.VACUUM, ModeKind.DETECTOR_VACUUM):
             if abs(v_plus - 1.0) > COEFF_ATOL or abs(v_minus - 1.0) > COEFF_ATOL:
@@ -130,6 +131,9 @@ class NoiseBasis:
 
 
 def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
+    # Exact cancellations are rare, so most dicts are returned without a copy.
+    if 0.0 not in coeffs.values():
+        return coeffs
     return {k: v for k, v in coeffs.items() if v != 0.0}
 
 
@@ -167,9 +171,6 @@ class FieldState:
     def coeff(self, quad: Quad, source: Source) -> float:
         return self.coeffs(quad).get(source, 0.0)
 
-    def sources(self) -> set[Source]:
-        return set(self.coeffs_plus) | set(self.coeffs_minus)
-
 
 def field_from_mode(
     basis: NoiseBasis, mid: int, mean_plus: float = 0.0, mean_minus: float = 0.0
@@ -202,8 +203,27 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     return sum(c * cb[src] * table[src] for src, c in ca.items() if src in cb)
 
 
-def lincomb(terms: Iterable[tuple[float, FieldState]]) -> FieldState:
-    """Real linear combination of fields, applied to means and coefficients alike."""
+def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:
+    # An empty out skips the 0.0 + k * x: that sum differs from k * x only
+    # for -0.0, and _prune drops both zeros.
+    if not out:
+        for src, x in coeffs.items():
+            out[src] = k * x
+        return
+    for src, x in coeffs.items():
+        out[src] = out.get(src, 0.0) + k * x
+
+
+def lincomb(terms: Iterable[tuple[Weight, FieldState]]) -> FieldState:
+    """Linear combination of fields, applied to means and coefficients alike.
+
+    A term's weight is a number w or a quadrature map (a, b, c, d): the term
+    adds a X+ + b X- to the output's X+ and c X+ + d X- to its X-, and w
+    stands for (w, 0, 0, w).  Map entries that are exactly zero are skipped.
+    Each output dict takes its keys in term order, the X+-sourced entries of
+    a term before its X--sourced ones, which fixes every later summation
+    order.
+    """
     terms = list(terms)
     if not terms:
         raise ValueError("empty linear combination")
@@ -214,12 +234,19 @@ def lincomb(terms: Iterable[tuple[float, FieldState]]) -> FieldState:
     for w, fld in terms:
         if fld.basis is not basis:
             raise ValueError("fields live on different noise bases")
-        mean_p += w * fld.mean_plus
-        mean_m += w * fld.mean_minus
-        for src, c in fld.coeffs_plus.items():
-            cp[src] = cp.get(src, 0.0) + w * c
-        for src, c in fld.coeffs_minus.items():
-            cm[src] = cm.get(src, 0.0) + w * c
+        a, b, c, d = w if type(w) is tuple else (w, 0.0, 0.0, w)
+        if a:
+            mean_p += a * fld.mean_plus
+            _accumulate(cp, fld.coeffs_plus, a)
+        if b:
+            mean_p += b * fld.mean_minus
+            _accumulate(cp, fld.coeffs_minus, b)
+        if c:
+            mean_m += c * fld.mean_plus
+            _accumulate(cm, fld.coeffs_plus, c)
+        if d:
+            mean_m += d * fld.mean_minus
+            _accumulate(cm, fld.coeffs_minus, d)
     return FieldState(basis, mean_p, mean_m, _prune(cp), _prune(cm))
 
 

@@ -11,15 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .noise import (
-    FieldState,
-    ModeKind,
-    NoiseBasis,
-    Quad,
-    Source,
-    _prune,
-    lincomb,
-)
+from .noise import FieldState, ModeKind, field_from_mode, lincomb
 
 
 def phase_shift(fld: FieldState, theta: float) -> FieldState:
@@ -29,21 +21,7 @@ def phase_shift(fld: FieldState, theta: float) -> FieldState:
     X- -> sin(theta) X+ + cos(theta) X-.
     """
     c, s = math.cos(theta), math.sin(theta)
-    cp: dict[Source, float] = {}
-    cm: dict[Source, float] = {}
-    for src, w in fld.coeffs_plus.items():
-        cp[src] = cp.get(src, 0.0) + c * w
-        cm[src] = cm.get(src, 0.0) + s * w
-    for src, w in fld.coeffs_minus.items():
-        cp[src] = cp.get(src, 0.0) - s * w
-        cm[src] = cm.get(src, 0.0) + c * w
-    return FieldState(
-        fld.basis,
-        c * fld.mean_plus - s * fld.mean_minus,
-        s * fld.mean_plus + c * fld.mean_minus,
-        _prune(cp),
-        _prune(cm),
-    )
+    return lincomb([((c, -s, s, c), fld)])
 
 
 def beam_splitter(
@@ -75,7 +53,7 @@ def psa_ideal(fld: FieldState, gain: float) -> FieldState:
     Symplectic (the two scale factors multiply to one), applied to means and
     fluctuation coefficients alike.
     """
-    if gain <= 0.0:
+    if not 0.0 < gain < math.inf:
         raise ValueError("PSA gain must be positive")
     s = math.sqrt(gain)
     return FieldState(
@@ -102,18 +80,8 @@ def psa_type2_pair(
     if signal.basis is not idler.basis:
         raise ValueError("fields live on different noise bases")
     ch, sh = math.cosh(r), math.sinh(r)
-    s_plus = lincomb([(ch, signal), (sh, idler)])
-    i_plus = lincomb([(ch, idler), (sh, signal)])
-    s_minus = lincomb([(ch, signal), (-sh, idler)])
-    i_minus = lincomb([(ch, idler), (-sh, signal)])
-    basis = signal.basis
-    s_out = FieldState(
-        basis, s_plus.mean_plus, s_minus.mean_minus, s_plus.coeffs_plus, s_minus.coeffs_minus
-    )
-    i_out = FieldState(
-        basis, i_plus.mean_plus, i_minus.mean_minus, i_plus.coeffs_plus, i_minus.coeffs_minus
-    )
-    return s_out, i_out
+    direct, cross = (ch, 0.0, 0.0, ch), (sh, 0.0, 0.0, -sh)
+    return lincomb([(direct, signal), (cross, idler)]), lincomb([(direct, idler), (cross, signal)])
 
 
 def psa_gain_phase(r: float, phi: float) -> float:
@@ -180,27 +148,20 @@ def phase_modulate(fld: FieldState, mode: int, sign_plus: int) -> FieldState:
         raise ValueError("sign_plus must be +1 or -1")
     if fld.basis.mode(mode).kind is not ModeKind.CLASSICAL_MODULATION:
         raise ValueError("phase modulators require a classical_modulation mode")
-    cp = dict(fld.coeffs_plus)
-    cm = dict(fld.coeffs_minus)
-    kp = (mode, Quad.PLUS)
-    km = (mode, Quad.MINUS)
-    cp[kp] = cp.get(kp, 0.0) + float(sign_plus)
-    cm[km] = cm.get(km, 0.0) + 1.0
-    return FieldState(fld.basis, fld.mean_plus, fld.mean_minus, _prune(cp), _prune(cm))
+    modulation = field_from_mode(fld.basis, mode)
+    return lincomb([(1.0, fld), ((sign_plus, 0.0, 0.0, 1.0), modulation)])
 
 
 @dataclass(frozen=True)
 class Photocurrent:
     """Direct detection of a beam's amplitude quadrature.
 
-    mean is the detected sideband signal sqrt(eta) <X+>; fluct the detected
-    fluctuation sqrt(eta) dX+ + sqrt(1-eta) dX+_d with dX+_d the vacuum
-    admixed by an imperfect detector.
+    beam's X+ is the detected photocurrent, sqrt(eta) X+ + sqrt(1-eta) X+_d
+    with X+_d the vacuum admixed by an imperfect detector, mean included;
+    its X- is empty.
     """
 
-    basis: NoiseBasis
-    mean: float
-    fluct: dict[Source, float]
+    beam: FieldState
     eta: float
 
 
@@ -215,13 +176,12 @@ def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
         raise ValueError("detection efficiency must be in [0, 1]")
     if fld.basis.mode(d_mode).kind is not ModeKind.DETECTOR_VACUUM:
         raise ValueError("detect requires a detector_vacuum mode")
-    se = math.sqrt(eta)
-    sl = math.sqrt(1.0 - eta)
-    fluct = {src: se * c for src, c in fld.coeffs_plus.items()}
-    if sl != 0.0:
-        key = (d_mode, Quad.PLUS)
-        fluct[key] = fluct.get(key, 0.0) + sl
-    return Photocurrent(fld.basis, se * fld.mean_plus, _prune(fluct), eta)
+    loss_port = field_from_mode(fld.basis, d_mode)
+    beam = lincomb([
+        ((math.sqrt(eta), 0.0, 0.0, 0.0), fld),
+        ((math.sqrt(1.0 - eta), 0.0, 0.0, 0.0), loss_port),
+    ])
+    return Photocurrent(beam, eta)
 
 
 def feedforward_mix(
@@ -246,7 +206,7 @@ def feedforward_mix(
     sensitivity studies: the kept beam is attenuated by sqrt(1 - epsilon)
     and sqrt(epsilon) of oscillator vacuum enters both quadratures.
     """
-    if b.basis is not current.basis:
+    if b.basis is not current.beam.basis:
         raise ValueError("photocurrent built over a different noise basis")
     if current.eta <= 0.0 and total_gain != 0.0:
         raise ValueError("cannot feed forward a dark detector's photocurrent")
@@ -255,30 +215,11 @@ def feedforward_mix(
     if epsilon == 0.0 and total_gain == 0.0:
         return b
 
-    t = math.sqrt(1.0 - epsilon)
-    cp = {src: t * c for src, c in b.coeffs_plus.items()}
-    cm = {src: t * c for src, c in b.coeffs_minus.items()}
-    mean_plus = t * b.mean_plus
-
+    terms = [(math.sqrt(1.0 - epsilon), b)]
     if total_gain != 0.0:
-        w = total_gain / math.sqrt(current.eta)
-        for src, c in current.fluct.items():
-            cp[src] = cp.get(src, 0.0) + w * c
-        mean_plus += w * current.mean
-
+        terms.append(((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam))
     if epsilon > 0.0:
         if lo_mode is None or b.basis.mode(lo_mode).kind is not ModeKind.VACUUM:
             raise ValueError("finite-epsilon mixing needs a fresh vacuum lo_mode")
-        s = math.sqrt(epsilon)
-        kp = (lo_mode, Quad.PLUS)
-        km = (lo_mode, Quad.MINUS)
-        cp[kp] = cp.get(kp, 0.0) + s
-        cm[km] = cm.get(km, 0.0) + s
-
-    return FieldState(
-        b.basis,
-        mean_plus,
-        t * b.mean_minus,
-        _prune(cp),
-        _prune(cm),
-    )
+        terms.append((math.sqrt(epsilon), field_from_mode(b.basis, lo_mode)))
+    return lincomb(terms)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .noise import FieldState, ModeKind, Quad, lincomb, variance
+from .noise import FieldState, ModeKind, Quad, lincomb
 from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -39,7 +39,7 @@ class DealerConfig:
     source: EprSource = EprSource.TYPE1
 
     def __post_init__(self) -> None:
-        if self.r < 0 or self.v_m < 0:
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
             raise ValueError("squeezing and modulation power must be nonnegative")
 
 
@@ -143,7 +143,7 @@ def reconstruct_2psa(
     quadrature.  The analysis assumes a dealer without added modulation;
     modulated shares are accepted but not covered by the closed forms.
     """
-    if gain <= 0.0:
+    if not 0.0 < gain < math.inf:
         raise ValueError("PSA gain must be positive")
     out1, _out2 = _psa2_outputs(shares, gain, players)
     return out1
@@ -202,7 +202,7 @@ def feedforward_sweep(
     equals reconstruct_ff(shares, gains[i], eta, players, epsilon); with
     epsilon > 0 all entries share one local-oscillator vacuum mode.
     """
-    if any(g < 0.0 for g in gains):
+    if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be nonnegative")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
@@ -218,30 +218,20 @@ def symplectic_correct(fld: FieldState, scale: float) -> FieldState:
     With scale = FF_SYMPLECTIC_SCALE this turns the optimal feedforward
     output back into the secret plus 2 e^{-2r} of added noise per quadrature.
     """
-    if scale <= 0.0:
+    if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive")
     return psa_ideal(fld, 1.0 / (scale * scale))
 
 
-@dataclass(frozen=True)
-class ClassicalSignal:
-    """Mean and noise variance of a combined homodyne photocurrent."""
+def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
+    """Classical single-quadrature readout by {2,3}: the combined beam s2 + g s3.
 
-    mean: float
-    variance: float
-
-
-def single_quadrature_estimate(
-    shares: Shares, quad: Quad, gain: float
-) -> ClassicalSignal:
-    """Classical single-quadrature readout by {2,3}: homodyne both shares.
-
-    Combines the share-2 and share-3 photocurrents of the chosen quadrature
-    with the given electronic gain.  Only one quadrature is estimated per
-    invocation, so this never amounts to reconstructing the state.
+    Homodyning both shares in one quadrature and adding the photocurrents
+    with electronic gain g reads that quadrature of this beam.  Only one
+    quadrature is estimated per readout, so this never amounts to
+    reconstructing the state.
     """
-    combined = lincomb([(1.0, shares.share2), (gain, shares.share3)])
-    return ClassicalSignal(combined.mean(quad), variance(combined, quad))
+    return lincomb([(1.0, shares.share2), (gain, shares.share3)])
 
 
 def secret_coefficient(out: FieldState, secret: FieldState, quad: Quad) -> float:
@@ -251,7 +241,6 @@ def secret_coefficient(out: FieldState, secret: FieldState, quad: Quad) -> float
 
 
 __all__ = [
-    "ClassicalSignal",
     "DealerConfig",
     "FF_GAIN_OPTIMAL",
     "FF_SYMPLECTIC_SCALE",
@@ -264,6 +253,6 @@ __all__ = [
     "reconstruct_2psa",
     "reconstruct_ff",
     "secret_coefficient",
-    "single_quadrature_estimate",
+    "single_quadrature_readout",
     "symplectic_correct",
 ]

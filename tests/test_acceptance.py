@@ -200,7 +200,7 @@ def test_criterion_09_equation_coefficient_regression():
         (psi_id, P): 2 * se / sqrt24, (m, P): 2 * se / sqrt24,
         (d, P): math.sqrt(1 - eta),
     }.items():
-        assert current.fluct.get(src, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert current.beam.coeffs_plus.get(src, 0.0) == pytest.approx(expected, abs=1e-12)
 
     # reconstructed output (the modulation term's overall sign follows the
     # composition of the share and splitter relations above)

@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvqss.metrics
-from cvqss import EprSource, Quad, collaboration_beams, single_quadrature_estimate, tv_point
+from cvqss import (
+    EprSource,
+    Quad,
+    collaboration_beams,
+    single_quadrature_readout,
+    tv_point,
+    variance,
+)
 from cvqss.cli import (
     CSV_COLUMNS,
     ScenarioConfig,
@@ -71,9 +78,9 @@ class TestRunScenario:
         g = run_scenario(cfg)["gain"]
         _, shares = dealt(r, cfg.v_m, EprSource(source))
         q = Quad.PLUS if quad == "plus" else Quad.MINUS
-        best = single_quadrature_estimate(shares, q, g).variance
+        best = variance(single_quadrature_readout(shares, g), q)
         for nudged in (g - 1e-6, g + 1e-6):
-            assert single_quadrature_estimate(shares, q, nudged).variance >= best
+            assert variance(single_quadrature_readout(shares, nudged), q) >= best
 
     def test_optimal_gain_for_fixed_gain_schemes_is_the_default(self):
         for scheme in ("mz12", "psa2", "single_player_1", "single_player_2"):

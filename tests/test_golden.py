@@ -1,4 +1,5 @@
-"""Byte-pinned CLI outputs: default-gain runs, a tv-curve sweep, the table and verify."""
+"""Byte-pinned CLI outputs: default-gain runs, type-2 and finite-epsilon runs, two
+tv-curve sweeps, the table and verify."""
 
 from pathlib import Path
 
@@ -13,7 +14,13 @@ CASES = {
         f"run_{scheme}.csv": ["run", "--scheme", scheme, "--r", "0.5", "--vm-db", "10"]
         for scheme in SCHEMES
     },
+    "run_feedforward_epsilon.csv": [
+        "run", "--scheme", "feedforward", "--r", "0.5", "--vm-db", "10", "--epsilon", "0.1"
+    ],
+    "run_feedforward_type2.csv": ["run", "--scheme", "feedforward", "--r", "0.5", "--source", "type2"],
+    "run_psa2_type2.csv": ["run", "--scheme", "psa2", "--r", "0.5", "--source", "type2"],
     "tv_curve.csv": ["tv-curve", "--r", "0.5", "--vm-db", "20"],
+    "tv_curve_type2.csv": ["tv-curve", "--r", "0.5", "--eta", "0.9", "--source", "type2"],
     "table.json": ["table", "--format", "json"],
     "verify.json": ["verify"],
 }

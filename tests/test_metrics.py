@@ -1,6 +1,7 @@
 """Fidelity, transfer coefficients, conditional variances, closed forms."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -57,6 +58,13 @@ class TestFidelity:
         psi, shares = dealt(r=0.0)
         with pytest.warns(UserWarning, match="zero output mean"):
             fidelity(psi, shares.share3)
+
+    def test_evaluate_warns_once_per_zero_output_quadrature(self):
+        psi, shares = dealt(r=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate(psi, shares.share3)
+        assert [str(w.message).startswith("zero output mean") for w in caught] == [True, True]
 
     def test_mean_mismatch_exponent_convention(self, basis):
         # A zero-mean secret never pays a mean penalty.

@@ -238,3 +238,44 @@ def test_fields_close_detects_coefficient_mismatch(basis):
     assert fields_close(a, a)
     assert not fields_close(a, b)
     assert not fields_close(a, lincomb([(1.0 + 1e-6, a)]))
+
+
+_SOURCES = [(mid, quad) for mid in range(3) for quad in Quad]
+_coeffs = st.dictionaries(st.sampled_from(_SOURCES), st.floats(-5.0, 5.0), max_size=6)
+_entry = st.one_of(st.just(0.0), finite)
+
+
+def _field(cp, cm, mean_plus=0.0, mean_minus=0.0):
+    basis = NoiseBasis()
+    for _ in range(3):
+        basis.vacuum()
+    return FieldState(basis, mean_plus, mean_minus, cp, cm)
+
+
+@given(cp=_coeffs, cm=_coeffs, means=st.tuples(finite, finite),
+       qmap=st.tuples(_entry, _entry, _entry, _entry))
+def test_lincomb_applies_a_quadrature_map(cp, cm, means, qmap):
+    fld = _field(cp, cm, *means)
+    a, b, c, d = qmap
+    out = lincomb([(qmap, fld)])
+    assert out.mean_plus == a * fld.mean_plus + b * fld.mean_minus
+    assert out.mean_minus == c * fld.mean_plus + d * fld.mean_minus
+    for src in _SOURCES:
+        xp, xm = fld.coeff(Quad.PLUS, src), fld.coeff(Quad.MINUS, src)
+        assert out.coeff(Quad.PLUS, src) == a * xp + b * xm
+        assert out.coeff(Quad.MINUS, src) == c * xp + d * xm
+    # A zero entry contributes no key, and no output dict holds a zero.
+    assert out.coeffs_plus.keys() <= (cp.keys() if a else set()) | (cm.keys() if b else set())
+    assert out.coeffs_minus.keys() <= (cp.keys() if c else set()) | (cm.keys() if d else set())
+    assert 0.0 not in out.coeffs_plus.values()
+    assert 0.0 not in out.coeffs_minus.values()
+
+
+@given(cp=_coeffs, cm=_coeffs, w=finite)
+def test_lincomb_number_weight_is_the_diagonal_map(cp, cm, w):
+    fld = _field(cp, cm, 1.5, -0.5)
+    by_number = lincomb([(w, fld)])
+    by_map = lincomb([((w, 0.0, 0.0, w), fld)])
+    assert fields_close(by_number, by_map, atol=0.0)
+    assert list(by_number.coeffs_plus) == list(by_map.coeffs_plus)
+    assert list(by_number.coeffs_minus) == list(by_map.coeffs_minus)

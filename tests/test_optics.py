@@ -244,19 +244,32 @@ class TestPhaseModulate:
         assert b_m.coeff(Quad.MINUS, (mod, Quad.MINUS)) == 1.0
 
 
+@given(
+    r=st.floats(0.0, 2.0),
+    phase=st.floats(-math.pi, math.pi),
+    theta=st.floats(-math.pi, math.pi),
+)
+def test_phase_shift_is_undone_by_its_inverse(r, phase, theta):
+    basis = NoiseBasis()
+    a = field_from_mode(basis, basis.squeezed(r), 1.5, -2.0)
+    b = field_from_mode(basis, basis.vacuum(), 0.5, 1.0)
+    fld, _ = beam_splitter(a, b, 0.3, phase)
+    assert fields_close(phase_shift(phase_shift(fld, theta), -theta), fld, atol=1e-12)
+
+
 class TestDetect:
     def test_perfect_detection_keeps_coefficients(self, basis):
         fld = field_from_mode(basis, basis.squeezed(0.4), 2.0, 0.0)
         current = detect(fld, 1.0, basis.detector())
-        assert current.mean == 2.0
-        assert current.fluct == dict(fld.coeffs_plus)
+        assert current.beam.mean_plus == 2.0
+        assert current.beam.coeffs_plus == dict(fld.coeffs_plus)
 
     def test_dark_detector_sees_pure_vacuum(self, basis):
         fld = field_from_mode(basis, basis.vacuum(), 2.0, 0.0)
         d = basis.detector()
         current = detect(fld, 0.0, d)
-        assert current.mean == 0.0
-        assert current.fluct == {(d, Quad.PLUS): 1.0}
+        assert current.beam.mean_plus == 0.0
+        assert current.beam.coeffs_plus == {(d, Quad.PLUS): 1.0}
 
     def test_efficiency_out_of_range(self, basis):
         fld = field_from_mode(basis, basis.vacuum())

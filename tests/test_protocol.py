@@ -31,11 +31,13 @@ from cvqss import (
     fields_close,
     fidelity,
     lincomb,
+    optimal_gain,
+    psa_ideal,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
     secret_coefficient,
-    single_quadrature_estimate,
+    single_quadrature_readout,
     symplectic_correct,
     tv_point,
     variance,
@@ -274,11 +276,11 @@ class TestPhotocurrentRegression:
         }
         if eta < 1.0:
             expected[(d, P)] = math.sqrt(1.0 - eta)
-        for src in set(current.fluct) | set(expected):
-            assert current.fluct.get(src, 0.0) == pytest.approx(
+        for src in set(current.beam.coeffs_plus) | set(expected):
+            assert current.beam.coeffs_plus.get(src, 0.0) == pytest.approx(
                 expected.get(src, 0.0), abs=1e-12
             )
-        assert current.mean == pytest.approx(se * psi.mean_plus / SQRT6, abs=1e-12)
+        assert current.beam.mean_plus == pytest.approx(se * psi.mean_plus / SQRT6, abs=1e-12)
 
 
 class TestFeedforward:
@@ -490,9 +492,9 @@ class TestSymplecticCorrect:
 class TestSingleQuadrature:
     def test_zero_gain_is_share2_homodyne(self):
         psi, shares = dealt(r=0.5)
-        est = single_quadrature_estimate(shares, P, 0.0)
-        assert est.mean == shares.share2.mean_plus
-        assert est.variance == pytest.approx(variance(shares.share2, P), abs=1e-15)
+        est = single_quadrature_readout(shares, 0.0)
+        assert est.mean(P) == shares.share2.mean_plus
+        assert variance(est, P) == pytest.approx(variance(shares.share2, P), abs=1e-15)
 
     def test_strong_entanglement_recovers_the_signal_classically(self):
         # Brute-force gain grid (coarse, then refined around the bracket):
@@ -500,7 +502,7 @@ class TestSingleQuadrature:
         psi, shares = dealt(r=8.0)
 
         def var_at(g):
-            return single_quadrature_estimate(shares, P, g).variance
+            return variance(single_quadrature_readout(shares, g), P)
 
         coarse = [-2.0 + 4.0 * k / 4000 for k in range(4001)]
         g0 = min(coarse, key=var_at)
@@ -514,10 +516,10 @@ class TestSingleQuadrature:
         psi, shares = dealt(r=0.0)
         for gain_p in (-1.0, 0.0, 0.5, 1.0):
             for gain_m in (-1.0, 0.0, 0.5, 1.0):
-                est_p = single_quadrature_estimate(shares, P, gain_p)
-                est_m = single_quadrature_estimate(shares, M, gain_m)
-                t_plus = (est_p.mean**2 / est_p.variance) / (psi.mean_plus**2 / 1.0)
-                t_minus = (est_m.mean**2 / est_m.variance) / (psi.mean_minus**2 / 1.0)
+                est_p = single_quadrature_readout(shares, gain_p)
+                est_m = single_quadrature_readout(shares, gain_m)
+                t_plus = (est_p.mean(P) ** 2 / variance(est_p, P)) / (psi.mean_plus**2 / 1.0)
+                t_minus = (est_m.mean(M) ** 2 / variance(est_m, M)) / (psi.mean_minus**2 / 1.0)
                 assert t_plus + t_minus <= 1.0 + 1e-12
 
 
@@ -535,3 +537,41 @@ class TestClosedFormEquivalence:
                         ref = closed_form("ff_cp", r, v_m, eta, gain)
                         assert sim[0] == pytest.approx(ref[0], abs=1e-9)
                         assert sim[1] == pytest.approx(ref[1], abs=1e-9)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _shares():
+    return dealt(r=0.5)[1]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DealerConfig(NAN),
+        lambda: DealerConfig(0.5, INF),
+        lambda: NoiseBasis().modulation(NAN),
+        lambda: NoiseBasis().squeezed(INF),
+        lambda: NoiseBasis().register(ModeKind.CLASSICAL_MODULATION, INF, INF),
+        lambda: psa_ideal(_shares().share1, NAN),
+        lambda: psa_ideal(_shares().share1, INF),
+        lambda: reconstruct_2psa(_shares(), NAN),
+        lambda: reconstruct_ff(_shares(), NAN),
+        lambda: reconstruct_ff(_shares(), INF),
+        lambda: feedforward_sweep(_shares(), [1.0, NAN]),
+        lambda: symplectic_correct(_shares().share1, NAN),
+        lambda: symplectic_correct(_shares().share1, INF),
+        lambda: optimal_gain(0.5, 0.0, NAN),
+        lambda: optimal_gain(0.5, 0.0, INF),
+    ],
+    ids=[
+        "dealer-r-nan", "dealer-vm-inf", "modulation-nan", "squeezed-inf",
+        "register-inf", "psa-nan", "psa-inf", "2psa-nan", "ff-nan", "ff-inf",
+        "sweep-nan", "symplectic-nan", "symplectic-inf", "optimal-gain-eta-nan",
+        "optimal-gain-eta-inf",
+    ],
+)
+def test_non_finite_input_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -18,13 +18,14 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .metrics import (
+    _require_finite,
     evaluate,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
     tv_point,
 )
-from .noise import NoiseBasis, Quad, covariance, field_from_mode, variance
+from .noise import FieldState, NoiseBasis, Quad, covariance, field_from_mode, variance
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -71,11 +72,6 @@ DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
 TABLE_VQ_CAP = 1e6
 
 
-def _require_finite(values: Sequence[float]) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError("parameters must be finite numbers")
-
-
 @dataclass
 class ScenarioConfig:
     """One scenario: scheme plus the dealer, loop and secret parameters."""
@@ -98,7 +94,7 @@ class ScenarioConfig:
             numbers.append(self.vm_db)
         if isinstance(self.gain, (int, float)):
             numbers.append(self.gain)
-        _require_finite(numbers)
+        _require_finite(*numbers)
         if self.r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
         if self.vm_db is not None and self.vm_db < 0:
@@ -116,77 +112,73 @@ class ScenarioConfig:
     def v_m(self) -> float:
         return 0.0 if self.vm_db is None else 10.0 ** (self.vm_db / 10.0)
 
+    @property
+    def quadrature(self) -> Quad:
+        return Quad.PLUS if self.quad == "plus" else Quad.MINUS
+
 
 _DEFAULT_GAINS = {"psa2": PSA_GAIN_OPTIMAL, "feedforward": FF_GAIN_OPTIMAL}
 
 
-def _resolve_gain(cfg: ScenarioConfig, shares: Shares, quad: Quad) -> float:
+def _resolve_gain(cfg: ScenarioConfig, shares: Shares) -> float:
     g = cfg.gain
     if g == "optimal":
         if cfg.scheme == "feedforward":
             return optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq")
         if cfg.scheme == "single_quadrature":
             # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it
+            quad = cfg.quadrature
             return -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
     elif g is not None:
         return float(g)
     return _DEFAULT_GAINS.get(cfg.scheme, 0.0)
 
 
-def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Execute one scenario and return the metrics record."""
-    cfg.validate()
+def _dealt(
+    r: float, v_m: float, means: tuple[float, float], source: EprSource = EprSource.TYPE1
+) -> tuple[FieldState, Shares]:
+    """A coherent secret with these means on a fresh basis, and its shares."""
     basis = NoiseBasis()
-    secret = field_from_mode(basis, basis.vacuum(), *cfg.secret_means)
-    shares = deal(secret, DealerConfig(cfg.r, cfg.v_m, EprSource(cfg.source)))
-    quad = Quad.PLUS if cfg.quad == "plus" else Quad.MINUS
-    gain = _resolve_gain(cfg, shares, quad)
+    secret = field_from_mode(basis, basis.vacuum(), *means)
+    return secret, deal(secret, DealerConfig(r, v_m, source))
 
+
+def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldState) -> dict:
+    """The CSV_COLUMNS row of one scenario: cfg, the gain used, then out's metrics.
+
+    A single_quadrature out is a readout beam, scored in cfg.quad alone.
+    """
     if cfg.scheme == "single_quadrature":
-        combined = single_quadrature_readout(shares, gain)
-        t = metrics.transfer_coefficient(secret, combined, quad)
-        vcv = metrics.conditional_variance(secret, combined, quad)
+        quad = cfg.quadrature
+        t = metrics.transfer_coefficient(secret, out, quad)
+        vcv = metrics.conditional_variance(secret, out, quad)
         inf = float("inf")
         t_plus, t_minus = (t, 0.0) if quad is Quad.PLUS else (0.0, t)
         vcv_plus, vcv_minus = (vcv, inf) if quad is Quad.PLUS else (inf, vcv)
-        record = {
-            "t_plus": t_plus,
-            "t_minus": t_minus,
-            "t_q": t_plus + t_minus,
-            "vcv_plus": vcv_plus,
-            "vcv_minus": vcv_minus,
-            "v_q": inf,
-            "fidelity": 0.0,
-        }
+        scores = (t_plus, t_minus, t_plus + t_minus, vcv_plus, vcv_minus, inf, 0.0)
     else:
-        if cfg.scheme == "mz12":
-            out = reconstruct_12(shares)
-        elif cfg.scheme == "psa2":
-            out = reconstruct_2psa(shares, gain)
-        elif cfg.scheme == "feedforward":
-            out = reconstruct_ff(shares, gain, cfg.eta, epsilon=cfg.epsilon)
-        else:  # single_player_i
-            out = shares.share(int(cfg.scheme[-1]))
         m = evaluate(secret, out)
-        record = {
-            "t_plus": m.t_plus,
-            "t_minus": m.t_minus,
-            "t_q": m.t_q,
-            "vcv_plus": m.vcv_plus,
-            "vcv_minus": m.vcv_minus,
-            "v_q": m.v_q,
-            "fidelity": m.fidelity,
-        }
+        scores = (m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity)
+    config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
+    return dict(zip(CSV_COLUMNS, config + scores, strict=True))
 
-    return {
-        "scheme": cfg.scheme,
-        "r": cfg.r,
-        "squeezing_pct": 100.0 * squeezing_pct(cfg.r),
-        "vm_db": cfg.vm_db,
-        "eta": cfg.eta,
-        "gain": gain,
-        **record,
-    }
+
+def run_scenario(cfg: ScenarioConfig) -> dict:
+    """Execute one scenario and return the metrics record."""
+    cfg.validate()
+    secret, shares = _dealt(cfg.r, cfg.v_m, cfg.secret_means, EprSource(cfg.source))
+    gain = _resolve_gain(cfg, shares)
+    if cfg.scheme == "single_quadrature":
+        out = single_quadrature_readout(shares, gain)
+    elif cfg.scheme == "mz12":
+        out = reconstruct_12(shares)
+    elif cfg.scheme == "psa2":
+        out = reconstruct_2psa(shares, gain)
+    elif cfg.scheme == "feedforward":
+        out = reconstruct_ff(shares, gain, cfg.eta, epsilon=cfg.epsilon)
+    else:  # single_player_i
+        out = shares.share(int(cfg.scheme[-1]))
+    return _record(cfg, gain, secret, out)
 
 
 def tv_curve_records(
@@ -201,50 +193,31 @@ def tv_curve_records(
 
     One family per entry of vm_dbs (None meaning no added modulation); the
     single-player point does not depend on the gain so it appears once per
-    family.
+    family.  Each family is dealt once and swept with one feedforward_sweep;
+    every row equals the run_scenario record of its configuration.
     """
     if not gains:
         raise ValueError("gain sweep must be nonempty")
     if list(gains) != sorted(gains):
         raise ValueError("gain sweep must be monotone increasing")
+    floats = [float(g) for g in gains]
     rows = []
     for vm_db in vm_dbs:
-        for g in gains:
-            rows.append(
-                run_scenario(
-                    ScenarioConfig(
-                        "feedforward", r, vm_db, eta, g, secret_means, source
-                    )
-                )
-            )
-        rows.append(
-            run_scenario(
-                ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
-            )
-        )
+        sweep = [
+            ScenarioConfig("feedforward", r, vm_db, eta, g, secret_means, source) for g in gains
+        ]
+        single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
+        for cfg in (*sweep, single):
+            cfg.validate()
+        secret, shares = _dealt(r, single.v_m, secret_means, EprSource(source))
+        outs = feedforward_sweep(shares, floats, eta)
+        rows += [_record(cfg, g, secret, out) for cfg, g, out in zip(sweep, floats, outs)]
+        rows.append(_record(single, _resolve_gain(single, shares), secret, shares.share1))
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Best-achievable summary table.
-
-
-def _subset_point(
-    subset: str, r: float, v_m: float, means: tuple[float, float]
-) -> tuple[float, float]:
-    """Simulated best (T_q, V_q) for one player subset at one condition."""
-    basis = NoiseBasis()
-    secret = field_from_mode(basis, basis.vacuum(), *means)
-    shares = deal(secret, DealerConfig(r, v_m, EprSource.TYPE1))
-    if subset in ("1", "2", "3"):
-        return tv_point(secret, shares.share(int(subset)))
-    if subset == "{1,2}":
-        return tv_point(secret, reconstruct_12(shares))
-    players = (1, 3) if subset == "{1,3}" else (2, 3)
-    ff = tv_point(secret, reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players))
-    direct = tv_point(secret, shares.share(players[0]))
-    # both strategies are available to the pair; report the better transfer
-    return ff if ff[0] >= direct[0] else direct
 
 
 def table_entries(
@@ -257,7 +230,8 @@ def table_entries(
 
     Conditions: without/with entanglement (clas/quan, r = 0 or r_large) and
     without/with added classical noise (vm = 0 or vm_db_large).  V_q above
-    cap is reported as infinity.
+    cap is reported as infinity.  Each condition is dealt once and scores
+    all six subsets from the same shares.
     """
     conditions = (
         ("clas_nonoise", 0.0, 0.0),
@@ -265,10 +239,18 @@ def table_entries(
         ("quan_nonoise", r_large, 0.0),
         ("quan_noise", r_large, 10.0 ** (vm_db_large / 10.0)),
     )
+    subsets = ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}")
     rows = []
-    for subset in ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}"):
-        for cond, r, v_m in conditions:
-            t_q, v_q = _subset_point(subset, r, v_m, means)
+    for cond, r, v_m in conditions:
+        secret, shares = _dealt(r, v_m, means)
+        points = [tv_point(secret, shares.share(i)) for i in (1, 2, 3)]
+        points.append(tv_point(secret, reconstruct_12(shares)))
+        for players in ((1, 3), (2, 3)):
+            ff = tv_point(secret, reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players))
+            direct = points[players[0] - 1]
+            # both strategies are available to the pair; report the better transfer
+            points.append(ff if ff[0] >= direct[0] else direct)
+        for subset, (t_q, v_q) in zip(subsets, points):
             rows.append(
                 {
                     "subset": subset,
@@ -277,6 +259,8 @@ def table_entries(
                     "v_q": float("inf") if v_q > cap else round(v_q, 4),
                 }
             )
+    # subset-major order; the sort is stable, so conditions keep theirs
+    rows.sort(key=lambda row: subsets.index(row["subset"]))
     return rows
 
 
@@ -318,9 +302,7 @@ def verify_grid(
 
     for r in r_values:
         for v_m in vm_values:
-            basis = NoiseBasis()
-            secret = field_from_mode(basis, basis.vacuum(), *means)
-            shares = deal(secret, DealerConfig(r, v_m, EprSource.TYPE1))
+            secret, shares = _dealt(r, v_m, means)
             for player in (1, 2):
                 sim = tv_point(secret, shares.share(player))
                 ref = metrics.closed_form("sp", r, v_m)
@@ -338,9 +320,7 @@ def verify_grid(
                     )
 
     for r in r_values:
-        basis = NoiseBasis()
-        secret = field_from_mode(basis, basis.vacuum(), *means)
-        shares = deal(secret, DealerConfig(r, 0.0, EprSource.TYPE1))
+        secret, shares = _dealt(r, 0.0, means)
         sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
         ref = metrics.closed_form("psa2_cp", r)
         record("psa2_tv", {"r": r}, max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1])))
@@ -540,8 +520,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "tv-curve":
             vm_dbs: list[Optional[float]] = [None]
             if args.vm_db is not None:
-                if args.vm_db < 0:
-                    raise ValueError("modulation depth in dB must be nonnegative")
                 vm_dbs.append(args.vm_db)
             rows = tv_curve_records(
                 _resolve_r(args), args.gains, vm_dbs, args.eta,
@@ -550,7 +528,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _render(rows, CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "table":
-            _require_finite([args.r_large, args.vm_db_large, args.cap])
+            _require_finite(args.r_large, args.vm_db_large, args.cap)
             rows = table_entries(args.r_large, args.vm_db_large, args.cap)
             _render(rows, ("subset", "condition", "t_q", "v_q"), args.format, args.output)
             return 0

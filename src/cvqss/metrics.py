@@ -156,6 +156,11 @@ def evaluate(secret: FieldState, out: FieldState) -> Metrics:
 # notation); v_m = 0 means no added noise.
 
 
+def _require_finite(*values: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise ValueError("parameters must be finite numbers")
+
+
 def closed_form(
     scheme: str, r: float, v_m: float = 0.0, eta: float = 1.0, gain: float | None = None
 ) -> tuple[float, float]:
@@ -168,6 +173,7 @@ def closed_form(
     The two-PSA scheme has equal conditional variances 2 e^{-2r} in both
     quadratures, so its V_q product is 4 e^{-4r}.
     """
+    _require_finite(r, v_m, eta, 0.0 if gain is None else gain)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2_cp":
         return 2.0 / (1.0 + 2.0 * em2r), (2.0 * em2r) ** 2
@@ -209,6 +215,7 @@ def fidelity_closed_form(
     saturates below 1 and decays with the secret's displacement through the
     exponent gamma.
     """
+    _require_finite(r, *means)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2":
         return 1.0 / (1.0 + em2r)
@@ -284,10 +291,13 @@ def crossover_squeezing() -> float:
     lo, hi = 1e-9, 2.0
     if not imbalance(lo) < 0.0 < imbalance(hi):
         raise RuntimeError("crossover bracket lost; closed forms changed?")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
+        # Once the midpoint rounds onto an end of the bracket, every further
+        # step reassigns that end to itself (imbalance(lo) < 0 <= imbalance(hi)).
+        if mid == lo or mid == hi:
+            return squeezing_pct(mid)
         if imbalance(mid) < 0.0:
             lo = mid
         else:
             hi = mid
-    return squeezing_pct(0.5 * (lo + hi))

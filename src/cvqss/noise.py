@@ -12,12 +12,25 @@ shot-noise units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
 # Absolute tolerance for coefficient / variance equality checks.
 COEFF_ATOL = 1e-12
+
+# Largest squeezing parameter r whose anti-squeezed variance e^{2r} is a
+# finite float.
+MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
+
+
+def check_squeezing_limit(r: float) -> None:
+    """Reject a squeezing parameter whose e^{2r} overflows."""
+    if r > MAX_SQUEEZING:
+        raise ValueError(
+            f"squeezing parameter must be at most {MAX_SQUEEZING!r}: e^(2r) overflows above it"
+        )
 
 
 class Quad(Enum):
@@ -118,6 +131,7 @@ class NoiseBasis:
         """Amplitude-squeezed mode: V+ = exp(-2r), V- = exp(+2r), r >= 0."""
         if r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        check_squeezing_limit(r)
         return self.register(ModeKind.SQUEEZED, math.exp(-2.0 * r), math.exp(2.0 * r))
 
     def modulation(self, v_m: float) -> int:

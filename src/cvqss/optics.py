@@ -20,6 +20,8 @@ def phase_shift(fld: FieldState, theta: float) -> FieldState:
     Rotates the quadratures: X+ -> cos(theta) X+ - sin(theta) X-,
     X- -> sin(theta) X+ + cos(theta) X-.
     """
+    if not math.isfinite(theta):
+        raise ValueError("phase must be finite")
     c, s = math.cos(theta), math.sin(theta)
     return lincomb([((c, -s, s, c), fld)])
 
@@ -79,6 +81,8 @@ def psa_type2_pair(
     """
     if signal.basis is not idler.basis:
         raise ValueError("fields live on different noise bases")
+    if not math.isfinite(r):
+        raise ValueError("interaction strength must be finite")
     ch, sh = math.cosh(r), math.sinh(r)
     direct, cross = (ch, 0.0, 0.0, ch), (sh, 0.0, 0.0, -sh)
     return lincomb([(direct, signal), (cross, idler)]), lincomb([(direct, idler), (cross, signal)])
@@ -208,6 +212,8 @@ def feedforward_mix(
     """
     if b.basis is not current.beam.basis:
         raise ValueError("photocurrent built over a different noise basis")
+    if not math.isfinite(total_gain):
+        raise ValueError("feedforward gain must be finite")
     if current.eta <= 0.0 and total_gain != 0.0:
         raise ValueError("cannot feed forward a dark detector's photocurrent")
     if not 0.0 <= epsilon < 1.0:

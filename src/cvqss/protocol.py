@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .noise import FieldState, ModeKind, Quad, lincomb
+from .noise import FieldState, ModeKind, Quad, check_squeezing_limit, lincomb
 from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -41,6 +41,7 @@ class DealerConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
             raise ValueError("squeezing and modulation power must be nonnegative")
+        check_squeezing_limit(self.r)
 
 
 @dataclass(frozen=True)

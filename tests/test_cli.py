@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 import cvqss.metrics
 from cvqss import (
+    FF_GAIN_OPTIMAL,
     EprSource,
     Quad,
     collaboration_beams,
+    reconstruct_12,
+    reconstruct_ff,
     single_quadrature_readout,
     tv_point,
     variance,
@@ -29,6 +32,7 @@ from cvqss.cli import (
 from conftest import dealt
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
+NONZERO_MEAN = st.one_of(st.floats(-5.0, -0.5), st.floats(0.5, 5.0))
 
 
 def parse_csv(text):
@@ -215,8 +219,77 @@ class TestTvCurve:
         with pytest.raises(ValueError):
             tv_curve_records(0.5, [2.0, 1.0], [None])
 
+    @pytest.mark.filterwarnings("ignore:zero output mean")
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        gains=st.lists(st.one_of(st.integers(0, 6), st.floats(0.0, 8.0)), max_size=5).map(
+            lambda gs: sorted([0, *gs])
+        ),
+        vm_db=st.one_of(st.none(), st.floats(0.0, 30.0)),
+        eta=st.floats(0.5, 1.0),
+        means=st.tuples(NONZERO_MEAN, NONZERO_MEAN),
+        source=st.sampled_from(("type1", "type2")),
+    )
+    def test_rows_are_the_run_scenario_records(self, r, gains, vm_db, eta, means, source):
+        vm_dbs = [None, vm_db]
+        expected = []
+        for v in vm_dbs:
+            for g in gains:
+                expected.append(
+                    run_scenario(ScenarioConfig("feedforward", r, v, eta, g, means, source))
+                )
+            expected.append(
+                run_scenario(ScenarioConfig("single_player_1", r, v, eta, None, means, source))
+            )
+        # repr tells 1 from 1.0 and -0.0 from 0.0, as the CLI output does
+        assert repr(tv_curve_records(r, gains, vm_dbs, eta, means, source)) == repr(expected)
+
+
+def _table_by_subset(r_large, vm_db_large, cap, means):
+    """Reference table: one deal per (subset, condition) entry."""
+    conditions = (
+        ("clas_nonoise", 0.0, 0.0),
+        ("clas_noise", 0.0, 10.0 ** (vm_db_large / 10.0)),
+        ("quan_nonoise", r_large, 0.0),
+        ("quan_noise", r_large, 10.0 ** (vm_db_large / 10.0)),
+    )
+    rows = []
+    for subset in ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}"):
+        for cond, r, v_m in conditions:
+            psi, shares = dealt(r, v_m, means=means)
+            if subset in ("1", "2", "3"):
+                t_q, v_q = tv_point(psi, shares.share(int(subset)))
+            elif subset == "{1,2}":
+                t_q, v_q = tv_point(psi, reconstruct_12(shares))
+            else:
+                players = (1, 3) if subset == "{1,3}" else (2, 3)
+                ff = tv_point(psi, reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players))
+                direct = tv_point(psi, shares.share(players[0]))
+                t_q, v_q = ff if ff[0] >= direct[0] else direct
+            rows.append(
+                {
+                    "subset": subset,
+                    "condition": cond,
+                    "t_q": round(t_q, 4),
+                    "v_q": float("inf") if v_q > cap else round(v_q, 4),
+                }
+            )
+    return rows
+
 
 class TestTable:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        r_large=st.floats(0.0, 8.0),
+        vm_db_large=st.floats(0.0, 60.0),
+        cap=st.floats(1.0, 1e7),
+        means=st.tuples(NONZERO_MEAN, NONZERO_MEAN),
+    )
+    def test_matches_one_deal_per_entry(self, r_large, vm_db_large, cap, means):
+        expected = _table_by_subset(r_large, vm_db_large, cap, means)
+        assert repr(table_entries(r_large, vm_db_large, cap, means)) == repr(expected)
+
     def test_has_24_entries(self):
         rows = table_entries()
         assert len(rows) == 24
@@ -325,6 +398,7 @@ BAD_ARGV = [
     ["tv-curve", "--r", "1", "--squeezing-pct", "10"],
     ["tv-curve", "--gains", "0,nan"],
     ["tv-curve", "--r", "0.5", "--vm-db", "inf"],
+    ["tv-curve", "--r", "0.5", "--vm-db", "-3"],
     ["table", "--r-large", "nan"],
     ["table", "--vm-db-large", "inf"],
     ["table", "--cap", "nan"],

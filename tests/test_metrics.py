@@ -307,6 +307,20 @@ class TestCrossover:
         g = optimal_gain(0.0)
         assert closed_form("ff_cp", 0.0, 0.0, 1.0, g)[0] < closed_form("sp", 0.0)[0]
 
+    def test_bisection_stop_keeps_the_200_step_result(self):
+        def imbalance(r):
+            g = optimal_gain(r, 0.0, 1.0, objective="min_vq")
+            return closed_form("ff_cp", r, 0.0, 1.0, g)[0] - closed_form("sp", r, 0.0)[0]
+
+        lo, hi = 1e-9, 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if imbalance(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert crossover_squeezing() == squeezing_pct(0.5 * (lo + hi))
+
 
 class TestMonotonicity:
     def test_more_squeezing_never_hurts_the_collaborators(self):
@@ -357,3 +371,34 @@ class TestMetricsRecord:
         out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
         scaled = symplectic_correct(out, 1.9)
         assert tv_point(psi, scaled) == pytest.approx(tv_point(psi, out), abs=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: closed_form("ff_cp", NAN, 0.0, 1.0, 1.0),
+        lambda: closed_form("ff_cp", INF, 0.0, 1.0, 1.0),
+        lambda: closed_form("ff_cp", 0.5, NAN, 1.0, 1.0),
+        lambda: closed_form("ff_cp", 0.5, INF, 1.0, 1.0),
+        lambda: closed_form("ff_cp", 0.5, 0.0, NAN, 1.0),
+        lambda: closed_form("ff_cp", 0.5, 0.0, 1.0, NAN),
+        lambda: closed_form("ff_cp", 0.5, 0.0, 1.0, -INF),
+        lambda: closed_form("sp", NAN),
+        lambda: closed_form("psa2_cp", INF),
+        lambda: fidelity_closed_form("psa2", NAN),
+        lambda: fidelity_closed_form("ff", INF, SECRET_MEANS),
+        lambda: fidelity_closed_form("ff", 0.5, (NAN, 2.0)),
+        lambda: fidelity_closed_form("ff", 0.5, (4.0, INF)),
+    ],
+    ids=[
+        "ff-r-nan", "ff-r-inf", "ff-vm-nan", "ff-vm-inf", "ff-eta-nan", "ff-gain-nan",
+        "ff-gain-inf", "sp-r-nan", "psa2-r-inf", "fidelity-psa2-r-nan", "fidelity-ff-r-inf",
+        "fidelity-ff-mean-nan", "fidelity-ff-mean-inf",
+    ],
+)
+def test_non_finite_closed_form_input_is_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -6,6 +6,7 @@ sign and phase conventions of the whole pipeline.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,8 @@ from cvqss import (
     tv_point,
     variance,
 )
+from cvqss.noise import MAX_SQUEEZING
+from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
 from cvqss.protocol import _psa2_outputs
 
 from conftest import dealt
@@ -546,6 +549,23 @@ def _shares():
     return dealt(r=0.5)[1]
 
 
+def _splitter(phase):
+    shares = _shares()
+    return beam_splitter(shares.share1, shares.share3, 0.5, phase=phase)
+
+
+def _type2_pair(r):
+    shares = _shares()
+    return psa_type2_pair(shares.share1, shares.share3, r)
+
+
+def _mix(gain, epsilon=0.0):
+    shares = _shares()
+    kept, detected = collaboration_beams(shares)
+    current = detect(detected, 1.0, shares.detector)
+    return feedforward_mix(kept, current, gain, epsilon, kept.basis.vacuum())
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -564,14 +584,43 @@ def _shares():
         lambda: symplectic_correct(_shares().share1, INF),
         lambda: optimal_gain(0.5, 0.0, NAN),
         lambda: optimal_gain(0.5, 0.0, INF),
+        lambda: phase_shift(_shares().share1, NAN),
+        lambda: phase_shift(_shares().share1, INF),
+        lambda: _splitter(NAN),
+        lambda: _type2_pair(NAN),
+        lambda: _type2_pair(INF),
+        lambda: _mix(NAN),
+        lambda: _mix(INF),
+        lambda: _mix(1.0, NAN),
+        lambda: _mix(1.0, INF),
     ],
     ids=[
         "dealer-r-nan", "dealer-vm-inf", "modulation-nan", "squeezed-inf",
         "register-inf", "psa-nan", "psa-inf", "2psa-nan", "ff-nan", "ff-inf",
         "sweep-nan", "symplectic-nan", "symplectic-inf", "optimal-gain-eta-nan",
-        "optimal-gain-eta-inf",
+        "optimal-gain-eta-inf", "phase-shift-nan", "phase-shift-inf", "splitter-phase-nan",
+        "type2-pair-nan", "type2-pair-inf", "mix-gain-nan", "mix-gain-inf", "mix-epsilon-nan",
+        "mix-epsilon-inf",
     ],
 )
 def test_non_finite_input_is_rejected(build):
     with pytest.raises(ValueError):
         build()
+
+
+def test_overflowing_squeezing_is_rejected_with_the_limit():
+    # the limit is the largest r whose anti-squeezed variance e^{2r} is finite
+    above = math.nextafter(MAX_SQUEEZING, math.inf)
+    assert math.isfinite(math.exp(2.0 * MAX_SQUEEZING))
+    with pytest.raises(OverflowError):
+        math.exp(2.0 * above)
+    psi, _ = dealt(0.0)
+    for build in (
+        lambda: deal(psi, DealerConfig(400.0)),
+        lambda: DealerConfig(above),
+        lambda: NoiseBasis().squeezed(above),
+    ):
+        with pytest.raises(ValueError, match=re.escape(repr(MAX_SQUEEZING))):
+            build()
+    NoiseBasis().squeezed(MAX_SQUEEZING)
+    DealerConfig(MAX_SQUEEZING)

@@ -10,7 +10,6 @@ from .entanglement import (
     EprPair,
     EprSource,
     duan_sum,
-    duan_sum_normalized,
     epr_type1,
     epr_type2,
     is_entangled,
@@ -43,15 +42,12 @@ from .noise import (
     variance,
 )
 from .optics import (
-    OpoParams,
     Photocurrent,
     beam_splitter,
     detect,
     feedforward_mix,
-    opo_transfer,
     phase_modulate,
     phase_shift,
-    psa_gain_phase,
     psa_ideal,
     psa_type2_pair,
 )

@@ -79,14 +79,5 @@ def duan_sum(pair: EprPair) -> float:
     return variance(joint, Quad.PLUS) + variance(joint, Quad.MINUS)
 
 
-def duan_sum_normalized(pair: EprPair) -> float:
-    """Duan sum divided by the separable bound; < 1 means entangled.
-
-    Useful for comparing against statements made in vacuum-variance-1/2
-    units, where the bound is quoted as 2 instead of 4.
-    """
-    return duan_sum(pair) / DUAN_SEPARABLE_BOUND
-
-
 def is_entangled(pair: EprPair) -> bool:
     return duan_sum(pair) < DUAN_SEPARABLE_BOUND - 1e-9

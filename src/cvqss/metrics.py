@@ -252,6 +252,7 @@ def optimal_gain(
     """
     if objective not in ("max_tq", "min_vq"):
         raise ValueError(f"unknown objective {objective!r}")
+    _require_finite(r, v_m, eta)
     if not 0.0 < eta < math.inf:
         raise ValueError("feedforward closed form undefined at zero efficiency")
     quiet = 3.0 * math.exp(-2.0 * r) + 4.0 * (1.0 - eta) / eta
@@ -275,29 +276,18 @@ def r_from_squeezing_pct(p: float) -> float:
 def crossover_squeezing() -> float:
     """Squeezing fraction where collaborating players start beating singles.
 
-    Solves T_q^SP(r) = T_q^CP(r) by bisection, the access structure running
-    the feedforward loop at its minimum-noise gain (which is also the
-    cancellation gain 2 sqrt(2) in the strong-squeezing limit).  Below the
-    returned fraction a single player learns more than the pair, so they
-    would measure the secret-bearing share directly instead.
+    The pair runs the feedforward loop at its minimum-noise gain (which is
+    also the cancellation gain 2 sqrt(2) in the strong-squeezing limit).
+    With x = e^{-2r},
+
+        T_q^CP - T_q^SP = 2 (3x^2 - 1) P(x) / D(x),
+        P(x) = 3x^5 - 3x^4 - 15x^3 - 6x^2 - 2x - 1,
+        D(x) = (x + 1)^2 (2x + 1) (9x^4 + 18x^3 + 6x^2 + 2x + 1).
+
+    P < 0 < D on (0, 1] (P's real roots are about -1.53, -0.48 and 2.95),
+    so the only crossover is x = 1/sqrt(3): r = ln 3 / 4, squeezing
+    1 - 1/sqrt(3).  Below it a single player learns more than the pair, so
+    they would measure the secret-bearing share directly instead.
     """
-
-    def imbalance(r: float) -> float:
-        g = optimal_gain(r, 0.0, 1.0, objective="min_vq")
-        t_cp, _ = closed_form("ff_cp", r, 0.0, 1.0, g)
-        t_sp, _ = closed_form("sp", r, 0.0)
-        return t_cp - t_sp
-
-    lo, hi = 1e-9, 2.0
-    if not imbalance(lo) < 0.0 < imbalance(hi):
-        raise RuntimeError("crossover bracket lost; closed forms changed?")
-    while True:
-        mid = 0.5 * (lo + hi)
-        # Once the midpoint rounds onto an end of the bracket, every further
-        # step reassigns that end to itself (imbalance(lo) < 0 <= imbalance(hi)).
-        if mid == lo or mid == hi:
-            return squeezing_pct(mid)
-        if imbalance(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # The float nearest 1 - 1/sqrt(3); 1 - sqrt(3)/3 rounds one ulp above it.
+    return (_SQRT3 - 1.0) / _SQRT3

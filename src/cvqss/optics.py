@@ -88,58 +88,6 @@ def psa_type2_pair(
     return lincomb([(direct, signal), (cross, idler)]), lincomb([(direct, idler), (cross, signal)])
 
 
-def psa_gain_phase(r: float, phi: float) -> float:
-    """Phase-dependent power gain cosh(2r) + sinh(2r) cos(phi).
-
-    Oscillates between exp(2r) at phi = 0 and exp(-2r) at phi = pi.
-    """
-    return math.cosh(2.0 * r) + math.sinh(2.0 * r) * math.cos(phi)
-
-
-@dataclass(frozen=True)
-class OpoParams:
-    """Below-threshold OPO cavity: damping rates, pump coupling, sideband frequency.
-
-    kappa_f, kappa_b, kappa_l are the front-mirror, back-mirror and
-    intracavity-loss damping rates; gamma the parametric gain coefficient;
-    omega the analysis sideband frequency in the same rate units.
-    """
-
-    kappa_f: float
-    kappa_b: float = 0.0
-    kappa_l: float = 0.0
-    gamma: float = 0.0
-    omega: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kappa_f <= 0.0:
-            raise ValueError("front-mirror damping rate must be positive")
-        if self.kappa_b < 0.0 or self.kappa_l < 0.0:
-            raise ValueError("damping rates must be nonnegative")
-        if abs(self.gamma) >= self.kappa:
-            raise ValueError("cavity at or above threshold: |gamma| must be < total damping")
-
-    @property
-    def kappa(self) -> float:
-        return self.kappa_f + self.kappa_b + self.kappa_l
-
-
-def opo_transfer(p: OpoParams) -> tuple[complex, complex]:
-    """Frequency-domain quadrature transfer of the front-mirror input.
-
-        t+ = (kappa_f - i w + gamma) / (i w + kappa - gamma)
-        t- = (kappa_f - i w - gamma) / (i w + kappa + gamma)
-
-    With a lossless single-ended cavity (kappa_b = kappa_l = 0) at w = 0 this
-    reduces to the ideal PSA: t+ = sqrt(G) = (kappa_f + gamma)/(kappa_f - gamma)
-    and t- = 1/sqrt(G).
-    """
-    w = p.omega
-    t_plus = complex(p.kappa_f + p.gamma, -w) / complex(p.kappa - p.gamma, w)
-    t_minus = complex(p.kappa_f - p.gamma, -w) / complex(p.kappa + p.gamma, w)
-    return t_plus, t_minus
-
-
 def phase_modulate(fld: FieldState, mode: int, sign_plus: int) -> FieldState:
     """Add one unit of a shared classical modulation mode to a beam.
 

@@ -46,17 +46,15 @@ class DealerConfig:
 
 @dataclass(frozen=True)
 class Shares:
-    """The three dealt beams plus the configuration that produced them.
+    """The three dealt beams and the detector_vacuum mode declared with them.
 
-    detector is the detector_vacuum mode declared with the shares: every
-    feedforward reconstruction from them admixes it through its detector's
-    loss port, so reconstructing never grows the basis.
+    Every feedforward reconstruction from the shares admixes that mode
+    through its detector's loss port, so reconstructing never grows the basis.
     """
 
     share1: FieldState
     share2: FieldState
     share3: FieldState
-    config: DealerConfig
     detector: int
 
     def share(self, i: int) -> FieldState:
@@ -103,7 +101,7 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
         epr1 = phase_modulate(pair.beam1, mod, +1)
         epr2 = phase_modulate(pair.beam2, mod, -1)
     share1, share2 = beam_splitter(secret, epr1, 0.5)
-    return Shares(share1, share2, epr2, config, basis.detector())
+    return Shares(share1, share2, epr2, basis.detector())
 
 
 def reconstruct_12(shares: Shares) -> FieldState:
@@ -112,20 +110,24 @@ def reconstruct_12(shares: Shares) -> FieldState:
     return out1
 
 
-def _check_pair(players: tuple[int, int]) -> None:
+def _mix_pair(
+    shares: Shares, players: tuple[int, int], reflectivity: float
+) -> tuple[FieldState, FieldState]:
+    """Mix the pair's other share with share 3 on one beam splitter.
+
+    Mixing sign chosen so the correlated EPR combinations survive: share 2
+    enters with a pi phase on share 3, share 1 without.
+    """
     if tuple(players) not in _PAIRS:
         raise ValueError("collaborating pair must be (2, 3) or (1, 3); use reconstruct_12 for (1, 2)")
+    phase = math.pi if players[0] == 2 else 0.0
+    return beam_splitter(shares.share(players[0]), shares.share3, reflectivity, phase=phase)
 
 
 def _psa2_outputs(
     shares: Shares, gain: float, players: tuple[int, int]
 ) -> tuple[FieldState, FieldState]:
-    _check_pair(players)
-    holder = shares.share(players[0])
-    # Mixing sign chosen so the correlated EPR combinations survive at the
-    # output: share 2 enters with a pi phase on share 3, share 1 without.
-    phase = math.pi if players[0] == 2 else 0.0
-    arm_a, arm_b = beam_splitter(holder, shares.share3, 0.5, phase=phase)
+    arm_a, arm_b = _mix_pair(shares, players, 0.5)
     amplified = psa_ideal(arm_a, gain)
     deamplified = psa_ideal(arm_b, 1.0 / gain)
     return beam_splitter(amplified, deamplified, 0.5)
@@ -162,10 +164,7 @@ def collaboration_beams(
     phase quadrature is free of modulation noise; the regression tests pin
     every coefficient.
     """
-    _check_pair(players)
-    holder = shares.share(players[0])
-    phase = math.pi if players[0] == 2 else 0.0
-    detected, kept = beam_splitter(holder, shares.share3, 2.0 / 3.0, phase=phase)
+    detected, kept = _mix_pair(shares, players, 2.0 / 3.0)
     return kept, detected
 
 

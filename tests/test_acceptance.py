@@ -23,7 +23,6 @@ from cvqss import (
     crossover_squeezing,
     detect,
     duan_sum,
-    duan_sum_normalized,
     epr_type1,
     fidelity,
     is_entangled,
@@ -145,7 +144,6 @@ def test_criterion_08_entanglement_witness():
         pair = epr_type1(basis, r)
         assert abs(duan_sum(pair) - 4.0 * math.exp(-2.0 * r)) <= 1e-12
         assert is_entangled(pair) == (r > 0.0)
-        assert (duan_sum_normalized(pair) < 1.0 - 1e-9) == (r > 0.0)
     _report(8, "Duan witness 4e^{-2r}; entangled exactly when r > 0")
 
 

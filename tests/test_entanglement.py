@@ -12,7 +12,6 @@ from cvqss import (
     Quad,
     covariance,
     duan_sum,
-    duan_sum_normalized,
     epr_type1,
     epr_type2,
     is_entangled,
@@ -90,13 +89,6 @@ class TestDuanWitness:
         pair = epr_type1(basis, math.log(2.0) / 2.0, 0.0)
         assert duan_sum(pair) == pytest.approx(2.0, abs=1e-12)
         assert is_entangled(pair)
-
-    def test_normalized_form(self, basis):
-        pair = epr_type2(basis, 0.5)
-        assert duan_sum_normalized(pair) == pytest.approx(
-            duan_sum(pair) / 4.0, abs=1e-15
-        )
-        assert duan_sum_normalized(pair) < 1.0
 
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_closed_form_identity_type1(self, r):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -307,19 +308,18 @@ class TestCrossover:
         g = optimal_gain(0.0)
         assert closed_form("ff_cp", 0.0, 0.0, 1.0, g)[0] < closed_form("sp", 0.0)[0]
 
-    def test_bisection_stop_keeps_the_200_step_result(self):
+    def test_exact_root_is_correctly_rounded(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = 1 - 1 / Decimal(3).sqrt()
+        assert crossover_squeezing() == float(exact)
+
         def imbalance(r):
             g = optimal_gain(r, 0.0, 1.0, objective="min_vq")
             return closed_form("ff_cp", r, 0.0, 1.0, g)[0] - closed_form("sp", r, 0.0)[0]
 
-        lo, hi = 1e-9, 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if imbalance(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        assert crossover_squeezing() == squeezing_pct(0.5 * (lo + hi))
+        root = math.log(3.0) / 4.0
+        assert imbalance(root - 1e-12) < 0.0 < imbalance(root + 1e-12)
 
 
 class TestMonotonicity:
@@ -392,11 +392,16 @@ NAN, INF = float("nan"), float("inf")
         lambda: fidelity_closed_form("ff", INF, SECRET_MEANS),
         lambda: fidelity_closed_form("ff", 0.5, (NAN, 2.0)),
         lambda: fidelity_closed_form("ff", 0.5, (4.0, INF)),
+        lambda: optimal_gain(NAN),
+        lambda: optimal_gain(INF),
+        lambda: optimal_gain(0.5, NAN),
+        lambda: optimal_gain(0.5, INF),
     ],
     ids=[
         "ff-r-nan", "ff-r-inf", "ff-vm-nan", "ff-vm-inf", "ff-eta-nan", "ff-gain-nan",
         "ff-gain-inf", "sp-r-nan", "psa2-r-inf", "fidelity-psa2-r-nan", "fidelity-ff-r-inf",
-        "fidelity-ff-mean-nan", "fidelity-ff-mean-inf",
+        "fidelity-ff-mean-nan", "fidelity-ff-mean-inf", "gain-r-nan", "gain-r-inf",
+        "gain-vm-nan", "gain-vm-inf",
     ],
 )
 def test_non_finite_closed_form_input_is_rejected(build):

@@ -1,4 +1,4 @@
-"""Beam splitters, phase-sensitive amplification, cavity transfer, detection."""
+"""Beam splitters, phase-sensitive amplification, detection, feedforward."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cvqss import (
     NoiseBasis,
-    OpoParams,
     Quad,
     beam_splitter,
     detect,
@@ -16,10 +15,8 @@ from cvqss import (
     field_from_mode,
     fields_close,
     lincomb,
-    opo_transfer,
     phase_modulate,
     phase_shift,
-    psa_gain_phase,
     psa_ideal,
     psa_type2_pair,
     variance,
@@ -158,65 +155,6 @@ class TestPsaType2:
         assert variance(summ, Quad.PLUS) == pytest.approx(
             2.0 * math.exp(2.0 * r), rel=1e-12
         )
-
-
-class TestPsaGainPhase:
-    def test_values_at_half_squeezing(self):
-        assert psa_gain_phase(0.5, 0.0) == pytest.approx(2.718281828459045, abs=1e-12)
-        assert psa_gain_phase(0.5, math.pi) == pytest.approx(
-            0.36787944117144233, abs=1e-12
-        )
-
-    def test_no_interaction_means_unit_gain(self):
-        for phi in (0.0, 1.0, math.pi):
-            assert psa_gain_phase(0.0, phi) == 1.0
-
-    @given(
-        r=st.floats(min_value=0.0, max_value=3.0),
-        phi=st.floats(min_value=-10.0, max_value=10.0),
-    )
-    def test_range(self, r, phi):
-        g = psa_gain_phase(r, phi)
-        assert math.exp(-2 * r) - 1e-9 <= g <= math.exp(2 * r) + 1e-9
-
-
-class TestOpoTransfer:
-    def test_dc_gain_single_ended_cavity(self):
-        t_plus, t_minus = opo_transfer(OpoParams(kappa_f=1.0, gamma=0.5))
-        assert t_plus == pytest.approx(3.0, abs=1e-12)
-        assert t_minus == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert abs(t_plus) ** 2 == pytest.approx(9.0, abs=1e-12)
-
-    def test_passive_cavity_has_unit_response(self):
-        for omega in (0.0, 0.3, 2.0):
-            t_plus, t_minus = opo_transfer(OpoParams(kappa_f=1.0, omega=omega))
-            assert abs(t_plus) == pytest.approx(1.0, abs=1e-12)
-            assert abs(t_minus) == pytest.approx(1.0, abs=1e-12)
-
-    def test_low_frequency_limit(self):
-        t0, _ = opo_transfer(OpoParams(kappa_f=1.0, gamma=0.5))
-        t_small, _ = opo_transfer(OpoParams(kappa_f=1.0, gamma=0.5, omega=0.01))
-        assert abs(abs(t_small) - abs(t0)) < 1e-3
-
-    def test_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            OpoParams(kappa_f=1.0, gamma=1.0)
-
-    @given(
-        gamma=st.floats(min_value=-0.9, max_value=0.9),
-        omega=st.floats(min_value=0.0, max_value=5.0),
-    )
-    def test_lossless_cavity_stays_symplectic(self, gamma, omega):
-        t_plus, t_minus = opo_transfer(OpoParams(1.0, 0.0, 0.0, gamma, omega))
-        assert abs(t_plus) * abs(t_minus) == pytest.approx(1.0, rel=1e-10)
-
-    def test_matches_ideal_amplifier_scaling(self, basis):
-        p = OpoParams(kappa_f=1.0, gamma=0.5)
-        t_plus, t_minus = opo_transfer(p)
-        fld = field_from_mode(basis, basis.vacuum())
-        out = psa_ideal(fld, abs(t_plus) ** 2)
-        assert variance(out, Quad.PLUS) == pytest.approx(abs(t_plus) ** 2, abs=1e-12)
-        assert variance(out, Quad.MINUS) == pytest.approx(abs(t_minus) ** 2, abs=1e-12)
 
 
 class TestPhaseModulate:

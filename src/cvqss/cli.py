@@ -203,15 +203,12 @@ def tv_curve_records(
     floats = [float(g) for g in gains]
     rows = []
     for vm_db in vm_dbs:
-        sweep = [
-            ScenarioConfig("feedforward", r, vm_db, eta, g, secret_means, source) for g in gains
-        ]
+        ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
         single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
-        for cfg in (*sweep, single):
-            cfg.validate()
-        secret, shares = _dealt(r, single.v_m, secret_means, EprSource(source))
+        ff.validate()
+        secret, shares = _dealt(r, ff.v_m, secret_means, EprSource(source))
         outs = feedforward_sweep(shares, floats, eta)
-        rows += [_record(cfg, g, secret, out) for cfg, g, out in zip(sweep, floats, outs)]
+        rows += [_record(ff, g, secret, out) for g, out in zip(floats, outs)]
         rows.append(_record(single, _resolve_gain(single, shares), secret, shares.share1))
     return rows
 
@@ -269,6 +266,7 @@ def table_entries(
 
 VERIFY_TOLERANCE = 1e-9
 _VERIFY_R = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+_VERIFY_MEANS = (4.0, 2.0)
 _VERIFY_VM = (0.0, 1.0, 100.0)
 _VERIFY_ETA = (1.0, 0.9)
 
@@ -278,8 +276,6 @@ def verify_grid(
     vm_values: Sequence[float] = _VERIFY_VM,
     eta_values: Sequence[float] = _VERIFY_ETA,
     gains: Sequence[float] = DEFAULT_GAIN_GRID,
-    tolerance: float = VERIFY_TOLERANCE,
-    means: tuple[float, float] = (4.0, 2.0),
 ) -> dict:
     """Compare simulated metrics with the closed forms over a full grid.
 
@@ -297,12 +293,12 @@ def verify_grid(
         if deviation > fam["max_deviation"]:
             fam["max_deviation"] = deviation
             fam["worst"] = params
-        if deviation > tolerance:
+        if deviation > VERIFY_TOLERANCE:
             failures.append({"family": family, "params": params, "deviation": deviation})
 
     for r in r_values:
         for v_m in vm_values:
-            secret, shares = _dealt(r, v_m, means)
+            secret, shares = _dealt(r, v_m, _VERIFY_MEANS)
             for player in (1, 2):
                 sim = tv_point(secret, shares.share(player))
                 ref = metrics.closed_form("sp", r, v_m)
@@ -320,14 +316,14 @@ def verify_grid(
                     )
 
     for r in r_values:
-        secret, shares = _dealt(r, 0.0, means)
+        secret, shares = _dealt(r, 0.0, _VERIFY_MEANS)
         sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
         ref = metrics.closed_form("psa2_cp", r)
         record("psa2_tv", {"r": r}, max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1])))
 
         out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
         dev_raw = abs(
-            metrics.fidelity(secret, out) - metrics.fidelity_closed_form("ff", r, means)
+            metrics.fidelity(secret, out) - metrics.fidelity_closed_form("ff", r, _VERIFY_MEANS)
         )
         corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
         dev_cor = abs(
@@ -337,7 +333,7 @@ def verify_grid(
 
     return {
         "pass": not failures,
-        "tolerance": tolerance,
+        "tolerance": VERIFY_TOLERANCE,
         "families": families,
         "failures": failures,
     }
@@ -534,8 +530,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if args.command == "verify":
             summary = verify_grid()
-            text = json.dumps(_json_safe(summary), indent=2, sort_keys=True) + "\n"
-            _emit(text, args.output)
+            _render([summary], (), "json", args.output)
             if args.output:
                 sys.stdout.write("verify: PASS\n" if summary["pass"] else "verify: FAIL\n")
             return 0 if summary["pass"] else 1

@@ -9,10 +9,9 @@ and vice versa.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .noise import FieldState, Quad, covariance, variance
+from .noise import FieldState, Quad, covariance, cross_covariance, variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -23,10 +22,8 @@ _ZERO_SECRET_MEAN = "signal transfer undefined for a zero secret mean; use a dis
 class Metrics:
     """All figures of merit for one (secret, output) pair.
 
-    t_* are signal transfer coefficients (output SNR over input SNR),
-    vcv_* conditional variances (output noise not explained by the input),
-    k_* the Gaussian mean-mismatch exponents entering the fidelity, and
-    gamma their sum.
+    t_* are signal transfer coefficients (output SNR over input SNR) and
+    vcv_* conditional variances (output noise not explained by the input).
     """
 
     fidelity: float
@@ -34,8 +31,6 @@ class Metrics:
     t_minus: float
     vcv_plus: float
     vcv_minus: float
-    k_plus: float
-    k_minus: float
 
     @property
     def t_q(self) -> float:
@@ -45,54 +40,35 @@ class Metrics:
     def v_q(self) -> float:
         return self.vcv_plus * self.vcv_minus
 
-    @property
-    def gamma(self) -> float:
-        return self.k_plus + self.k_minus
-
-
-def _mean_mismatch(secret: FieldState, out: FieldState, quad: Quad) -> float:
-    """Exponent k for one quadrature of the coherent-secret fidelity.
-
-    k = <X_s>^2 (1 - <X_s>/<X_out>)^2 / (4 V_s + 4 V_out), taken as 0 when
-    the secret mean vanishes.  A zero output mean against a nonzero secret
-    mean has no finite gain ratio; the displacement-only limit
-    <X_s>^2 / (4 V_s + 4 V_out) is used instead and a warning emitted.
-    """
-    ms = secret.mean(quad)
-    if ms == 0.0:
-        return 0.0
-    denom = 4.0 * (variance(secret, quad) + variance(out, quad))
-    mo = out.mean(quad)
-    if mo == 0.0:
-        warnings.warn(
-            "zero output mean against a nonzero secret mean; "
-            "using the displacement-only fidelity limit",
-            stacklevel=3,
-        )
-        return ms * ms / denom
-    return ms * ms * (1.0 - ms / mo) ** 2 / denom
-
 
 def fidelity(secret: FieldState, out: FieldState) -> float:
-    """Overlap of a coherent secret with a Gaussian output state.
+    """Overlap of a pure Gaussian secret, such as a coherent one, with a Gaussian output.
 
-    F = 2 exp(-(k+ + k-)) sqrt(V+_s V-_s / ((V+_s + V+_out)(V-_s + V-_out)))
-    equals 1 exactly when the means match and the output is again a unit-
-    variance coherent state.
+    F = 2/sqrt(det S) exp(-d^T S^-1 d / 2), S = sigma_s + sigma_out the sum
+    of the covariance matrices and d the difference of the means; for two
+    coherent states this is exp(-|alpha - beta|^2).
     """
-    k = _mean_mismatch(secret, out, Quad.PLUS) + _mean_mismatch(secret, out, Quad.MINUS)
-    return _overlap(secret, out, k)
-
-
-def _overlap(secret: FieldState, out: FieldState, k: float) -> float:
-    """fidelity's formula for a given mean-mismatch exponent sum k = k+ + k-."""
     vs_p, vs_m = variance(secret, Quad.PLUS), variance(secret, Quad.MINUS)
     vo_p, vo_m = variance(out, Quad.PLUS), variance(out, Quad.MINUS)
-    return (
-        2.0
-        * math.exp(-k)
-        * math.sqrt(vs_p * vs_m / ((vs_p + vo_p) * (vs_m + vo_m)))
-    )
+    return _overlap(secret, out, vs_p, vs_m, vo_p, vo_m)
+
+
+def _overlap(
+    secret: FieldState, out: FieldState, vs_p: float, vs_m: float, vo_p: float, vo_m: float
+) -> float:
+    """fidelity's formula given both beams' quadrature variances.
+
+    The prefactor is written 2 sqrt(det sigma_s / det S): for the pure
+    secrets the formula applies to, det sigma_s = 1 and this is 2/sqrt(det S).
+    """
+    cs = cross_covariance(secret)
+    a, b = vs_p + vo_p, vs_m + vo_m
+    c = cs + cross_covariance(out)
+    det = a * b - c * c
+    dp = secret.mean_plus - out.mean_plus
+    dm = secret.mean_minus - out.mean_minus
+    k = (b * dp * dp - 2.0 * c * dp * dm + a * dm * dm) / (2.0 * det)
+    return 2.0 * math.exp(-k) * math.sqrt((vs_p * vs_m - cs * cs) / det)
 
 
 def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> float:
@@ -112,8 +88,10 @@ def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> flo
     return variance(out, quad) - cov * cov / variance(secret, quad)
 
 
-def _transfer_and_cv(secret: FieldState, out: FieldState, quad: Quad) -> tuple[float, float]:
-    """(T, V_cv) of one quadrature with each variance computed once.
+def _transfer_and_cv(
+    secret: FieldState, out: FieldState, quad: Quad
+) -> tuple[float, float, float, float]:
+    """(T, V_cv, V_s, V_out) of one quadrature with each variance computed once.
 
     The arithmetic is that of transfer_coefficient and conditional_variance,
     so the results are bit-identical to theirs.
@@ -124,30 +102,26 @@ def _transfer_and_cv(secret: FieldState, out: FieldState, quad: Quad) -> tuple[f
     mo = out.mean(quad)
     vs, vo = variance(secret, quad), variance(out, quad)
     cov = covariance(secret, out, quad)
-    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs
+    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs, vs, vo
 
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
     """(T_q, V_q) for the T-V diagram; ideal reconstruction sits at (2, 0)."""
-    t_plus, vcv_plus = _transfer_and_cv(secret, out, Quad.PLUS)
-    t_minus, vcv_minus = _transfer_and_cv(secret, out, Quad.MINUS)
+    t_plus, vcv_plus, _, _ = _transfer_and_cv(secret, out, Quad.PLUS)
+    t_minus, vcv_minus, _, _ = _transfer_and_cv(secret, out, Quad.MINUS)
     return t_plus + t_minus, vcv_plus * vcv_minus
 
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    k_plus = _mean_mismatch(secret, out, Quad.PLUS)
-    k_minus = _mean_mismatch(secret, out, Quad.MINUS)
-    t_plus, vcv_plus = _transfer_and_cv(secret, out, Quad.PLUS)
-    t_minus, vcv_minus = _transfer_and_cv(secret, out, Quad.MINUS)
+    t_plus, vcv_plus, vs_p, vo_p = _transfer_and_cv(secret, out, Quad.PLUS)
+    t_minus, vcv_minus, vs_m, vo_m = _transfer_and_cv(secret, out, Quad.MINUS)
     return Metrics(
-        fidelity=_overlap(secret, out, k_plus + k_minus),
+        fidelity=_overlap(secret, out, vs_p, vs_m, vo_p, vo_m),
         t_plus=t_plus,
         t_minus=t_minus,
         vcv_plus=vcv_plus,
         vcv_minus=vcv_minus,
-        k_plus=k_plus,
-        k_minus=k_minus,
     )
 
 
@@ -211,9 +185,10 @@ def fidelity_closed_form(
     """Closed-form fidelity limits for the two reconstruction schemes.
 
     "psa2": 1 / (1 + e^{-2r}), independent of the secret.  "ff": the
-    uncorrected feedforward output is symplectically scaled, so the fidelity
-    saturates below 1 and decays with the secret's displacement through the
-    exponent gamma.
+    uncorrected feedforward output at the cancellation gain has means
+    sqrt(3) m+ and m-/sqrt(3) and variances 3 (1 + 2x) and (1 + 2x)/3,
+    x = e^{-2r}, so its overlap with the secret saturates below 1 and falls
+    off as exp(-((2 - sqrt(3))/2) (m+^2/(2 + 3x) + m-^2/(2 + x))).
     """
     _require_finite(r, *means)
     em2r = math.exp(-2.0 * r)
@@ -221,10 +196,10 @@ def fidelity_closed_form(
         return 1.0 / (1.0 + em2r)
     if scheme == "ff":
         mp, mm = means
-        gamma = ((2.0 - _SQRT3) / 12.0) * (
-            mp * mp / (2.0 + 3.0 * em2r) + 9.0 * mm * mm / (2.0 + em2r)
+        k = ((2.0 - _SQRT3) / 2.0) * (
+            mp * mp / (2.0 + 3.0 * em2r) + mm * mm / (2.0 + em2r)
         )
-        return math.exp(-gamma) * math.sqrt(3.0 / ((2.0 + em2r) * (2.0 + 3.0 * em2r)))
+        return math.exp(-k) * math.sqrt(3.0 / ((2.0 + em2r) * (2.0 + 3.0 * em2r)))
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

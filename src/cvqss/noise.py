@@ -217,6 +217,12 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     return sum(c * cb[src] * table[src] for src, c in ca.items() if src in cb)
 
 
+def cross_covariance(fld: FieldState) -> float:
+    """<dX+ dX-> of one beam: nonzero once an element mixes its quadratures."""
+    cm, table = fld.coeffs_minus, fld.basis._variances
+    return sum(c * cm[src] * table[src] for src, c in fld.coeffs_plus.items() if src in cm)
+
+
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:
     # An empty out skips the 0.0 + k * x: that sum differs from k * x only
     # for -0.0, and _prune drops both zeros.

@@ -146,8 +146,6 @@ def reconstruct_2psa(
     quadrature.  The analysis assumes a dealer without added modulation;
     modulated shares are accepted but not covered by the closed forms.
     """
-    if not 0.0 < gain < math.inf:
-        raise ValueError("PSA gain must be positive")
     out1, _out2 = _psa2_outputs(shares, gain, players)
     return out1
 
@@ -203,7 +201,7 @@ def feedforward_sweep(
     epsilon > 0 all entries share one local-oscillator vacuum mode.
     """
     if not all(0.0 <= g < math.inf for g in gains):
-        raise ValueError("feedforward gain must be nonnegative")
+        raise ValueError("feedforward gain must be finite and nonnegative")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)

@@ -57,9 +57,10 @@ class TestRunScenario:
         assert rec["v_q"] == pytest.approx(4.0, abs=1e-12)
 
     def test_secretless_single_player(self):
-        with pytest.warns(UserWarning):
-            rec = run_scenario(ScenarioConfig("single_player_3", r=0.0))
+        rec = run_scenario(ScenarioConfig("single_player_3", r=0.0))
         assert rec["t_q"] == 0.0
+        # share 3 is vacuum at r = 0: F(|alpha>, |0>) = e^{-|alpha|^2}, |alpha|^2 = 5
+        assert rec["fidelity"] == math.exp(-5.0)
         assert rec["v_q"] == pytest.approx(1.0, abs=1e-12)
 
     def test_optimal_gain_resolution(self):
@@ -219,7 +220,6 @@ class TestTvCurve:
         with pytest.raises(ValueError):
             tv_curve_records(0.5, [2.0, 1.0], [None])
 
-    @pytest.mark.filterwarnings("ignore:zero output mean")
     @settings(max_examples=40, deadline=None)
     @given(
         r=st.floats(0.0, 4.0),

@@ -31,7 +31,6 @@ CASES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:zero output mean")
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0

@@ -1,7 +1,6 @@
 """Fidelity, transfer coefficients, conditional variances, closed forms."""
 
 import math
-import warnings
 from decimal import Decimal, localcontext
 
 import pytest
@@ -55,24 +54,18 @@ class TestFidelity:
         out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
         assert fidelity(psi, out) == pytest.approx(0.8660254037844386, abs=1e-6)
 
-    def test_zero_output_mean_is_flagged(self):
-        psi, shares = dealt(r=0.0)
-        with pytest.warns(UserWarning, match="zero output mean"):
-            fidelity(psi, shares.share3)
-
-    def test_evaluate_warns_once_per_zero_output_quadrature(self):
-        psi, shares = dealt(r=0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            evaluate(psi, shares.share3)
-        assert [str(w.message).startswith("zero output mean") for w in caught] == [True, True]
+    def test_coherent_secret_against_vacuum(self, basis, secret):
+        # F(|alpha>, |0>) = e^{-|alpha|^2}; means (4, 2) in X units give |alpha|^2 = 5.
+        vacuum = field_from_mode(basis, basis.vacuum())
+        assert fidelity(secret, vacuum) == math.exp(-5.0)
+        assert fidelity(vacuum, secret) == math.exp(-5.0)
 
     def test_mean_mismatch_exponent_convention(self, basis):
-        # A zero-mean secret never pays a mean penalty.
+        # A zero-mean secret against twice the vacuum: no mean penalty, and
+        # the prefactor is 2 / sqrt(5 * 5).
         psi = field_from_mode(basis, basis.vacuum(), 0.0, 0.0)
         out = lincomb([(2.0, field_from_mode(basis, basis.vacuum()))])
-        m_plus = evaluate(psi, out).k_plus if psi.mean_plus else 0.0
-        assert m_plus == 0.0
+        assert fidelity(psi, out) == 0.4
 
 
 class TestTransferCoefficient:
@@ -360,7 +353,6 @@ class TestMetricsRecord:
                     assert 0.0 <= m.t_q <= 2.0 + 1e-12
                     assert m.v_q >= -1e-12
                     assert m.fidelity <= 1.0 + 1e-12
-                    assert m.gamma == m.k_plus + m.k_minus
 
     def test_symplectic_invariance_of_the_tv_pair(self):
         # The T-V point does not move under symplectic rescaling of the

@@ -49,3 +49,19 @@ def test_min_vq_pair_beats_a_single_player_exactly_for_x_below_one_over_sqrt3():
 def test_max_tq_pair_crosses_unit_transfer_at_the_same_point():
     excess = ff_cp_tq(optimal_gain(1)) - 1
     assert sp.cancel(excess + (3 * x**2 - 1) / ((x + 1) ** 2 * (2 * x + 1))) == 0
+
+
+def test_feedforward_fidelity_closed_form_is_the_gaussian_overlap():
+    # The raw feedforward output at the cancellation gain is the secret plus
+    # 2x of added noise per quadrature, scaled symplectically by sqrt(3):
+    # means sqrt(3) m+ and m-/sqrt(3), variances 3(1 + 2x) and (1 + 2x)/3.
+    mp, mm = sp.symbols("m_plus m_minus", real=True)
+    sqrt3 = sp.sqrt(3)
+    a = 1 + 3 * (1 + 2 * x)
+    b = 1 + (1 + 2 * x) / 3
+    d_plus, d_minus = mp - sqrt3 * mp, mm - mm / sqrt3
+    log_overlap = sp.log(2) - sp.log(a * b) / 2 - (d_plus**2 / a + d_minus**2 / b) / 2
+    # fidelity_closed_form("ff", r, (m+, m-)), transcribed from its formula.
+    gamma = (2 - sqrt3) / 2 * (mp**2 / (2 + 3 * x) + mm**2 / (2 + x))
+    log_closed = -gamma + sp.log(3 / ((2 + x) * (2 + 3 * x))) / 2
+    assert sp.simplify(sp.expand_log(log_overlap - log_closed, force=True)) == 0

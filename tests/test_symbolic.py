@@ -1,8 +1,10 @@
-"""Exact proofs, in sympy, of where the collaborating pair starts to win.
+"""Exact proofs, in sympy, of where the collaborating pair starts to win and
+of the feedforward fidelity closed form.
 
 The closed forms are re-transcribed here from their formulas in x = e^{-2r}
 rather than imported from cvqss, so these tests check the algebra behind
-crossover_squeezing's root and do not share its code.
+crossover_squeezing's root and fidelity_closed_form("ff") and do not share
+their code.
 """
 
 import pytest

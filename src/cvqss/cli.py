@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from . import metrics
 from .metrics import (
     _require_finite,
+    _transfer_and_cv,
     evaluate,
     optimal_gain,
     r_from_squeezing_pct,
@@ -58,15 +59,31 @@ CSV_COLUMNS = (
     "fidelity",
 )
 
-SCHEMES = (
-    "mz12",
-    "psa2",
-    "feedforward",
-    "single_player_1",
-    "single_player_2",
-    "single_player_3",
-    "single_quadrature",
-)
+
+def _regression_gain(cfg: ScenarioConfig, shares: Shares) -> float:
+    # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it
+    quad = cfg.quadrature
+    return -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
+
+
+# name -> (output(shares, gain, cfg), default gain, optimal gain(cfg, shares) or None = default)
+_SCHEMES = {
+    "mz12": (lambda shares, g, cfg: reconstruct_12(shares), 0.0, None),
+    "psa2": (lambda shares, g, cfg: reconstruct_2psa(shares, g), PSA_GAIN_OPTIMAL, None),
+    "feedforward": (
+        lambda shares, g, cfg: reconstruct_ff(shares, g, cfg.eta, epsilon=cfg.epsilon),
+        FF_GAIN_OPTIMAL,
+        lambda cfg, shares: optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq"),
+    ),
+    **{
+        f"single_player_{i}": (lambda shares, g, cfg, i=i: shares.share(i), 0.0, None)
+        for i in (1, 2, 3)
+    },
+    "single_quadrature": (
+        lambda shares, g, cfg: single_quadrature_readout(shares, g), 0.0, _regression_gain
+    ),
+}
+SCHEMES = tuple(_SCHEMES)
 
 DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
 TABLE_VQ_CAP = 1e6
@@ -117,21 +134,11 @@ class ScenarioConfig:
         return Quad.PLUS if self.quad == "plus" else Quad.MINUS
 
 
-_DEFAULT_GAINS = {"psa2": PSA_GAIN_OPTIMAL, "feedforward": FF_GAIN_OPTIMAL}
-
-
 def _resolve_gain(cfg: ScenarioConfig, shares: Shares) -> float:
-    g = cfg.gain
-    if g == "optimal":
-        if cfg.scheme == "feedforward":
-            return optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq")
-        if cfg.scheme == "single_quadrature":
-            # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it
-            quad = cfg.quadrature
-            return -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
-    elif g is not None:
-        return float(g)
-    return _DEFAULT_GAINS.get(cfg.scheme, 0.0)
+    _, default, optimal = _SCHEMES[cfg.scheme]
+    if cfg.gain == "optimal":
+        return default if optimal is None else optimal(cfg, shares)
+    return default if cfg.gain is None else float(cfg.gain)
 
 
 def _dealt(
@@ -150,8 +157,7 @@ def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldStat
     """
     if cfg.scheme == "single_quadrature":
         quad = cfg.quadrature
-        t = metrics.transfer_coefficient(secret, out, quad)
-        vcv = metrics.conditional_variance(secret, out, quad)
+        t, vcv, _, _ = _transfer_and_cv(secret, out, quad)
         inf = float("inf")
         t_plus, t_minus = (t, 0.0) if quad is Quad.PLUS else (0.0, t)
         vcv_plus, vcv_minus = (vcv, inf) if quad is Quad.PLUS else (inf, vcv)
@@ -168,17 +174,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     cfg.validate()
     secret, shares = _dealt(cfg.r, cfg.v_m, cfg.secret_means, EprSource(cfg.source))
     gain = _resolve_gain(cfg, shares)
-    if cfg.scheme == "single_quadrature":
-        out = single_quadrature_readout(shares, gain)
-    elif cfg.scheme == "mz12":
-        out = reconstruct_12(shares)
-    elif cfg.scheme == "psa2":
-        out = reconstruct_2psa(shares, gain)
-    elif cfg.scheme == "feedforward":
-        out = reconstruct_ff(shares, gain, cfg.eta, epsilon=cfg.epsilon)
-    else:  # single_player_i
-        out = shares.share(int(cfg.scheme[-1]))
-    return _record(cfg, gain, secret, out)
+    return _record(cfg, gain, secret, _SCHEMES[cfg.scheme][0](shares, gain, cfg))
 
 
 def tv_curve_records(
@@ -287,7 +283,8 @@ def verify_grid(
     families: dict[str, dict] = {}
     failures: list[dict] = []
 
-    def record(family: str, params: dict, deviation: float) -> None:
+    def record(family: str, params: dict, sim: tuple, ref: tuple) -> None:
+        deviation = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
         fam = families.setdefault(family, {"max_deviation": 0.0, "count": 0, "worst": None})
         fam["count"] += 1
         if deviation > fam["max_deviation"]:
@@ -302,34 +299,25 @@ def verify_grid(
             for player in (1, 2):
                 sim = tv_point(secret, shares.share(player))
                 ref = metrics.closed_form("sp", r, v_m)
-                dev = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
-                record("single_player", {"r": r, "v_m": v_m, "player": player}, dev)
+                record("single_player", {"r": r, "v_m": v_m, "player": player}, sim, ref)
             for eta in eta_values:
                 for g, out in zip(gains, feedforward_sweep(shares, gains, eta)):
                     sim = tv_point(secret, out)
                     ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
-                    dev = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
-                    record(
-                        "feedforward_tv",
-                        {"r": r, "v_m": v_m, "eta": eta, "gain": g},
-                        dev,
-                    )
+                    params = {"r": r, "v_m": v_m, "eta": eta, "gain": g}
+                    record("feedforward_tv", params, sim, ref)
 
     for r in r_values:
         secret, shares = _dealt(r, 0.0, _VERIFY_MEANS)
         sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
-        ref = metrics.closed_form("psa2_cp", r)
-        record("psa2_tv", {"r": r}, max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1])))
+        record("psa2_tv", {"r": r}, sim, metrics.closed_form("psa2_cp", r))
 
         out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-        dev_raw = abs(
-            metrics.fidelity(secret, out) - metrics.fidelity_closed_form("ff", r, _VERIFY_MEANS)
-        )
         corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
-        dev_cor = abs(
-            metrics.fidelity(secret, corrected) - metrics.fidelity_closed_form("psa2", r)
-        )
-        record("feedforward_fidelity", {"r": r}, max(dev_raw, dev_cor))
+        sim = (metrics.fidelity(secret, out), metrics.fidelity(secret, corrected))
+        ref = (metrics.fidelity_closed_form("ff", r, _VERIFY_MEANS),
+               metrics.fidelity_closed_form("psa2", r))
+        record("feedforward_fidelity", {"r": r}, sim, ref)
 
     return {
         "pass": not failures,

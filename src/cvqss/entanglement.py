@@ -5,10 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .noise import FieldState, NoiseBasis, Quad, field_from_mode, lincomb, variance
-from .optics import beam_splitter, phase_modulate, phase_shift, psa_type2_pair
+from .optics import beam_splitter, phase_shift, psa_type2_pair
 
 # Separable bound on the Duan sum in our units (vacuum variance 1 per
 # quadrature): two independent vacua contribute 2 + 2.
@@ -26,31 +25,21 @@ class EprPair:
 
     beam1: FieldState
     beam2: FieldState
-    source: EprSource
-    r: float
-    modulation: Optional[int] = None  # shared classical mode id, if modulated
 
 
-def epr_type1(basis: NoiseBasis, r: float, v_m: float = 0.0) -> EprPair:
+def epr_type1(basis: NoiseBasis, r: float) -> EprPair:
     """Entangled pair from two amplitude-squeezed beams on a 1:1 beam splitter.
 
     The beams interfere with a pi/2 relative phase and the outputs are
     rotated by -/+ pi/4; this is the convention under which the pair feeds
-    the share equations with the published coefficient structure.  The pair
-    always carries a shared classical modulation mode (variance v_m, which
-    may be 0): anticorrelated in X+, correlated in X-.
+    the share equations with the published coefficient structure.
     """
-    if r < 0 or v_m < 0:
-        raise ValueError("squeezing and modulation power must be nonnegative")
+    if r < 0:
+        raise ValueError("squeezing parameter must be nonnegative")
     sq1 = field_from_mode(basis, basis.squeezed(r))
     sq2 = field_from_mode(basis, basis.squeezed(r))
     out1, out2 = beam_splitter(sq1, sq2, 0.5, phase=math.pi / 2)
-    beam1 = phase_shift(out1, -math.pi / 4)
-    beam2 = phase_shift(out2, math.pi / 4)
-    mod = basis.modulation(v_m)
-    beam1 = phase_modulate(beam1, mod, +1)
-    beam2 = phase_modulate(beam2, mod, -1)
-    return EprPair(beam1, beam2, EprSource.TYPE1, r, mod)
+    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
 
 
 def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
@@ -64,16 +53,15 @@ def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
         raise ValueError("interaction parameter must be nonnegative")
     sig = field_from_mode(basis, basis.vacuum())
     idl = field_from_mode(basis, basis.vacuum())
-    beam1, beam2 = psa_type2_pair(sig, idl, -r)
-    return EprPair(beam1, beam2, EprSource.TYPE2, r)
+    return EprPair(*psa_type2_pair(sig, idl, -r))
 
 
 def duan_sum(pair: EprPair) -> float:
     """<(dX+_1 + dX+_2)^2> + <(dX-_1 - dX-_2)^2>.
 
     Below DUAN_SEPARABLE_BOUND the pair is inseparable; both source types
-    give exactly 4 exp(-2r) regardless of modulation, which cancels in both
-    combinations.
+    give exactly 4 exp(-2r), also after the dealer's modulation, which
+    cancels in both combinations.
     """
     joint = lincomb([(1.0, pair.beam1), ((1.0, 0.0, 0.0, -1.0), pair.beam2)])
     return variance(joint, Quad.PLUS) + variance(joint, Quad.MINUS)

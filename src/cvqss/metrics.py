@@ -42,7 +42,7 @@ class Metrics:
 
 
 def fidelity(secret: FieldState, out: FieldState) -> float:
-    """Overlap of a pure Gaussian secret, such as a coherent one, with a Gaussian output.
+    """Overlap tr(rho_s rho_out) of two Gaussian states: their fidelity when either is pure.
 
     F = 2/sqrt(det S) exp(-d^T S^-1 d / 2), S = sigma_s + sigma_out the sum
     of the covariance matrices and d the difference of the means; for two
@@ -58,28 +58,22 @@ def _overlap(
 ) -> float:
     """fidelity's formula given both beams' quadrature variances.
 
-    The prefactor is written 2 sqrt(det sigma_s / det S): for the pure
-    secrets the formula applies to, det sigma_s = 1 and this is 2/sqrt(det S).
+    Exact when at least one of the two states is pure; neither is assumed
+    to be the pure one.
     """
-    cs = cross_covariance(secret)
     a, b = vs_p + vo_p, vs_m + vo_m
-    c = cs + cross_covariance(out)
+    c = cross_covariance(secret) + cross_covariance(out)
     det = a * b - c * c
     dp = secret.mean_plus - out.mean_plus
     dm = secret.mean_minus - out.mean_minus
     k = (b * dp * dp - 2.0 * c * dp * dm + a * dm * dm) / (2.0 * det)
-    return 2.0 * math.exp(-k) * math.sqrt((vs_p * vs_m - cs * cs) / det)
+    # sqrt(1 / det), not 1 / sqrt(det): the two differ in the last digit of printed fidelities
+    return 2.0 * math.exp(-k) * math.sqrt(1.0 / det)
 
 
 def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> float:
     """T = SNR_out / SNR_secret for one quadrature, SNR = <X>^2 / V."""
-    ms = secret.mean(quad)
-    if ms == 0.0:
-        raise ValueError(_ZERO_SECRET_MEAN)
-    mo = out.mean(quad)
-    snr_secret = ms * ms / variance(secret, quad)
-    snr_out = mo * mo / variance(out, quad)
-    return snr_out / snr_secret
+    return _transfer_and_cv(secret, out, quad)[0]
 
 
 def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> float:
@@ -93,8 +87,8 @@ def _transfer_and_cv(
 ) -> tuple[float, float, float, float]:
     """(T, V_cv, V_s, V_out) of one quadrature with each variance computed once.
 
-    The arithmetic is that of transfer_coefficient and conditional_variance,
-    so the results are bit-identical to theirs.
+    V_cv's arithmetic is conditional_variance's, so the two are bit-identical;
+    conditional_variance stays separate because it accepts a zero secret mean.
     """
     ms = secret.mean(quad)
     if ms == 0.0:

@@ -85,23 +85,17 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     """Split a coherent secret into three shares.
 
     Share 1 and 2 are the outputs of a 1:1 beam splitter between the secret
-    and entangled beam 1; share 3 is entangled beam 2.  With modulation the
-    shared classical mode rides on the entangled beams with opposite signs
-    in X+, so shares 1 and 2 carry equal added noise.  The feedforward
+    and entangled beam 1; share 3 is entangled beam 2.  For both sources one
+    classical mode of variance v_m rides on the entangled beams with opposite
+    signs in X+, so shares 1 and 2 carry equal added noise.  The feedforward
     detector's vacuum mode is registered last.
     """
     _require_coherent(secret)
     basis = secret.basis
-    if config.source is EprSource.TYPE1:
-        pair = epr_type1(basis, config.r, config.v_m)
-        epr1, epr2 = pair.beam1, pair.beam2
-    else:
-        pair = epr_type2(basis, config.r)
-        mod = basis.modulation(config.v_m)
-        epr1 = phase_modulate(pair.beam1, mod, +1)
-        epr2 = phase_modulate(pair.beam2, mod, -1)
-    share1, share2 = beam_splitter(secret, epr1, 0.5)
-    return Shares(share1, share2, epr2, basis.detector())
+    pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
+    mod = basis.modulation(config.v_m)
+    share1, share2 = beam_splitter(secret, phase_modulate(pair.beam1, mod, +1), 0.5)
+    return Shares(share1, share2, phase_modulate(pair.beam2, mod, -1), basis.detector())
 
 
 def reconstruct_12(shares: Shares) -> FieldState:

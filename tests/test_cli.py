@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 import cvqss.metrics
 from cvqss import (
     FF_GAIN_OPTIMAL,
+    PSA_GAIN_OPTIMAL,
     EprSource,
     Quad,
     collaboration_beams,
+    covariance,
+    optimal_gain,
     reconstruct_12,
+    reconstruct_2psa,
     reconstruct_ff,
     single_quadrature_readout,
     tv_point,
@@ -21,7 +25,9 @@ from cvqss import (
 )
 from cvqss.cli import (
     CSV_COLUMNS,
+    SCHEMES,
     ScenarioConfig,
+    _record,
     main,
     run_scenario,
     table_entries,
@@ -117,6 +123,44 @@ class TestRunScenario:
             run_scenario(ScenarioConfig("feedforward", eta=0.0))
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig("feedforward", epsilon=1.0))
+
+
+def _per_scheme_scenario(cfg):
+    """Reference run_scenario: gain resolution and dispatch written out per scheme name."""
+    cfg.validate()
+    psi, shares = dealt(cfg.r, cfg.v_m, EprSource(cfg.source), cfg.secret_means)
+    g = cfg.gain
+    if g == "optimal" and cfg.scheme == "feedforward":
+        gain = optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq")
+    elif g == "optimal" and cfg.scheme == "single_quadrature":
+        quad = cfg.quadrature
+        gain = -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
+    elif g is not None and g != "optimal":
+        gain = float(g)
+    else:
+        gain = {"psa2": PSA_GAIN_OPTIMAL, "feedforward": FF_GAIN_OPTIMAL}.get(cfg.scheme, 0.0)
+    if cfg.scheme == "single_quadrature":
+        out = single_quadrature_readout(shares, gain)
+    elif cfg.scheme == "mz12":
+        out = reconstruct_12(shares)
+    elif cfg.scheme == "psa2":
+        out = reconstruct_2psa(shares, gain)
+    elif cfg.scheme == "feedforward":
+        out = reconstruct_ff(shares, gain, cfg.eta, epsilon=cfg.epsilon)
+    else:
+        out = shares.share(int(cfg.scheme[-1]))
+    return _record(cfg, gain, psi, out)
+
+
+@pytest.mark.parametrize("gain", [None, 1.7, "optimal"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_scheme_table_matches_per_scheme_dispatch(scheme, gain):
+    for source, quad, epsilon in (("type1", "plus", 0.0), ("type2", "minus", 0.1)):
+        cfg = ScenarioConfig(
+            scheme, 0.6, 10.0, 0.9, gain, (-1.5, 3.0), source, quad, epsilon
+        )
+        # repr tells 1 from 1.0 and -0.0 from 0.0, as the CLI output does
+        assert repr(run_scenario(cfg)) == repr(_per_scheme_scenario(cfg))
 
 
 class TestRunCommand:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cvqss import (
     DUAN_SEPARABLE_BOUND,
+    EprPair,
     NoiseBasis,
     Quad,
     covariance,
@@ -16,20 +17,28 @@ from cvqss import (
     epr_type2,
     is_entangled,
     lincomb,
+    phase_modulate,
     variance,
 )
 
 
+def modulated_type1(basis, r, v_m):
+    """A type-1 pair and the modulation mode deal puts on it: +1 on beam 1, -1 on beam 2."""
+    pair = epr_type1(basis, r)
+    mod = basis.modulation(v_m)
+    return EprPair(phase_modulate(pair.beam1, mod, +1), phase_modulate(pair.beam2, mod, -1)), mod
+
+
 class TestType1Source:
     def test_no_squeezing_gives_vacuum_statistics(self, basis):
-        pair = epr_type1(basis, 0.0, 0.0)
+        pair = epr_type1(basis, 0.0)
         for beam in (pair.beam1, pair.beam2):
             for quad in Quad:
                 assert variance(beam, quad) == pytest.approx(1.0, abs=1e-12)
 
     def test_individual_beams_look_thermal(self, basis):
         # cosh 2r = 1.5430806348152437 at r = 0.5
-        pair = epr_type1(basis, 0.5, 0.0)
+        pair = epr_type1(basis, 0.5)
         for beam in (pair.beam1, pair.beam2):
             for quad in Quad:
                 assert variance(beam, quad) == pytest.approx(
@@ -39,7 +48,7 @@ class TestType1Source:
     def test_modulation_correlation_signs(self, basis):
         # Anticorrelated in the amplitude quadrature, correlated in phase;
         # clean-pair parts contribute -/+ sinh 2r, modulation adds -/+ 100.
-        pair = epr_type1(basis, 0.5, 100.0)
+        pair, _ = modulated_type1(basis, 0.5, 100.0)
         sinh1 = math.sinh(1.0)
         assert covariance(pair.beam1, pair.beam2, Quad.PLUS) == pytest.approx(
             -sinh1 - 100.0, abs=1e-12
@@ -50,9 +59,9 @@ class TestType1Source:
 
     def test_negative_inputs_rejected(self, basis):
         with pytest.raises(ValueError):
-            epr_type1(basis, -0.1, 0.0)
+            epr_type1(basis, -0.1)
         with pytest.raises(ValueError):
-            epr_type1(basis, 0.1, -1.0)
+            basis.modulation(-1.0)
 
 
 class TestType2Source:
@@ -80,40 +89,39 @@ class TestType2Source:
 
 class TestDuanWitness:
     def test_boundary_at_zero_squeezing(self, basis):
-        pair = epr_type1(basis, 0.0, 0.0)
+        pair = epr_type1(basis, 0.0)
         assert duan_sum(pair) == pytest.approx(DUAN_SEPARABLE_BOUND, abs=1e-12)
         assert not is_entangled(pair)
 
     def test_half_bound_at_log2_over_2(self, basis):
         # 4 e^{-2r} = 2 when 2r = ln 2.
-        pair = epr_type1(basis, math.log(2.0) / 2.0, 0.0)
+        pair = epr_type1(basis, math.log(2.0) / 2.0)
         assert duan_sum(pair) == pytest.approx(2.0, abs=1e-12)
         assert is_entangled(pair)
 
     @pytest.mark.parametrize("r", [0.0, 0.1, 0.5, 1.0, 2.0, 3.5, 5.0])
     def test_closed_form_identity_type1(self, r):
         basis = NoiseBasis()
-        pair = epr_type1(basis, r, 0.0)
+        pair = epr_type1(basis, r)
         assert abs(duan_sum(pair) - 4.0 * math.exp(-2.0 * r)) <= 1e-12
 
     @given(r=st.floats(min_value=1e-6, max_value=5.0))
     def test_any_squeezing_entangles_both_sources(self, r):
         basis = NoiseBasis()
-        assert is_entangled(epr_type1(basis, r, 0.0))
+        assert is_entangled(epr_type1(basis, r))
         assert is_entangled(epr_type2(basis, r))
 
     @given(r=st.floats(min_value=0.0, max_value=5.0),
            v_m=st.floats(min_value=0.0, max_value=1000.0))
     def test_modulation_never_changes_the_witness(self, r, v_m):
         basis = NoiseBasis()
-        pair = epr_type1(basis, r, v_m)
+        pair, _ = modulated_type1(basis, r, v_m)
         assert duan_sum(pair) == pytest.approx(4.0 * math.exp(-2.0 * r), abs=1e-9)
 
     def test_modulation_cancels_coefficientwise(self, basis):
         # The witness combinations carry exactly zero weight on the shared
         # modulation mode, not merely zero variance.
-        pair = epr_type1(basis, 0.3, 25.0)
-        mod = pair.modulation
+        pair, mod = modulated_type1(basis, 0.3, 25.0)
         plus_sum = lincomb([(1.0, pair.beam1), (1.0, pair.beam2)])
         minus_diff = lincomb([(1.0, pair.beam1), (-1.0, pair.beam2)])
         for src in ((mod, Quad.PLUS), (mod, Quad.MINUS)):
@@ -121,8 +129,6 @@ class TestDuanWitness:
             assert abs(minus_diff.coeff(Quad.MINUS, src)) <= 1e-12
 
     def test_swap_symmetry(self, basis):
-        from cvqss.entanglement import EprPair
-
-        pair = epr_type1(basis, 0.8, 5.0)
-        swapped = EprPair(pair.beam2, pair.beam1, pair.source, pair.r, pair.modulation)
+        pair, _ = modulated_type1(basis, 0.8, 5.0)
+        swapped = EprPair(pair.beam2, pair.beam1)
         assert duan_sum(swapped) == pytest.approx(duan_sum(pair), abs=1e-12)

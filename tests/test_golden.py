@@ -1,5 +1,5 @@
-"""Byte-pinned CLI outputs: default-gain runs, type-2 and finite-epsilon runs, three
-tv-curve sweeps, two tables and verify."""
+"""Byte-pinned CLI outputs: default-gain runs, type-2, finite-epsilon and optimal-gain
+runs, three tv-curve sweeps, two tables and verify."""
 
 from pathlib import Path
 
@@ -19,6 +19,16 @@ CASES = {
     ],
     "run_feedforward_type2.csv": ["run", "--scheme", "feedforward", "--r", "0.5", "--source", "type2"],
     "run_psa2_type2.csv": ["run", "--scheme", "psa2", "--r", "0.5", "--source", "type2"],
+    "run_feedforward_optimal.csv": [
+        "run", "--scheme", "feedforward", "--r", "0.5", "--vm-db", "10", "--gain", "optimal"
+    ],
+    **{
+        f"run_single_quadrature_optimal_{quad}.csv": [
+            "run", "--scheme", "single_quadrature", "--r", "0.5", "--vm-db", "10",
+            "--gain", "optimal", "--quad", quad,
+        ]
+        for quad in ("plus", "minus")
+    },
     "tv_curve.csv": ["tv-curve", "--r", "0.5", "--vm-db", "20"],
     "tv_curve_type2.csv": ["tv-curve", "--r", "0.5", "--eta", "0.9", "--source", "type2"],
     "tv_curve_pct40.json": [

@@ -68,6 +68,17 @@ class TestFidelity:
         assert fidelity(psi, out) == 0.4
 
 
+    @pytest.mark.parametrize("source", [EprSource.TYPE1, EprSource.TYPE2])
+    @pytest.mark.parametrize("r,v_m", [(0.0, 0.0), (0.5, 10.0), (1.5, 100.0)])
+    def test_symmetric_when_one_state_is_pure(self, r, v_m, source):
+        # The overlap of a pure and a mixed Gaussian does not depend on their order.
+        psi, shares = dealt(r, v_m, source)
+        for share in (shares.share1, shares.share2, shares.share3):
+            swapped = fidelity(share, psi)
+            assert swapped == pytest.approx(fidelity(psi, share), rel=1e-12, abs=0.0)
+            assert swapped <= 1.0
+
+
 class TestTransferCoefficient:
     def test_identity(self, secret):
         assert transfer_coefficient(secret, secret, P) == pytest.approx(1.0, abs=1e-15)

@@ -104,6 +104,16 @@ class TestDeal:
         bump = variance(noisy.share3, P) - variance(clean.share3, P)
         assert bump == pytest.approx(100.0, abs=1e-12)
 
+    @pytest.mark.parametrize("source", [EprSource.TYPE1, EprSource.TYPE2])
+    def test_one_modulation_mode_for_both_sources(self, source):
+        # Anticorrelated in X+, correlated in X-: share 3 carries the mode as -X+_m, +X-_m.
+        psi, shares = dealt(0.5, 10.0, source)
+        (mod,) = psi.basis.modes_of_kind(ModeKind.CLASSICAL_MODULATION)
+        assert shares.share3.coeff(P, (mod.mid, P)) == -1.0
+        assert shares.share3.coeff(M, (mod.mid, M)) == 1.0
+        assert shares.share3.coeff(P, (mod.mid, M)) == 0.0
+        assert shares.share3.coeff(M, (mod.mid, P)) == 0.0
+
     def test_recoverability_structure(self):
         # share1 + share2 is the secret again; share1 - share2 carries none.
         psi, shares = dealt(r=0.7, v_m=10.0)

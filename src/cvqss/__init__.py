@@ -33,7 +33,6 @@ from .noise import (
     FieldState,
     ModeKind,
     NoiseBasis,
-    NoiseMode,
     Quad,
     covariance,
     field_from_mode,

@@ -10,6 +10,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -89,7 +91,7 @@ DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
 TABLE_VQ_CAP = 1e6
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """One scenario: scheme plus the dealer, loop and secret parameters."""
 
@@ -103,7 +105,7 @@ class ScenarioConfig:
     quad: str = "plus"
     epsilon: float = 0.0  # finite feedforward-mixing transmission; 0 = exact limit
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         numbers = [self.r, self.eta, self.epsilon, *self.secret_means]
@@ -171,7 +173,6 @@ def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldStat
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Execute one scenario and return the metrics record."""
-    cfg.validate()
     secret, shares = _dealt(cfg.r, cfg.v_m, cfg.secret_means, EprSource(cfg.source))
     gain = _resolve_gain(cfg, shares)
     return _record(cfg, gain, secret, _SCHEMES[cfg.scheme][0](shares, gain, cfg))
@@ -201,7 +202,6 @@ def tv_curve_records(
     for vm_db in vm_dbs:
         ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
         single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
-        ff.validate()
         secret, shares = _dealt(r, ff.v_m, secret_means, EprSource(source))
         outs = feedforward_sweep(shares, floats, eta)
         rows += [_record(ff, g, secret, out) for g, out in zip(floats, outs)]
@@ -331,19 +331,13 @@ def verify_grid(
 # Output formatting.
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _records_to_csv(rows: list[dict], columns: Sequence[str]) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
+    # floats print as repr, None as an empty cell, and a cell holding a comma is quoted
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _json_safe(obj):
@@ -400,7 +394,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_squeezing(p: argparse.ArgumentParser) -> None:
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--r", type=float, help="squeezing parameter")
+        group.add_argument("--r", type=float, default=0.0, help="squeezing parameter")
         group.add_argument(
             "--squeezing-pct", type=float, help="squeezing as a percentage, alternative to --r"
         )
@@ -469,12 +463,9 @@ def _config_tokens(path: str) -> list[str]:
 
 
 def _resolve_r(args: argparse.Namespace) -> float:
-    if getattr(args, "r", None) is not None:
-        return args.r
-    pct = getattr(args, "squeezing_pct", None)
-    if pct is not None:
-        return r_from_squeezing_pct(pct / 100.0)
-    return 0.0
+    if args.squeezing_pct is not None:
+        return r_from_squeezing_pct(args.squeezing_pct / 100.0)
+    return args.r
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -91,7 +91,7 @@ def _transfer_and_cv(
     conditional_variance stays separate because it accepts a zero secret mean.
     """
     ms = secret.mean(quad)
-    if ms == 0.0:
+    if ms * ms == 0.0:  # also a mean so small that its square underflows
         raise ValueError(_ZERO_SECRET_MEAN)
     mo = out.mean(quad)
     vs, vo = variance(secret, quad), variance(out, quad)

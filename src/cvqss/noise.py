@@ -62,38 +62,27 @@ Source = tuple[int, Quad]
 Weight = float | tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
-class NoiseMode:
-    """An independent Gaussian fluctuation source with per-quadrature variance."""
-
-    mid: int
-    kind: ModeKind
-    v_plus: float
-    v_minus: float
-
-
 class NoiseBasis:
     """Append-only registry of the noise modes active in one scenario.
 
-    Registration is single-threaded per scenario; once built, the basis and
-    the fields over it are safe to share read-only across workers.
+    A mode is its kind plus its two quadrature variances, each stored once.
     """
 
     def __init__(self) -> None:
-        self._modes: list[NoiseMode] = []
+        self._kinds: list[ModeKind] = []
         # Variance of every registered source, read by the algebra below.
         self._variances: dict[Source, float] = {}
 
     def __len__(self) -> int:
-        return len(self._modes)
+        return len(self._kinds)
 
-    def mode(self, mid: int) -> NoiseMode:
-        if not 0 <= mid < len(self._modes):
+    def kind(self, mid: int) -> ModeKind:
+        if not 0 <= mid < len(self._kinds):
             raise KeyError(f"unknown noise mode id {mid}")
-        return self._modes[mid]
+        return self._kinds[mid]
 
-    def modes_of_kind(self, kind: ModeKind) -> tuple[NoiseMode, ...]:
-        return tuple(m for m in self._modes if m.kind is kind)
+    def modes_of_kind(self, kind: ModeKind) -> tuple[int, ...]:
+        return tuple(mid for mid, k in enumerate(self._kinds) if k is kind)
 
     def register(self, kind: ModeKind, v_plus: float, v_minus: float) -> int:
         """Register a mode and return its fresh id.
@@ -116,8 +105,8 @@ class NoiseBasis:
         elif kind is ModeKind.CLASSICAL_MODULATION:
             if abs(v_plus - v_minus) > COEFF_ATOL:
                 raise ValueError("classical modulation is symmetric: v_plus = v_minus")
-        mid = len(self._modes)
-        self._modes.append(NoiseMode(mid, kind, v_plus, v_minus))
+        mid = len(self._kinds)
+        self._kinds.append(kind)
         self._variances[(mid, Quad.PLUS)] = v_plus
         self._variances[(mid, Quad.MINUS)] = v_minus
         return mid
@@ -190,7 +179,7 @@ def field_from_mode(
     basis: NoiseBasis, mid: int, mean_plus: float = 0.0, mean_minus: float = 0.0
 ) -> FieldState:
     """A beam whose fluctuations are exactly one registered mode's."""
-    basis.mode(mid)
+    basis.kind(mid)  # FieldState's key check alone would take 0.0 for 0
     return FieldState(
         basis,
         mean_plus,

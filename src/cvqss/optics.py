@@ -98,7 +98,7 @@ def phase_modulate(fld: FieldState, mode: int, sign_plus: int) -> FieldState:
     """
     if sign_plus not in (+1, -1):
         raise ValueError("sign_plus must be +1 or -1")
-    if fld.basis.mode(mode).kind is not ModeKind.CLASSICAL_MODULATION:
+    if fld.basis.kind(mode) is not ModeKind.CLASSICAL_MODULATION:
         raise ValueError("phase modulators require a classical_modulation mode")
     modulation = field_from_mode(fld.basis, mode)
     return lincomb([(1.0, fld), ((sign_plus, 0.0, 0.0, 1.0), modulation)])
@@ -126,7 +126,7 @@ def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("detection efficiency must be in [0, 1]")
-    if fld.basis.mode(d_mode).kind is not ModeKind.DETECTOR_VACUUM:
+    if fld.basis.kind(d_mode) is not ModeKind.DETECTOR_VACUUM:
         raise ValueError("detect requires a detector_vacuum mode")
     loss_port = field_from_mode(fld.basis, d_mode)
     beam = lincomb([
@@ -173,7 +173,7 @@ def feedforward_mix(
     if total_gain != 0.0:
         terms.append(((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam))
     if epsilon > 0.0:
-        if lo_mode is None or b.basis.mode(lo_mode).kind is not ModeKind.VACUUM:
+        if lo_mode is None or b.basis.kind(lo_mode) is not ModeKind.VACUUM:
             raise ValueError("finite-epsilon mixing needs a fresh vacuum lo_mode")
         terms.append((math.sqrt(epsilon), field_from_mode(b.basis, lo_mode)))
     return lincomb(terms)

@@ -75,7 +75,7 @@ def _require_coherent(secret: FieldState) -> None:
         and quad_m is Quad.MINUS
         and abs(c_p - 1.0) <= 1e-12
         and abs(c_m - 1.0) <= 1e-12
-        and secret.basis.mode(mid_p).kind is ModeKind.VACUUM
+        and secret.basis.kind(mid_p) is ModeKind.VACUUM
     )
     if not ok:
         raise ValueError("secret must be a coherent state: one vacuum mode, unit coefficient")

@@ -79,7 +79,7 @@ def test_criterion_03_feedforward_cancellation():
     psi, shares = dealt(r=0.5, v_m=100.0)
     psi_id, s1, s2, m, _ = mode_ids(shares.share1.basis)
     out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-    (det,) = [mm.mid for mm in out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)]
+    (det,) = out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)
     for src in ((s1, M), (s2, M), (m, P), (det, P)):
         assert abs(out.coeff(P, src)) < 1e-12
     assert out.coeff(P, (psi_id, P)) == pytest.approx(SQRT3, abs=1e-12)

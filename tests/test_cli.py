@@ -1,7 +1,10 @@
 """CLI subcommands: run, tv-curve, table, verify; determinism and exit codes."""
 
+import csv
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -42,12 +45,8 @@ NONZERO_MEAN = st.one_of(st.floats(-5.0, -0.5), st.floats(0.5, 5.0))
 
 
 def parse_csv(text):
-    lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        rows.append(dict(zip(header, line.split(","))))
-    return header, rows
+    header, *rows = csv.reader(text.splitlines())
+    return header, [dict(zip(header, row, strict=True)) for row in rows]
 
 
 class TestRunScenario:
@@ -124,10 +123,33 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             run_scenario(ScenarioConfig("feedforward", epsilon=1.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("scheme", "bogus"),
+        ("r", -1.0),
+        ("r", math.nan),
+        ("vm_db", -3.0),
+        ("vm_db", math.inf),
+        ("eta", 0.0),
+        ("eta", 1.5),
+        ("gain", math.nan),
+        ("secret_means", (math.nan, 1.0)),
+        ("source", "type3"),
+        ("quad", "both"),
+        ("epsilon", 1.0),
+        ("epsilon", -0.1),
+    ])
+    def test_invalid_field_rejected_when_built(self, field, value):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{"scheme": "feedforward", field: value})
+
+    def test_config_is_frozen(self):
+        cfg = ScenarioConfig("feedforward", r=0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.r = -1.0
+
 
 def _per_scheme_scenario(cfg):
     """Reference run_scenario: gain resolution and dispatch written out per scheme name."""
-    cfg.validate()
     psi, shares = dealt(cfg.r, cfg.v_m, EprSource(cfg.source), cfg.secret_means)
     g = cfg.gain
     if g == "optimal" and cfg.scheme == "feedforward":
@@ -371,6 +393,18 @@ class TestTable:
         ][0]
         assert noisy_adversary["v_q"] == "inf"
 
+    def test_csv_quotes_subsets_and_matches_the_json_golden(self, capsys):
+        assert main(["table"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        golden = json.loads((Path(__file__).parent / "golden" / "table.json").read_text())
+        assert len(rows) == len(golden) == 24
+        for row, entry in zip(rows, golden):
+            assert list(row) == ["subset", "condition", "t_q", "v_q"]
+            assert None not in row.values()  # no cell spilled past the header
+            v_q = math.inf if entry["v_q"] is None else entry["v_q"]
+            assert (row["subset"], row["condition"]) == (entry["subset"], entry["condition"])
+            assert (float(row["t_q"]), float(row["v_q"])) == (entry["t_q"], v_q)
+
     def test_json_renders_infinity_as_null(self, capsys):
         assert main(["table", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -447,6 +481,9 @@ BAD_ARGV = [
     ["table", "--vm-db-large", "inf"],
     ["table", "--cap", "nan"],
     ["table", "--r-large", "400"],
+    # a nonzero secret mean whose square underflows: the input SNR is 0
+    *[["run", "--scheme", scheme, "--means", "1e-200", "1"] for scheme in SCHEMES],
+    ["tv-curve", "--means", "1e-170", "1"],
 ]
 
 

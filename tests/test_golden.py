@@ -1,5 +1,5 @@
 """Byte-pinned CLI outputs: default-gain runs, type-2, finite-epsilon and optimal-gain
-runs, three tv-curve sweeps, two tables and verify."""
+runs, three tv-curve sweeps, three tables and verify."""
 
 from pathlib import Path
 
@@ -35,6 +35,7 @@ CASES = {
         "tv-curve", "--squeezing-pct", "40", "--vm-db", "20", "--gains", "0,1,2,2.5,3",
         "--means", "-1.5", "3", "--format", "json",
     ],
+    "table.csv": ["table"],
     "table.json": ["table", "--format", "json"],
     "table_r2_vm20.json": ["table", "--r-large", "2", "--vm-db-large", "20", "--format", "json"],
     "verify.json": ["verify"],

@@ -141,6 +141,13 @@ class TestTvPoint:
         assert t_q == pytest.approx(1.0, abs=1e-12)
         assert v_q == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("means", [(1e-200, 1.0), (1.0, -1e-170), (5e-324, 2.0)])
+    def test_secret_mean_whose_square_underflows_is_rejected(self, means):
+        # such a mean is nonzero, but the input SNR it gives is exactly 0.0
+        psi, shares = dealt(r=0.5, means=means)
+        with pytest.raises(ValueError, match="zero secret mean"):
+            tv_point(psi, shares.share1)
+
     @settings(max_examples=100, deadline=None)
     @given(
         r=st.floats(0.0, 4.0),

@@ -32,11 +32,12 @@ class TestRegistry:
     def test_minimum_uncertainty_squeezed_mode_accepted(self, basis):
         # r = 0.5: e^{-2r} * e^{2r} = 1
         mid = basis.register(ModeKind.SQUEEZED, math.exp(-1.0), math.exp(1.0))
-        assert basis.mode(mid).v_plus == pytest.approx(0.36787944117144233, abs=1e-15)
+        v_plus = basis.source_variance((mid, Quad.PLUS))
+        assert v_plus == pytest.approx(0.36787944117144233, abs=1e-15)
 
     def test_classical_modulation_20db_accepted(self, basis):
         mid = basis.register(ModeKind.CLASSICAL_MODULATION, 100.0, 100.0)
-        assert basis.mode(mid).kind is ModeKind.CLASSICAL_MODULATION
+        assert basis.kind(mid) is ModeKind.CLASSICAL_MODULATION
 
     def test_negative_variance_rejected(self, basis):
         with pytest.raises(ValueError):
@@ -56,8 +57,21 @@ class TestRegistry:
         assert len(basis) == 2
 
     def test_unknown_mode_id_rejected(self, basis):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown noise mode id"):
             field_from_mode(basis, 7)
+
+    def test_kind_and_modes_of_kind_read_the_registered_kinds(self, basis):
+        ids = [basis.vacuum(), basis.squeezed(0.3), basis.modulation(4.0),
+               basis.detector(), basis.vacuum()]
+        kinds = [ModeKind.VACUUM, ModeKind.SQUEEZED, ModeKind.CLASSICAL_MODULATION,
+                 ModeKind.DETECTOR_VACUUM, ModeKind.VACUUM]
+        assert [basis.kind(mid) for mid in ids] == kinds
+        assert basis.modes_of_kind(ModeKind.VACUUM) == (ids[0], ids[4])
+        assert basis.modes_of_kind(ModeKind.DETECTOR_VACUUM) == (ids[3],)
+        with pytest.raises(KeyError, match="unknown noise mode id 7"):
+            basis.kind(7)
+        with pytest.raises(KeyError, match="unknown noise mode id -1"):
+            basis.kind(-1)
 
 
 class TestFieldConstruction:

@@ -59,10 +59,10 @@ M = Quad.MINUS
 
 def mode_ids(basis):
     """(secret, sqz1, sqz2, modulation, detectors) mode ids of a dealt basis."""
-    vac = [m.mid for m in basis.modes_of_kind(ModeKind.VACUUM)]
-    sqz = [m.mid for m in basis.modes_of_kind(ModeKind.SQUEEZED)]
-    mod = [m.mid for m in basis.modes_of_kind(ModeKind.CLASSICAL_MODULATION)]
-    det = [m.mid for m in basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)]
+    vac = list(basis.modes_of_kind(ModeKind.VACUUM))
+    sqz = list(basis.modes_of_kind(ModeKind.SQUEEZED))
+    mod = list(basis.modes_of_kind(ModeKind.CLASSICAL_MODULATION))
+    det = list(basis.modes_of_kind(ModeKind.DETECTOR_VACUUM))
     if sqz:  # type1 dealer: the only plain vacuum is the secret
         return vac[0], sqz[0], sqz[1], mod[0], det
     return vac[0], vac[1], vac[2], mod[0], det
@@ -109,10 +109,10 @@ class TestDeal:
         # Anticorrelated in X+, correlated in X-: share 3 carries the mode as -X+_m, +X-_m.
         psi, shares = dealt(0.5, 10.0, source)
         (mod,) = psi.basis.modes_of_kind(ModeKind.CLASSICAL_MODULATION)
-        assert shares.share3.coeff(P, (mod.mid, P)) == -1.0
-        assert shares.share3.coeff(M, (mod.mid, M)) == 1.0
-        assert shares.share3.coeff(P, (mod.mid, M)) == 0.0
-        assert shares.share3.coeff(M, (mod.mid, P)) == 0.0
+        assert shares.share3.coeff(P, (mod, P)) == -1.0
+        assert shares.share3.coeff(M, (mod, M)) == 1.0
+        assert shares.share3.coeff(P, (mod, M)) == 0.0
+        assert shares.share3.coeff(M, (mod, P)) == 0.0
 
     def test_recoverability_structure(self):
         # share1 + share2 is the secret again; share1 - share2 carries none.
@@ -301,7 +301,7 @@ class TestFeedforward:
         psi, shares = dealt(r=0.5, v_m=100.0)
         psi_id, s1, s2, m, _ = mode_ids(shares.share1.basis)
         out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-        (det,) = [mm.mid for mm in out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)]
+        (det,) = out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)
         # anti-squeezed, modulation and detector terms all vanish
         for src in ((s1, M), (s2, M), (m, P), (m, M), (det, P)):
             assert abs(out.coeff(P, src)) < 1e-12
@@ -323,7 +323,7 @@ class TestFeedforward:
         psi_id, s1, s2, m, _ = mode_ids(shares.share1.basis)
         eta = 0.9
         out = reconstruct_ff(shares, gain, eta)
-        (det,) = [mm.mid for mm in out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)]
+        (det,) = out.basis.modes_of_kind(ModeKind.DETECTOR_VACUUM)
         anti = gain / (2.0 * SQRT6) - 1.0 / SQRT3
         expected_plus = {
             (psi_id, P): 1.0 / SQRT3 + gain / SQRT6,
@@ -393,7 +393,7 @@ class TestFeedforward:
     def test_reconstructions_share_the_deals_detector(self):
         _, shares = dealt(r=0.5, v_m=100.0)
         basis = shares.share1.basis
-        assert basis.mode(shares.detector).kind is ModeKind.DETECTOR_VACUUM
+        assert basis.kind(shares.detector) is ModeKind.DETECTOR_VACUUM
         size = len(basis)
         outs = [reconstruct_ff(shares, gain, 0.9) for gain in (1.3, FF_GAIN_OPTIMAL)]
         assert len(basis) == size

@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 from . import metrics
 from .metrics import (
+    Metrics,
+    _quad_scores,
     _require_finite,
-    _transfer_and_cv,
     evaluate,
     optimal_gain,
     r_from_squeezing_pct,
@@ -111,7 +112,9 @@ class ScenarioConfig:
         numbers = [self.r, self.eta, self.epsilon, *self.secret_means]
         if self.vm_db is not None:
             numbers.append(self.vm_db)
-        if isinstance(self.gain, (int, float)):
+        if self.gain is not None and self.gain != "optimal":
+            if isinstance(self.gain, bool) or not isinstance(self.gain, (int, float)):
+                raise ValueError(f'gain must be a number, "optimal" or None, not {self.gain!r}')
             numbers.append(self.gain)
         _require_finite(*numbers)
         if self.r < 0:
@@ -157,16 +160,22 @@ def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldStat
 
     A single_quadrature out is a readout beam, scored in cfg.quad alone.
     """
-    if cfg.scheme == "single_quadrature":
-        quad = cfg.quadrature
-        t, vcv, _, _ = _transfer_and_cv(secret, out, quad)
-        inf = float("inf")
-        t_plus, t_minus = (t, 0.0) if quad is Quad.PLUS else (0.0, t)
-        vcv_plus, vcv_minus = (vcv, inf) if quad is Quad.PLUS else (inf, vcv)
-        scores = (t_plus, t_minus, t_plus + t_minus, vcv_plus, vcv_minus, inf, 0.0)
-    else:
-        m = evaluate(secret, out)
-        scores = (m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity)
+    if cfg.scheme != "single_quadrature":
+        return _row(cfg, gain, _score_columns(evaluate(secret, out)))
+    quad = cfg.quadrature
+    t, vcv = _quad_scores(secret, out, quad)
+    inf = float("inf")
+    t_plus, t_minus = (t, 0.0) if quad is Quad.PLUS else (0.0, t)
+    vcv_plus, vcv_minus = (vcv, inf) if quad is Quad.PLUS else (inf, vcv)
+    return _row(cfg, gain, (t_plus, t_minus, t_plus + t_minus, vcv_plus, vcv_minus, inf, 0.0))
+
+
+def _score_columns(m: Metrics) -> tuple:
+    return m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity
+
+
+def _row(cfg: ScenarioConfig, gain: float, scores: tuple) -> dict:
+    """A CSV_COLUMNS row: cfg, the gain used, then the seven scores."""
     config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
     return dict(zip(CSV_COLUMNS, config + scores, strict=True))
 
@@ -190,8 +199,10 @@ def tv_curve_records(
 
     One family per entry of vm_dbs (None meaning no added modulation); the
     single-player point does not depend on the gain so it appears once per
-    family.  Each family is dealt once and swept with one feedforward_sweep;
-    every row equals the run_scenario record of its configuration.
+    family.  Each family is dealt once.  Its feedforward rows come from one
+    feedforward_sweep, which scores every gain from precomputed coefficient
+    columns instead of building an output field; every row still equals
+    the run_scenario record of its configuration bit for bit.
     """
     if not gains:
         raise ValueError("gain sweep must be nonempty")
@@ -203,8 +214,8 @@ def tv_curve_records(
         ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
         single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
         secret, shares = _dealt(r, ff.v_m, secret_means, EprSource(source))
-        outs = feedforward_sweep(shares, floats, eta)
-        rows += [_record(ff, g, secret, out) for g, out in zip(floats, outs)]
+        swept = feedforward_sweep(secret, shares, floats, eta)
+        rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
         rows.append(_record(single, _resolve_gain(single, shares), secret, shares.share1))
     return rows
 
@@ -278,7 +289,10 @@ def verify_grid(
     Families: feedforward (T_q, V_q) at every (r, v_m, eta, gain);
     single-player formulas for players 1 and 2; the two-PSA scheme at its
     optimal gain; and the feedforward fidelity (raw and after symplectic
-    correction) at the cancellation gain.
+    correction) at the cancellation gain.  The feedforward_tv family takes
+    one feedforward_sweep per (deal, eta), which scores each gain from
+    precomputed coefficient columns, bit-identical to tv_point of the
+    reconstructed field; the other families reconstruct fields.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
@@ -301,8 +315,8 @@ def verify_grid(
                 ref = metrics.closed_form("sp", r, v_m)
                 record("single_player", {"r": r, "v_m": v_m, "player": player}, sim, ref)
             for eta in eta_values:
-                for g, out in zip(gains, feedforward_sweep(shares, gains, eta)):
-                    sim = tv_point(secret, out)
+                for g, m in zip(gains, feedforward_sweep(secret, shares, gains, eta)):
+                    sim = (m.t_q, m.v_q)
                     ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
                     params = {"r": r, "v_m": v_m, "eta": eta, "gain": g}
                     record("feedforward_tv", params, sim, ref)

@@ -48,32 +48,44 @@ def fidelity(secret: FieldState, out: FieldState) -> float:
     of the covariance matrices and d the difference of the means; for two
     coherent states this is exp(-|alpha - beta|^2).
     """
-    vs_p, vs_m = variance(secret, Quad.PLUS), variance(secret, Quad.MINUS)
-    vo_p, vo_m = variance(out, Quad.PLUS), variance(out, Quad.MINUS)
-    return _overlap(secret, out, vs_p, vs_m, vo_p, vo_m)
+    return _overlap(
+        _moments(secret, out, Quad.PLUS),
+        _moments(secret, out, Quad.MINUS),
+        cross_covariance(secret) + cross_covariance(out),
+    )
 
 
-def _overlap(
-    secret: FieldState, out: FieldState, vs_p: float, vs_m: float, vo_p: float, vo_m: float
-) -> float:
-    """fidelity's formula given both beams' quadrature variances.
+# One quadrature of a (secret, output) pair: (secret mean, secret variance,
+# output mean, output variance).  The scores below are float arithmetic on
+# these and on the covariances, so feedforward_sweep can supply them
+# without building the output field.
+Moments = tuple[float, float, float, float]
+
+
+def _moments(secret: FieldState, out: FieldState, quad: Quad) -> Moments:
+    return secret.mean(quad), variance(secret, quad), out.mean(quad), variance(out, quad)
+
+
+def _overlap(plus: Moments, minus: Moments, cross: float) -> float:
+    """fidelity's formula; cross is the summed X+/X- covariance of both beams.
 
     Exact when at least one of the two states is pure; neither is assumed
     to be the pure one.
     """
+    ms_p, vs_p, mo_p, vo_p = plus
+    ms_m, vs_m, mo_m, vo_m = minus
     a, b = vs_p + vo_p, vs_m + vo_m
-    c = cross_covariance(secret) + cross_covariance(out)
-    det = a * b - c * c
-    dp = secret.mean_plus - out.mean_plus
-    dm = secret.mean_minus - out.mean_minus
-    k = (b * dp * dp - 2.0 * c * dp * dm + a * dm * dm) / (2.0 * det)
+    det = a * b - cross * cross
+    dp = ms_p - mo_p
+    dm = ms_m - mo_m
+    k = (b * dp * dp - 2.0 * cross * dp * dm + a * dm * dm) / (2.0 * det)
     # sqrt(1 / det), not 1 / sqrt(det): the two differ in the last digit of printed fidelities
     return 2.0 * math.exp(-k) * math.sqrt(1.0 / det)
 
 
 def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> float:
     """T = SNR_out / SNR_secret for one quadrature, SNR = <X>^2 / V."""
-    return _transfer_and_cv(secret, out, quad)[0]
+    return _quad_scores(secret, out, quad)[0]
 
 
 def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> float:
@@ -82,41 +94,49 @@ def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> flo
     return variance(out, quad) - cov * cov / variance(secret, quad)
 
 
-def _transfer_and_cv(
-    secret: FieldState, out: FieldState, quad: Quad
-) -> tuple[float, float, float, float]:
-    """(T, V_cv, V_s, V_out) of one quadrature with each variance computed once.
+def _transfer_and_cv(moments: Moments, cov: float) -> tuple[float, float]:
+    """(T, V_cv) of one quadrature from its moments and the secret-output covariance.
 
     V_cv's arithmetic is conditional_variance's, so the two are bit-identical;
     conditional_variance stays separate because it accepts a zero secret mean.
     """
-    ms = secret.mean(quad)
+    ms, vs, mo, vo = moments
     if ms * ms == 0.0:  # also a mean so small that its square underflows
         raise ValueError(_ZERO_SECRET_MEAN)
-    mo = out.mean(quad)
-    vs, vo = variance(secret, quad), variance(out, quad)
-    cov = covariance(secret, out, quad)
-    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs, vs, vo
+    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs
+
+
+def _quad_scores(secret: FieldState, out: FieldState, quad: Quad) -> tuple[float, float]:
+    """(T, V_cv) of one quadrature of a (secret, output) pair."""
+    return _transfer_and_cv(_moments(secret, out, quad), covariance(secret, out, quad))
 
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
     """(T_q, V_q) for the T-V diagram; ideal reconstruction sits at (2, 0)."""
-    t_plus, vcv_plus, _, _ = _transfer_and_cv(secret, out, Quad.PLUS)
-    t_minus, vcv_minus, _, _ = _transfer_and_cv(secret, out, Quad.MINUS)
+    t_plus, vcv_plus = _quad_scores(secret, out, Quad.PLUS)
+    t_minus, vcv_minus = _quad_scores(secret, out, Quad.MINUS)
     return t_plus + t_minus, vcv_plus * vcv_minus
 
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    t_plus, vcv_plus, vs_p, vo_p = _transfer_and_cv(secret, out, Quad.PLUS)
-    t_minus, vcv_minus, vs_m, vo_m = _transfer_and_cv(secret, out, Quad.MINUS)
-    return Metrics(
-        fidelity=_overlap(secret, out, vs_p, vs_m, vo_p, vo_m),
-        t_plus=t_plus,
-        t_minus=t_minus,
-        vcv_plus=vcv_plus,
-        vcv_minus=vcv_minus,
+    return _scores(
+        _moments(secret, out, Quad.PLUS),
+        _moments(secret, out, Quad.MINUS),
+        covariance(secret, out, Quad.PLUS),
+        covariance(secret, out, Quad.MINUS),
+        cross_covariance(secret) + cross_covariance(out),
     )
+
+
+def _scores(
+    plus: Moments, minus: Moments, cov_plus: float, cov_minus: float, cross: float
+) -> Metrics:
+    """evaluate's arithmetic once the second moments are known."""
+    t_plus, vcv_plus = _transfer_and_cv(plus, cov_plus)
+    t_minus, vcv_minus = _transfer_and_cv(minus, cov_minus)
+    # positional: a keyword call costs a third more, once per gain in feedforward_sweep
+    return Metrics(_overlap(plus, minus, cross), t_plus, t_minus, vcv_plus, vcv_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ class NoiseBasis:
         return len(self._kinds)
 
     def kind(self, mid: int) -> ModeKind:
-        if not 0 <= mid < len(self._kinds):
+        if type(mid) is not int or not 0 <= mid < len(self._kinds):
             raise KeyError(f"unknown noise mode id {mid}")
         return self._kinds[mid]
 
@@ -179,7 +179,7 @@ def field_from_mode(
     basis: NoiseBasis, mid: int, mean_plus: float = 0.0, mean_minus: float = 0.0
 ) -> FieldState:
     """A beam whose fluctuations are exactly one registered mode's."""
-    basis.kind(mid)  # FieldState's key check alone would take 0.0 for 0
+    basis.kind(mid)  # FieldState's key check alone would take 0.0 or False for 0
     return FieldState(
         basis,
         mean_plus,

@@ -12,8 +12,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .noise import FieldState, ModeKind, Quad, check_squeezing_limit, lincomb
-from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
+from .metrics import Metrics, _moments, _scores
+from .noise import (
+    FieldState, ModeKind, Quad, check_squeezing_limit, covariance, cross_covariance, lincomb,
+    variance,
+)
+from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
 # sqrt(G) + 1/sqrt(G) = 2 sqrt(2).
@@ -160,6 +164,18 @@ def collaboration_beams(
     return kept, detected
 
 
+def _feedforward_stages(
+    shares: Shares, gains: Sequence[float], eta: float, players: tuple[int, int]
+) -> tuple[FieldState, Photocurrent]:
+    """Check the loop parameters, then run the gain-free stages: (kept beam, photocurrent)."""
+    if not all(0.0 <= g < math.inf for g in gains):
+        raise ValueError("feedforward gain must be finite and nonnegative")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("detection efficiency must be in (0, 1]")
+    kept, detected = collaboration_beams(shares, players)
+    return kept, detect(detected, eta, shares.detector)
+
+
 def reconstruct_ff(
     shares: Shares,
     gain: float,
@@ -177,31 +193,55 @@ def reconstruct_ff(
     keeps the local-oscillator mixing splitter finite instead of taking its
     high-reflectivity limit; the closed forms assume epsilon = 0.
     """
-    return feedforward_sweep(shares, (gain,), eta, players, epsilon)[0]
+    kept, current = _feedforward_stages(shares, (gain,), eta, players)
+    lo_mode = kept.basis.vacuum() if epsilon > 0.0 else None
+    return feedforward_mix(kept, current, gain, epsilon, lo_mode)
 
 
 def feedforward_sweep(
+    secret: FieldState,
     shares: Shares,
     gains: Sequence[float],
     eta: float = 1.0,
     players: tuple[int, int] = (2, 3),
-    epsilon: float = 0.0,
-) -> list[FieldState]:
-    """reconstruct_ff at each loop gain, building the gain-free stages once.
+) -> list[Metrics]:
+    """evaluate(secret, reconstruct_ff(shares, g, eta, players)) at each gain g, bit for bit.
 
-    The 2/3 splitter and the detection do not depend on the gain, so they
-    run once per call and each gain costs one feedforward mix.  Entry i
-    equals reconstruct_ff(shares, gains[i], eta, players, epsilon); with
-    epsilon > 0 all entries share one local-oscillator vacuum mode.
+    secret is the coherent secret the shares were dealt from.  The output is X+ = K+ + w P+ and X- = K-, with K the kept beam, P the
+    photocurrent and w = g / sqrt(eta), so only X+ moves with the gain.  The
+    gain-free stages run once and lay K+, P+ and the source variances out
+    as aligned columns, one row per source in the order lincomb gives the
+    mixed beam.  Each gain then costs one pass of float arithmetic over the
+    rows, every product and sum in feedforward_mix's and evaluate's order,
+    and builds no FieldState.  At w = 0 the extra terms are zeros, which
+    leave every sum unchanged.
     """
-    if not all(0.0 <= g < math.inf for g in gains):
-        raise ValueError("feedforward gain must be finite and nonnegative")
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("detection efficiency must be in (0, 1]")
-    kept, detected = collaboration_beams(shares, players)
-    current = detect(detected, eta, shares.detector)
-    lo_mode = kept.basis.vacuum() if epsilon > 0.0 else None
-    return [feedforward_mix(kept, current, g, epsilon, lo_mode) for g in gains]
+    kept, current = _feedforward_stages(shares, gains, eta, players)
+    kp, pp, km = kept.coeffs_plus, current.beam.coeffs_plus, kept.coeffs_minus
+    srcs = list(kp) + [src for src in pp if src not in kp]
+    k_col = [kp.get(src, 0.0) for src in srcs]
+    p_col = [pp.get(src, 0.0) for src in srcs]
+    v_col = [kept.basis.source_variance(src) for src in srcs]
+    row = {src: i for i, src in enumerate(srcs)}
+    # covariance's terms with the secret, and cross_covariance's with K-
+    secret_rows = [(c, row[src]) for src, c in secret.coeffs_plus.items() if src in row]
+    cross_rows = [(i, km[src], v_col[i]) for i, src in enumerate(srcs) if src in km]
+
+    minus = _moments(secret, kept, Quad.MINUS)
+    cov_minus = covariance(secret, kept, Quad.MINUS)
+    cross_secret = cross_covariance(secret)
+    ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
+    mk, mp = kept.mean_plus, current.beam.mean_plus
+    root_eta = math.sqrt(eta)
+    scores = []
+    for g in gains:
+        w = g / root_eta
+        c = [k + w * p for k, p in zip(k_col, p_col)]
+        plus = (ms, vs, mk + w * mp, sum(x * x * v for x, v in zip(c, v_col)))
+        cov_plus = sum(a * c[i] * v_col[i] for a, i in secret_rows)
+        cross = cross_secret + sum(c[i] * m * v for i, m, v in cross_rows)
+        scores.append(_scores(plus, minus, cov_plus, cov_minus, cross))
+    return scores
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:

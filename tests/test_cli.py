@@ -137,6 +137,9 @@ class TestRunScenario:
         ("quad", "both"),
         ("epsilon", 1.0),
         ("epsilon", -0.1),
+        ("gain", "best"),
+        ("gain", True),
+        ("gain", False),
     ])
     def test_invalid_field_rejected_when_built(self, field, value):
         with pytest.raises(ValueError):

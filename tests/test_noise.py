@@ -73,6 +73,16 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown noise mode id -1"):
             basis.kind(-1)
 
+    @pytest.mark.parametrize("mid", [0.0, 1.0, False, True])
+    def test_non_integer_mode_id_rejected(self, basis, mid):
+        # 0.0 used to reach the list index (TypeError) and False read mode 0
+        basis.vacuum()
+        basis.vacuum()
+        with pytest.raises(KeyError, match=f"unknown noise mode id {mid}"):
+            basis.kind(mid)
+        with pytest.raises(KeyError, match=f"unknown noise mode id {mid}"):
+            field_from_mode(basis, mid)
+
 
 class TestFieldConstruction:
     def test_vacuum_field(self, basis):

@@ -15,8 +15,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import metrics
 from .metrics import (
@@ -61,6 +61,7 @@ CSV_COLUMNS = (
     "v_q",
     "fidelity",
 )
+_MAY_BE_INF = ("vcv_plus", "vcv_minus", "v_q")
 
 
 def _regression_gain(cfg: ScenarioConfig, shares: Shares) -> float:
@@ -90,28 +91,29 @@ SCHEMES = tuple(_SCHEMES)
 
 DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
 TABLE_VQ_CAP = 1e6
+# From this modulation depth on, the power 10^(dB/10) overflows a float.
+MAX_VM_DB = 10.0 * math.log10(sys.float_info.max)
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """One scenario: scheme plus the dealer, loop and secret parameters."""
+class ScenarioConfig(namedtuple(
+    "ScenarioConfig", "scheme r vm_db eta gain secret_means source quad epsilon",
+    defaults=(0.0, None, 1.0, None, (4.0, 2.0), "type1", "plus", 0.0),
+)):
+    """One scenario: scheme plus the dealer, loop and secret parameters.
 
-    scheme: str
-    r: float = 0.0
-    vm_db: Optional[float] = None
-    eta: float = 1.0
-    gain: float | str | None = None  # number, "optimal", or None for the scheme default
-    secret_means: tuple[float, float] = (4.0, 2.0)
-    source: str = "type1"
-    quad: str = "plus"
-    epsilon: float = 0.0  # finite feedforward-mixing transmission; 0 = exact limit
+    gain is a number, "optimal", or None for the scheme default; epsilon is
+    the finite feedforward-mixing transmission, 0 for the exact limit.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs) -> ScenarioConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        numbers = [self.r, self.eta, self.epsilon, *self.secret_means]
-        if self.vm_db is not None:
-            numbers.append(self.vm_db)
+        vm_db = 0.0 if self.vm_db is None else self.vm_db
+        numbers = [self.r, vm_db, self.eta, self.epsilon, *self.secret_means]
         if self.gain is not None and self.gain != "optimal":
             if isinstance(self.gain, bool) or not isinstance(self.gain, (int, float)):
                 raise ValueError(f'gain must be a number, "optimal" or None, not {self.gain!r}')
@@ -119,8 +121,8 @@ class ScenarioConfig:
         _require_finite(*numbers)
         if self.r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
-        if self.vm_db is not None and self.vm_db < 0:
-            raise ValueError("modulation depth in dB must be nonnegative")
+        if not 0.0 <= vm_db < MAX_VM_DB:
+            raise ValueError(f"--vm-db must be at least 0 and below {MAX_VM_DB!r} dB")
         if not 0.0 < self.eta <= 1.0:
             raise ValueError("detection efficiency must be in (0, 1]")
         if self.source not in ("type1", "type2"):
@@ -129,6 +131,12 @@ class ScenarioConfig:
             raise ValueError("quad must be plus or minus")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
+        return self
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError  # loaded on this error path only
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def v_m(self) -> float:
@@ -162,12 +170,10 @@ def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldStat
     """
     if cfg.scheme != "single_quadrature":
         return _row(cfg, gain, _score_columns(evaluate(secret, out)))
-    quad = cfg.quadrature
-    t, vcv = _quad_scores(secret, out, quad)
-    inf = float("inf")
-    t_plus, t_minus = (t, 0.0) if quad is Quad.PLUS else (0.0, t)
-    vcv_plus, vcv_minus = (vcv, inf) if quad is Quad.PLUS else (inf, vcv)
-    return _row(cfg, gain, (t_plus, t_minus, t_plus + t_minus, vcv_plus, vcv_minus, inf, 0.0))
+    t, vcv = _quad_scores(secret, out, cfg.quadrature)
+    if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
+        return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0))
+    return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0))
 
 
 def _score_columns(m: Metrics) -> tuple:
@@ -176,6 +182,11 @@ def _score_columns(m: Metrics) -> tuple:
 
 def _row(cfg: ScenarioConfig, gain: float, scores: tuple) -> dict:
     """A CSV_COLUMNS row: cfg, the gain used, then the seven scores."""
+    # NaN, or an infinite T or fidelity, means float overflow; a V column may
+    # be inf by design (single_quadrature's unread quadrature)
+    for name, value in zip(CSV_COLUMNS[6:], scores):
+        if math.isnan(value) or (math.isinf(value) and name not in _MAY_BE_INF):
+            raise ValueError(f"{name} came out {value!r}: these inputs overflow float arithmetic")
     config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
     return dict(zip(CSV_COLUMNS, config + scores, strict=True))
 
@@ -190,7 +201,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 def tv_curve_records(
     r: float,
     gains: Sequence[float],
-    vm_dbs: Sequence[Optional[float]],
+    vm_dbs: Sequence[float | None],
     eta: float = 1.0,
     secret_means: tuple[float, float] = (4.0, 2.0),
     source: str = "type1",
@@ -237,6 +248,8 @@ def table_entries(
     cap is reported as infinity.  Each condition is dealt once and scores
     all six subsets from the same shares.
     """
+    if vm_db_large >= MAX_VM_DB:
+        raise ValueError(f"--vm-db-large must be below {MAX_VM_DB!r} dB")
     conditions = (
         ("clas_nonoise", 0.0, 0.0),
         ("clas_noise", 0.0, 10.0 ** (vm_db_large / 10.0)),
@@ -364,7 +377,7 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(text: str, output: Optional[str]) -> None:
+def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -372,7 +385,7 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _render(rows: list[dict], columns: Sequence[str], fmt: str, output: Optional[str]) -> None:
+def _render(rows: list[dict], columns: Sequence[str], fmt: str, output: str | None) -> None:
     if fmt == "csv":
         _emit(_records_to_csv(rows, columns), output)
     else:
@@ -482,7 +495,7 @@ def _resolve_r(args: argparse.Namespace) -> float:
     return args.r
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -507,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _render([run_scenario(cfg)], CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "tv-curve":
-            vm_dbs: list[Optional[float]] = [None]
+            vm_dbs: list[float | None] = [None]
             if args.vm_db is not None:
                 vm_dbs.append(args.vm_db)
             rows = tv_curve_records(

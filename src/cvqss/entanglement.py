@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .noise import FieldState, NoiseBasis, Quad, field_from_mode, lincomb, variance
@@ -19,12 +19,10 @@ class EprSource(Enum):
     TYPE2 = "type2"
 
 
-@dataclass(frozen=True)
-class EprPair:
+class EprPair(namedtuple("EprPair", "beam1 beam2")):
     """Two beams whose joint quadratures fluctuate below the separable bound."""
 
-    beam1: FieldState
-    beam2: FieldState
+    __slots__ = ()
 
 
 def epr_type1(basis: NoiseBasis, r: float) -> EprPair:

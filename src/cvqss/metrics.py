@@ -9,7 +9,7 @@ and vice versa.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .noise import FieldState, Quad, covariance, cross_covariance, variance
 
@@ -18,19 +18,14 @@ _SQRT3 = math.sqrt(3.0)
 _ZERO_SECRET_MEAN = "signal transfer undefined for a zero secret mean; use a displaced secret"
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(namedtuple("Metrics", "fidelity t_plus t_minus vcv_plus vcv_minus")):
     """All figures of merit for one (secret, output) pair.
 
     t_* are signal transfer coefficients (output SNR over input SNR) and
     vcv_* conditional variances (output noise not explained by the input).
     """
 
-    fidelity: float
-    t_plus: float
-    t_minus: float
-    vcv_plus: float
-    vcv_minus: float
+    __slots__ = ()
 
     @property
     def t_q(self) -> float:

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
 from enum import Enum
-from typing import Iterable, Mapping
 
 # Absolute tolerance for coefficient / variance equality checks.
 COEFF_ATOL = 1e-12
@@ -140,7 +139,6 @@ def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
     return {k: v for k, v in coeffs.items() if v != 0.0}
 
 
-@dataclass(frozen=True)
 class FieldState:
     """One optical beam: quadrature means plus fluctuation coefficients.
 
@@ -150,20 +148,30 @@ class FieldState:
     returns a new instance.
     """
 
-    basis: NoiseBasis
-    mean_plus: float = 0.0
-    mean_minus: float = 0.0
-    coeffs_plus: Mapping[Source, float] = field(default_factory=dict)
-    coeffs_minus: Mapping[Source, float] = field(default_factory=dict)
+    __slots__ = ("basis", "mean_plus", "mean_minus", "coeffs_plus", "coeffs_minus")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, basis: NoiseBasis, mean_plus: float = 0.0, mean_minus: float = 0.0,
+        coeffs_plus: Mapping[Source, float] | None = None,
+        coeffs_minus: Mapping[Source, float] | None = None,
+    ) -> None:
+        coeffs_plus = {} if coeffs_plus is None else coeffs_plus
+        coeffs_minus = {} if coeffs_minus is None else coeffs_minus
         # Every key must be a registered (mid, Quad) source: this rejects
         # stale ids and malformed quadratures alike.
-        known = self.basis._variances.keys()
-        for coeffs in (self.coeffs_plus, self.coeffs_minus):
+        known = basis._variances.keys()
+        for coeffs in (coeffs_plus, coeffs_minus):
             if not coeffs.keys() <= known:
                 bad = next(src for src in coeffs if src not in known)
                 raise KeyError(f"unknown noise mode id in source {bad!r}")
+        _set_basis(self, basis)
+        _set_mean_plus(self, mean_plus)
+        _set_mean_minus(self, mean_minus)
+        _set_coeffs_plus(self, coeffs_plus)
+        _set_coeffs_minus(self, coeffs_minus)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FieldState is immutable: cannot assign {name!r}")
 
     def mean(self, quad: Quad) -> float:
         return self.mean_plus if quad is Quad.PLUS else self.mean_minus
@@ -173,6 +181,13 @@ class FieldState:
 
     def coeff(self, quad: Quad, source: Source) -> float:
         return self.coeffs(quad).get(source, 0.0)
+
+
+# The slots' own setters, which bypass FieldState.__setattr__: half the cost
+# of object.__setattr__ per field, and FieldState is built once per element.
+_set_basis, _set_mean_plus, _set_mean_minus, _set_coeffs_plus, _set_coeffs_minus = (
+    getattr(FieldState, name).__set__ for name in FieldState.__slots__
+)
 
 
 def field_from_mode(

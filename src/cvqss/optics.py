@@ -9,7 +9,7 @@ regression tests pin them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .noise import FieldState, ModeKind, field_from_mode, lincomb
 
@@ -104,8 +104,7 @@ def phase_modulate(fld: FieldState, mode: int, sign_plus: int) -> FieldState:
     return lincomb([(1.0, fld), ((sign_plus, 0.0, 0.0, 1.0), modulation)])
 
 
-@dataclass(frozen=True)
-class Photocurrent:
+class Photocurrent(namedtuple("Photocurrent", "beam eta")):
     """Direct detection of a beam's amplitude quadrature.
 
     beam's X+ is the detected photocurrent, sqrt(eta) X+ + sqrt(1-eta) X+_d
@@ -113,8 +112,7 @@ class Photocurrent:
     its X- is empty.
     """
 
-    beam: FieldState
-    eta: float
+    __slots__ = ()
 
 
 def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:

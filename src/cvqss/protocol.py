@@ -8,8 +8,8 @@ two phase-sensitive amplifiers or an electro-optic feedforward loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import Metrics, _moments, _scores
@@ -34,32 +34,28 @@ FF_SYMPLECTIC_SCALE = math.sqrt(3.0)
 _PAIRS = ((2, 3), (1, 3))
 
 
-@dataclass(frozen=True)
-class DealerConfig:
+class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, EprSource.TYPE1))):
     """Dealer knobs: squeezing r, classical modulation power v_m, EPR source."""
 
-    r: float
-    v_m: float = 0.0
-    source: EprSource = EprSource.TYPE1
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> DealerConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
             raise ValueError("squeezing and modulation power must be nonnegative")
         check_squeezing_limit(self.r)
+        return self
 
 
-@dataclass(frozen=True)
-class Shares:
+class Shares(namedtuple("Shares", "share1 share2 share3 detector")):
     """The three dealt beams and the detector_vacuum mode declared with them.
 
     Every feedforward reconstruction from the shares admixes that mode
     through its detector's loss port, so reconstructing never grows the basis.
     """
 
-    share1: FieldState
-    share2: FieldState
-    share3: FieldState
-    detector: int
+    __slots__ = ()
 
     def share(self, i: int) -> FieldState:
         return (self.share1, self.share2, self.share3)[i - 1]
@@ -271,20 +267,3 @@ def secret_coefficient(out: FieldState, secret: FieldState, quad: Quad) -> float
     (src,) = secret.coeffs(quad)
     return out.coeff(quad, src)
 
-
-__all__ = [
-    "DealerConfig",
-    "FF_GAIN_OPTIMAL",
-    "FF_SYMPLECTIC_SCALE",
-    "PSA_GAIN_OPTIMAL",
-    "Shares",
-    "collaboration_beams",
-    "deal",
-    "feedforward_sweep",
-    "reconstruct_12",
-    "reconstruct_2psa",
-    "reconstruct_ff",
-    "secret_coefficient",
-    "single_quadrature_readout",
-    "symplectic_correct",
-]

@@ -28,6 +28,7 @@ from cvqss import (
 )
 from cvqss.cli import (
     CSV_COLUMNS,
+    MAX_VM_DB,
     SCHEMES,
     ScenarioConfig,
     _record,
@@ -504,3 +505,42 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cvqss: error" in captured.err or "usage:" in captured.err
+
+
+@pytest.mark.parametrize("argv, column", [
+    (["run", "--scheme", "feedforward", "--means", "1e200", "1"], "t_plus"),
+    (["run", "--scheme", "feedforward", "--gain", "1e200"], "t_plus"),
+    (["run", "--scheme", "psa2", "--gain", "1e308"], "t_plus"),
+    (["tv-curve", "--gains", "0,1e200"], "t_plus"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowing_scores_are_a_usage_error_naming_the_column(argv, column, fmt, capsys):
+    # JSON would print these NaN and inf scores as null
+    assert _exit_code(argv + ["--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cvqss: error: {column} came out ")
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--scheme", "feedforward", "--vm-db", "1e6"], "--vm-db"),
+    (["tv-curve", "--vm-db", "1e6"], "--vm-db"),
+    (["table", "--vm-db-large", "1e6"], "--vm-db-large"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_overflowing_modulation_depth_names_the_option_and_limit(argv, option, capsys):
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cvqss: error: {option} must be ")
+    assert captured.err.endswith(f" below {MAX_VM_DB!r} dB\n")
+
+
+def test_modulation_depth_limit_is_where_the_power_overflows():
+    below = math.nextafter(MAX_VM_DB, 0.0)
+    assert math.isfinite(ScenarioConfig("feedforward", vm_db=below).v_m)
+    with pytest.raises(OverflowError):
+        10.0 ** (MAX_VM_DB / 10.0)
+    with pytest.raises(ValueError, match="--vm-db must be "):
+        ScenarioConfig("feedforward", vm_db=MAX_VM_DB)
+    with pytest.raises(ValueError, match="--vm-db-large must be "):
+        table_entries(vm_db_large=MAX_VM_DB)

@@ -59,6 +59,7 @@ from .protocol import (
     collaboration_beams,
     deal,
     feedforward_sweep,
+    feedforward_tv_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,

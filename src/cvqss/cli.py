@@ -38,6 +38,7 @@ from .protocol import (
     Shares,
     deal,
     feedforward_sweep,
+    feedforward_tv_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -61,7 +62,6 @@ CSV_COLUMNS = (
     "v_q",
     "fidelity",
 )
-_MAY_BE_INF = ("vcv_plus", "vcv_minus", "v_q")
 
 
 def _regression_gain(cfg: ScenarioConfig, shares: Shares) -> float:
@@ -166,26 +166,29 @@ def _dealt(
 def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldState) -> dict:
     """The CSV_COLUMNS row of one scenario: cfg, the gain used, then out's metrics.
 
-    A single_quadrature out is a readout beam, scored in cfg.quad alone.
+    A single_quadrature out is a readout beam, scored in cfg.quad alone:
+    the other quadrature's V_cv and v_q print as inf.
     """
     if cfg.scheme != "single_quadrature":
         return _row(cfg, gain, _score_columns(evaluate(secret, out)))
     t, vcv = _quad_scores(secret, out, cfg.quadrature)
     if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
-        return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0))
-    return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0))
+        return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
+    return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0), ("vcv_plus", "v_q"))
 
 
 def _score_columns(m: Metrics) -> tuple:
     return m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity
 
 
-def _row(cfg: ScenarioConfig, gain: float, scores: tuple) -> dict:
-    """A CSV_COLUMNS row: cfg, the gain used, then the seven scores."""
-    # NaN, or an infinite T or fidelity, means float overflow; a V column may
-    # be inf by design (single_quadrature's unread quadrature)
+def _row(cfg: ScenarioConfig, gain: float, scores: tuple, unread: tuple = ()) -> dict:
+    """A CSV_COLUMNS row: cfg, the gain used, then the seven scores.
+
+    unread names the score columns that are inf by design; NaN, or inf in
+    any other column, means float overflow.
+    """
     for name, value in zip(CSV_COLUMNS[6:], scores):
-        if math.isnan(value) or (math.isinf(value) and name not in _MAY_BE_INF):
+        if math.isnan(value) or (math.isinf(value) and name not in unread):
             raise ValueError(f"{name} came out {value!r}: these inputs overflow float arithmetic")
     config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
     return dict(zip(CSV_COLUMNS, config + scores, strict=True))
@@ -210,10 +213,11 @@ def tv_curve_records(
 
     One family per entry of vm_dbs (None meaning no added modulation); the
     single-player point does not depend on the gain so it appears once per
-    family.  Each family is dealt once.  Its feedforward rows come from one
-    feedforward_sweep, which scores every gain from precomputed coefficient
-    columns instead of building an output field; every row still equals
-    the run_scenario record of its configuration bit for bit.
+    family.  Each family is dealt once.  Its feedforward rows print the
+    fidelity, so they come from one feedforward_sweep, which scores every
+    gain from precomputed coefficient columns instead of building an output
+    field; every row still equals the run_scenario record of its
+    configuration bit for bit.
     """
     if not gains:
         raise ValueError("gain sweep must be nonempty")
@@ -303,9 +307,11 @@ def verify_grid(
     single-player formulas for players 1 and 2; the two-PSA scheme at its
     optimal gain; and the feedforward fidelity (raw and after symplectic
     correction) at the cancellation gain.  The feedforward_tv family takes
-    one feedforward_sweep per (deal, eta), which scores each gain from
-    precomputed coefficient columns, bit-identical to tv_point of the
-    reconstructed field; the other families reconstruct fields.
+    one feedforward_tv_sweep per deal: one 2/3 splitter, one detection per
+    eta, and per gain only the X+ scores from precomputed coefficient
+    columns, bit-identical to tv_point of the reconstructed field and with
+    no fidelity computed.  The other families reconstruct fields, and only
+    feedforward_fidelity computes a fidelity.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
@@ -327,9 +333,9 @@ def verify_grid(
                 sim = tv_point(secret, shares.share(player))
                 ref = metrics.closed_form("sp", r, v_m)
                 record("single_player", {"r": r, "v_m": v_m, "player": player}, sim, ref)
-            for eta in eta_values:
-                for g, m in zip(gains, feedforward_sweep(secret, shares, gains, eta)):
-                    sim = (m.t_q, m.v_q)
+            sweeps = feedforward_tv_sweep(secret, shares, gains, eta_values)
+            for eta, sweep in zip(eta_values, sweeps):
+                for g, sim in zip(gains, sweep):
                     ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
                     params = {"r": r, "v_m": v_m, "eta": eta, "gain": g}
                     record("feedforward_tv", params, sim, ref)

@@ -52,7 +52,7 @@ def fidelity(secret: FieldState, out: FieldState) -> float:
 
 # One quadrature of a (secret, output) pair: (secret mean, secret variance,
 # output mean, output variance).  The scores below are float arithmetic on
-# these and on the covariances, so feedforward_sweep can supply them
+# these and on the covariances, so the feedforward sweeps can supply them
 # without building the output field.
 Moments = tuple[float, float, float, float]
 
@@ -115,22 +115,11 @@ def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    return _scores(
-        _moments(secret, out, Quad.PLUS),
-        _moments(secret, out, Quad.MINUS),
-        covariance(secret, out, Quad.PLUS),
-        covariance(secret, out, Quad.MINUS),
-        cross_covariance(secret) + cross_covariance(out),
-    )
-
-
-def _scores(
-    plus: Moments, minus: Moments, cov_plus: float, cov_minus: float, cross: float
-) -> Metrics:
-    """evaluate's arithmetic once the second moments are known."""
-    t_plus, vcv_plus = _transfer_and_cv(plus, cov_plus)
-    t_minus, vcv_minus = _transfer_and_cv(minus, cov_minus)
-    # positional: a keyword call costs a third more, once per gain in feedforward_sweep
+    plus = _moments(secret, out, Quad.PLUS)
+    minus = _moments(secret, out, Quad.MINUS)
+    t_plus, vcv_plus = _transfer_and_cv(plus, covariance(secret, out, Quad.PLUS))
+    t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, out, Quad.MINUS))
+    cross = cross_covariance(secret) + cross_covariance(out)
     return Metrics(_overlap(plus, minus, cross), t_plus, t_minus, vcv_plus, vcv_minus)
 
 

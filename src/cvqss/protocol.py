@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .metrics import Metrics, _moments, _scores
+from .metrics import Metrics, Moments, _moments, _overlap, _quad_scores, _transfer_and_cv
 from .noise import (
     FieldState, ModeKind, Quad, check_squeezing_limit, covariance, cross_covariance, lincomb,
     variance,
@@ -161,15 +161,16 @@ def collaboration_beams(
 
 
 def _feedforward_stages(
-    shares: Shares, gains: Sequence[float], eta: float, players: tuple[int, int]
-) -> tuple[FieldState, Photocurrent]:
-    """Check the loop parameters, then run the gain-free stages: (kept beam, photocurrent)."""
+    shares: Shares, gains: Sequence[float], etas: Sequence[float], players: tuple[int, int]
+) -> tuple[FieldState, list[Photocurrent]]:
+    """Check the loop parameters, then run the gain-free stages: the kept
+    beam from one 2/3 splitter and its detected partner's photocurrent at each eta."""
     if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
-    if not 0.0 < eta <= 1.0:
+    if not all(0.0 < eta <= 1.0 for eta in etas):
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
-    return kept, detect(detected, eta, shares.detector)
+    return kept, [detect(detected, eta, shares.detector) for eta in etas]
 
 
 def reconstruct_ff(
@@ -189,9 +190,52 @@ def reconstruct_ff(
     keeps the local-oscillator mixing splitter finite instead of taking its
     high-reflectivity limit; the closed forms assume epsilon = 0.
     """
-    kept, current = _feedforward_stages(shares, (gain,), eta, players)
+    kept, (current,) = _feedforward_stages(shares, (gain,), (eta,), players)
     lo_mode = kept.basis.vacuum() if epsilon > 0.0 else None
     return feedforward_mix(kept, current, gain, epsilon, lo_mode)
+
+
+def _mixed_sources(kept: FieldState, current: Photocurrent) -> list:
+    """The sources of the mixed beam's X+ in the order lincomb gives them:
+    K+'s, then the ones only P+ has."""
+    kp = kept.coeffs_plus
+    return list(kp) + [src for src in current.beam.coeffs_plus if src not in kp]
+
+
+def _plus_pass(
+    secret: FieldState,
+    kept: FieldState,
+    current: Photocurrent,
+    gains: Sequence[float],
+    eta: float,
+) -> Iterator[tuple[list[float], Moments, float, float]]:
+    """Score the X+ of feedforward_mix(kept, current, g) at each gain g.
+
+    That X+ is K+ + w P+, with K the kept beam, P the photocurrent and
+    w = g / sqrt(eta).  K+, P+ and the source variances are laid out once
+    as aligned columns over _mixed_sources.  Each gain then costs one pass
+    of float arithmetic over the rows, every product and sum in
+    feedforward_mix's and evaluate's order, and builds no FieldState; at
+    w = 0 the extra terms are zeros, which leave every sum unchanged.
+    Yields the coefficient column, the moments, T+ and V+_cv.
+    """
+    kp, pp = kept.coeffs_plus, current.beam.coeffs_plus
+    srcs = _mixed_sources(kept, current)
+    k_col = [kp.get(src, 0.0) for src in srcs]
+    p_col = [pp.get(src, 0.0) for src in srcs]
+    v_col = [kept.basis.source_variance(src) for src in srcs]
+    row = {src: i for i, src in enumerate(srcs)}
+    # covariance's terms with the secret
+    secret_rows = [(c, row[src]) for src, c in secret.coeffs_plus.items() if src in row]
+    ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
+    mk, mp = kept.mean_plus, current.beam.mean_plus
+    root_eta = math.sqrt(eta)
+    for g in gains:
+        w = g / root_eta
+        c = [k + w * p for k, p in zip(k_col, p_col)]
+        plus = (ms, vs, mk + w * mp, sum(x * x * v for x, v in zip(c, v_col)))
+        cov = sum(a * c[i] * v_col[i] for a, i in secret_rows)
+        yield (c, plus, *_transfer_and_cv(plus, cov))
 
 
 def feedforward_sweep(
@@ -203,41 +247,55 @@ def feedforward_sweep(
 ) -> list[Metrics]:
     """evaluate(secret, reconstruct_ff(shares, g, eta, players)) at each gain g, bit for bit.
 
-    secret is the coherent secret the shares were dealt from.  The output is X+ = K+ + w P+ and X- = K-, with K the kept beam, P the
-    photocurrent and w = g / sqrt(eta), so only X+ moves with the gain.  The
-    gain-free stages run once and lay K+, P+ and the source variances out
-    as aligned columns, one row per source in the order lincomb gives the
-    mixed beam.  Each gain then costs one pass of float arithmetic over the
-    rows, every product and sum in feedforward_mix's and evaluate's order,
-    and builds no FieldState.  At w = 0 the extra terms are zeros, which
-    leave every sum unchanged.
+    secret is the coherent secret the shares were dealt from.  The output
+    is X+ = K+ + w P+ and X- = K- (kept beam K, photocurrent P), so only X+
+    moves with the gain: the splitter, the detection and the X- scores run
+    once, and each gain costs one _plus_pass step plus the X+/X- cross
+    term the fidelity needs.  Use feedforward_tv_sweep when only
+    (T_q, V_q) is read.
     """
-    kept, current = _feedforward_stages(shares, gains, eta, players)
-    kp, pp, km = kept.coeffs_plus, current.beam.coeffs_plus, kept.coeffs_minus
-    srcs = list(kp) + [src for src in pp if src not in kp]
-    k_col = [kp.get(src, 0.0) for src in srcs]
-    p_col = [pp.get(src, 0.0) for src in srcs]
-    v_col = [kept.basis.source_variance(src) for src in srcs]
-    row = {src: i for i, src in enumerate(srcs)}
-    # covariance's terms with the secret, and cross_covariance's with K-
-    secret_rows = [(c, row[src]) for src, c in secret.coeffs_plus.items() if src in row]
-    cross_rows = [(i, km[src], v_col[i]) for i, src in enumerate(srcs) if src in km]
-
+    kept, (current,) = _feedforward_stages(shares, gains, (eta,), players)
+    km = kept.coeffs_minus
+    # cross_covariance's terms with K-
+    cross_rows = [
+        (i, km[src], kept.basis.source_variance(src))
+        for i, src in enumerate(_mixed_sources(kept, current))
+        if src in km
+    ]
     minus = _moments(secret, kept, Quad.MINUS)
-    cov_minus = covariance(secret, kept, Quad.MINUS)
+    t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, kept, Quad.MINUS))
     cross_secret = cross_covariance(secret)
-    ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
-    mk, mp = kept.mean_plus, current.beam.mean_plus
-    root_eta = math.sqrt(eta)
     scores = []
-    for g in gains:
-        w = g / root_eta
-        c = [k + w * p for k, p in zip(k_col, p_col)]
-        plus = (ms, vs, mk + w * mp, sum(x * x * v for x, v in zip(c, v_col)))
-        cov_plus = sum(a * c[i] * v_col[i] for a, i in secret_rows)
+    for c, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta):
         cross = cross_secret + sum(c[i] * m * v for i, m, v in cross_rows)
-        scores.append(_scores(plus, minus, cov_plus, cov_minus, cross))
+        fid = _overlap(plus, minus, cross)
+        scores.append(Metrics(fid, t_plus, t_minus, vcv_plus, vcv_minus))
     return scores
+
+
+def feedforward_tv_sweep(
+    secret: FieldState,
+    shares: Shares,
+    gains: Sequence[float],
+    etas: Sequence[float],
+    players: tuple[int, int] = (2, 3),
+) -> list[list[tuple[float, float]]]:
+    """tv_point(secret, reconstruct_ff(shares, g, eta, players)), bit for bit.
+
+    One list per eta in etas, one (T_q, V_q) per gain g in gains.  Like
+    feedforward_sweep, but it computes no fidelity, and the 2/3 splitter
+    and the X- scores (the kept beam's, the same at every eta) run once for
+    all etas: only the detection and the X+ pass run per eta.
+    """
+    kept, currents = _feedforward_stages(shares, gains, etas, players)
+    t_minus, vcv_minus = _quad_scores(secret, kept, Quad.MINUS)
+    return [
+        [
+            (t_plus + t_minus, vcv_plus * vcv_minus)
+            for _, _, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta)
+        ]
+        for eta, current in zip(etas, currents)
+    ]
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:

@@ -512,6 +512,13 @@ def test_bad_input_is_a_usage_error(argv, config, tmp_path, capsys):
     (["run", "--scheme", "feedforward", "--gain", "1e200"], "t_plus"),
     (["run", "--scheme", "psa2", "--gain", "1e308"], "t_plus"),
     (["tv-curve", "--gains", "0,1e200"], "t_plus"),
+    # V+ and V- are finite, their product is not
+    (["run", "--scheme", "single_player_1", "--vm-db", "3082"], "v_q"),
+    (["run", "--scheme", "single_player_3", "--vm-db", "1600"], "v_q"),
+    # the quadrature single_quadrature reads overflows; the other is inf by design
+    (["run", "--scheme", "single_quadrature", "--vm-db", "3082", "--gain", "10"], "vcv_plus"),
+    (["run", "--scheme", "single_quadrature", "--quad", "minus", "--vm-db", "3082",
+      "--gain", "10"], "vcv_minus"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_overflowing_scores_are_a_usage_error_naming_the_column(argv, column, fmt, capsys):

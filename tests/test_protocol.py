@@ -27,6 +27,7 @@ from cvqss import (
     detect,
     evaluate,
     feedforward_sweep,
+    feedforward_tv_sweep,
     field_from_mode,
     fields_close,
     fidelity,
@@ -42,6 +43,7 @@ from cvqss import (
     tv_point,
     variance,
 )
+from cvqss import cli, metrics, protocol
 from cvqss.noise import MAX_SQUEEZING
 from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
 from cvqss.protocol import _psa2_outputs
@@ -444,6 +446,8 @@ class TestFeedforwardSweep:
         with pytest.raises(ValueError):
             feedforward_sweep(psi, shares, gains, 0.9)
         with pytest.raises(ValueError):
+            feedforward_tv_sweep(psi, shares, gains, [1.0, 0.9])
+        with pytest.raises(ValueError):
             reconstruct_ff(shares, bad, 0.9, epsilon=epsilon)
         assert len(shares.share1.basis) == size
 
@@ -461,8 +465,61 @@ class TestFeedforwardSweep:
         with pytest.raises(ValueError):
             feedforward_sweep(psi, shares, [0.0, 1.0], eta)
         with pytest.raises(ValueError):
+            feedforward_tv_sweep(psi, shares, [0.0, 1.0], [1.0, eta])
+        with pytest.raises(ValueError):
             reconstruct_ff(shares, 1.0, eta, epsilon=epsilon)
         assert len(shares.share1.basis) == size
+
+
+class TestFeedforwardTvSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.one_of(st.floats(0.0, 4.0), st.floats(0.0, 20.0)),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(0.0, 1e6)),
+        source=st.sampled_from(EprSource),
+        players=st.sampled_from([(2, 3), (1, 3)]),
+        etas=st.lists(
+            st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+            min_size=1, max_size=3,
+        ),
+        gains=st.lists(st.floats(0.0, 8.0), max_size=4).map(
+            lambda gs: [0.0, FF_GAIN_OPTIMAL, *gs]
+        ),
+        means=st.tuples(st.floats(0.5, 10.0), st.floats(-10.0, -0.5)),
+    )
+    def test_each_entry_is_the_single_gain_tv_point(
+        self, r, v_m, source, players, etas, gains, means
+    ):
+        psi, shares = dealt(r, v_m, source, means)
+        size = len(psi.basis)
+        swept = feedforward_tv_sweep(psi, shares, gains, etas, players)
+        assert len(psi.basis) == size
+        assert [len(sweep) for sweep in swept] == [len(gains)] * len(etas)
+        for eta, sweep in zip(etas, swept):
+            for gain, point in zip(gains, sweep):
+                field = tv_point(psi, reconstruct_ff(shares, gain, eta, players))
+                # no tolerance, and repr matches nan to nan (an eta near 0
+                # overflows both paths alike)
+                assert repr(point) == repr(field)
+
+    def test_verify_computes_fidelity_only_in_its_fidelity_family(self, monkeypatch):
+        # every fidelity, swept or from a field, goes through metrics._overlap
+        calls = []
+        overlap = metrics._overlap
+
+        def counted(*args):
+            calls.append(args)
+            return overlap(*args)
+
+        for module in (metrics, protocol, cli):
+            if hasattr(module, "_overlap"):
+                monkeypatch.setattr(module, "_overlap", counted)
+        r_values = (0.0, 0.5, 2.0)
+        summary = cli.verify_grid(r_values)
+        assert summary["families"]["feedforward_fidelity"]["count"] == len(r_values)
+        # one raw and one corrected fidelity per r; the feedforward_tv points
+        # (2 eta x 3 v_m x 17 gains per r) compute none
+        assert len(calls) == 2 * len(r_values)
 
 
 class TestSymplecticCorrect:
@@ -586,6 +643,7 @@ def _mix(gain, epsilon=0.0):
         lambda: reconstruct_ff(_shares(), NAN),
         lambda: reconstruct_ff(_shares(), INF),
         lambda: feedforward_sweep(*dealt(r=0.5), [1.0, NAN]),
+        lambda: feedforward_tv_sweep(*dealt(r=0.5), [1.0, INF], [1.0, 0.9]),
         lambda: symplectic_correct(_shares().share1, NAN),
         lambda: symplectic_correct(_shares().share1, INF),
         lambda: optimal_gain(0.5, 0.0, NAN),
@@ -603,7 +661,7 @@ def _mix(gain, epsilon=0.0):
     ids=[
         "dealer-r-nan", "dealer-vm-inf", "modulation-nan", "squeezed-inf",
         "register-inf", "psa-nan", "psa-inf", "2psa-nan", "ff-nan", "ff-inf",
-        "sweep-nan", "symplectic-nan", "symplectic-inf", "optimal-gain-eta-nan",
+        "sweep-nan", "tv-sweep-inf", "symplectic-nan", "symplectic-inf", "optimal-gain-eta-nan",
         "optimal-gain-eta-inf", "phase-shift-nan", "phase-shift-inf", "splitter-phase-nan",
         "type2-pair-nan", "type2-pair-inf", "mix-gain-nan", "mix-gain-inf", "mix-epsilon-nan",
         "mix-epsilon-inf",

@@ -90,6 +90,7 @@ _SCHEMES = {
 SCHEMES = tuple(_SCHEMES)
 
 DEFAULT_GAIN_GRID = tuple(0.5 * i for i in range(17))
+DEFAULT_MEANS = (4.0, 2.0)
 TABLE_VQ_CAP = 1e6
 # From this modulation depth on, the power 10^(dB/10) overflows a float.
 MAX_VM_DB = 10.0 * math.log10(sys.float_info.max)
@@ -97,7 +98,7 @@ MAX_VM_DB = 10.0 * math.log10(sys.float_info.max)
 
 class ScenarioConfig(namedtuple(
     "ScenarioConfig", "scheme r vm_db eta gain secret_means source quad epsilon",
-    defaults=(0.0, None, 1.0, None, (4.0, 2.0), "type1", "plus", 0.0),
+    defaults=(0.0, None, 1.0, None, DEFAULT_MEANS, "type1", "plus", 0.0),
 )):
     """One scenario: scheme plus the dealer, loop and secret parameters.
 
@@ -132,11 +133,6 @@ class ScenarioConfig(namedtuple(
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError("epsilon must be in [0, 1)")
         return self
-
-    def __setattr__(self, name: str, value: object) -> None:
-        from dataclasses import FrozenInstanceError  # loaded on this error path only
-
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def v_m(self) -> float:
@@ -206,7 +202,7 @@ def tv_curve_records(
     gains: Sequence[float],
     vm_dbs: Sequence[float | None],
     eta: float = 1.0,
-    secret_means: tuple[float, float] = (4.0, 2.0),
+    secret_means: tuple[float, float] = DEFAULT_MEANS,
     source: str = "type1",
 ) -> list[dict]:
     """Gain-sweep rows for the collaborating players plus single-player points.
@@ -243,7 +239,7 @@ def table_entries(
     r_large: float = 8.0,
     vm_db_large: float = 60.0,
     cap: float = TABLE_VQ_CAP,
-    means: tuple[float, float] = (4.0, 2.0),
+    means: tuple[float, float] = DEFAULT_MEANS,
 ) -> list[dict]:
     """All 24 best-achievable (T_q, V_q) entries.
 
@@ -290,7 +286,6 @@ def table_entries(
 
 VERIFY_TOLERANCE = 1e-9
 _VERIFY_R = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
-_VERIFY_MEANS = (4.0, 2.0)
 _VERIFY_VM = (0.0, 1.0, 100.0)
 _VERIFY_ETA = (1.0, 0.9)
 
@@ -303,15 +298,12 @@ def verify_grid(
 ) -> dict:
     """Compare simulated metrics with the closed forms over a full grid.
 
-    Families: feedforward (T_q, V_q) at every (r, v_m, eta, gain);
-    single-player formulas for players 1 and 2; the two-PSA scheme at its
-    optimal gain; and the feedforward fidelity (raw and after symplectic
-    correction) at the cancellation gain.  The feedforward_tv family takes
-    one feedforward_tv_sweep per deal: one 2/3 splitter, one detection per
-    eta, and per gain only the X+ scores from precomputed coefficient
-    columns, bit-identical to tv_point of the reconstructed field and with
-    no fidelity computed.  The other families reconstruct fields, and only
-    feedforward_fidelity computes a fidelity.
+    Each (r, v_m) is dealt once, and every family is scored from that deal.
+    At every (r, v_m): single_player for players 1 and 2, and feedforward_tv
+    (T_q, V_q) at every (eta, gain).  Where v_m == 0, since their closed
+    forms assume an unmodulated dealer: psa2_tv at the optimal PSA gain, and
+    feedforward_fidelity (raw and after symplectic correction) at the
+    cancellation gain, the only family that computes a fidelity.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
@@ -328,10 +320,10 @@ def verify_grid(
 
     for r in r_values:
         for v_m in vm_values:
-            secret, shares = _dealt(r, v_m, _VERIFY_MEANS)
+            secret, shares = _dealt(r, v_m, DEFAULT_MEANS)
+            ref = metrics.closed_form("sp", r, v_m)
             for player in (1, 2):
                 sim = tv_point(secret, shares.share(player))
-                ref = metrics.closed_form("sp", r, v_m)
                 record("single_player", {"r": r, "v_m": v_m, "player": player}, sim, ref)
             sweeps = feedforward_tv_sweep(secret, shares, gains, eta_values)
             for eta, sweep in zip(eta_values, sweeps):
@@ -339,18 +331,17 @@ def verify_grid(
                     ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
                     params = {"r": r, "v_m": v_m, "eta": eta, "gain": g}
                     record("feedforward_tv", params, sim, ref)
+            if v_m != 0.0:
+                continue
+            sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
+            record("psa2_tv", {"r": r}, sim, metrics.closed_form("psa2_cp", r))
 
-    for r in r_values:
-        secret, shares = _dealt(r, 0.0, _VERIFY_MEANS)
-        sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
-        record("psa2_tv", {"r": r}, sim, metrics.closed_form("psa2_cp", r))
-
-        out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-        corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
-        sim = (metrics.fidelity(secret, out), metrics.fidelity(secret, corrected))
-        ref = (metrics.fidelity_closed_form("ff", r, _VERIFY_MEANS),
-               metrics.fidelity_closed_form("psa2", r))
-        record("feedforward_fidelity", {"r": r}, sim, ref)
+            out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
+            corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
+            sim = (metrics.fidelity(secret, out), metrics.fidelity(secret, corrected))
+            ref = (metrics.fidelity_closed_form("ff", r, DEFAULT_MEANS),
+                   metrics.fidelity_closed_form("psa2", r))
+            record("feedforward_fidelity", {"r": r}, sim, ref)
 
     return {
         "pass": not failures,
@@ -383,20 +374,17 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(text: str, output: str | None) -> None:
+def _render(rows: list[dict], columns: Sequence[str], fmt: str, output: str | None) -> None:
+    if fmt == "csv":
+        text = _records_to_csv(rows, columns)
+    else:
+        payload = rows[0] if len(rows) == 1 else rows
+        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _render(rows: list[dict], columns: Sequence[str], fmt: str, output: str | None) -> None:
-    if fmt == "csv":
-        _emit(_records_to_csv(rows, columns), output)
-    else:
-        payload = rows[0] if len(rows) == 1 else rows
-        _emit(json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n", output)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +420,18 @@ def _build_parser() -> argparse.ArgumentParser:
             "--squeezing-pct", type=float, help="squeezing as a percentage, alternative to --r"
         )
 
+    def add_scenario(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--eta", type=float, default=1.0)
+        p.add_argument("--means", type=float, nargs=2, default=DEFAULT_MEANS,
+                       metavar=("XPLUS", "XMINUS"))
+        p.add_argument("--source", choices=("type1", "type2"), default="type1")
+
     run_p = sub.add_parser("run", help="run a single scenario")
     run_p.add_argument("--scheme", choices=SCHEMES)
     add_squeezing(run_p)
     run_p.add_argument("--vm-db", type=float, help="added modulation, dB above shot noise")
-    run_p.add_argument("--eta", type=float, default=1.0)
     run_p.add_argument("--gain", type=_parse_gain, help='loop gain, or "optimal"')
-    run_p.add_argument("--means", type=float, nargs=2, default=(4.0, 2.0),
-                       metavar=("XPLUS", "XMINUS"))
-    run_p.add_argument("--source", choices=("type1", "type2"), default="type1")
+    add_scenario(run_p)
     run_p.add_argument("--quad", choices=("plus", "minus"), default="plus")
     run_p.add_argument(
         "--epsilon", type=float, default=0.0,
@@ -458,10 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--vm-db", type=float,
         help="also sweep with this much added modulation (dB above shot noise)",
     )
-    tv_p.add_argument("--eta", type=float, default=1.0)
-    tv_p.add_argument("--means", type=float, nargs=2, default=(4.0, 2.0),
-                      metavar=("XPLUS", "XMINUS"))
-    tv_p.add_argument("--source", choices=("type1", "type2"), default="type1")
+    add_scenario(tv_p)
     add_common(tv_p)
 
     table_p = sub.add_parser("table", help="best-achievable summary for every subset")

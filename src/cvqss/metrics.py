@@ -133,6 +133,14 @@ def _require_finite(*values: float) -> None:
         raise ValueError("parameters must be finite numbers")
 
 
+def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) -> None:
+    """The domain where the simulation runs: r, v_m >= 0, 0 < eta <= 1; free values finite."""
+    if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf and 0.0 < eta <= 1.0):
+        _require_finite(r, v_m, eta)
+        raise ValueError("closed forms need r >= 0, v_m >= 0 and 0 < eta <= 1")
+    _require_finite(*free)
+
+
 def closed_form(
     scheme: str, r: float, v_m: float = 0.0, eta: float = 1.0, gain: float | None = None
 ) -> tuple[float, float]:
@@ -145,7 +153,7 @@ def closed_form(
     The two-PSA scheme has equal conditional variances 2 e^{-2r} in both
     quadratures, so its V_q product is 4 e^{-4r}.
     """
-    _require_finite(r, v_m, eta, 0.0 if gain is None else gain)
+    _require_domain(r, v_m, eta, 0.0 if gain is None else gain)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2_cp":
         return 2.0 / (1.0 + 2.0 * em2r), (2.0 * em2r) ** 2
@@ -155,8 +163,6 @@ def closed_form(
     if scheme == "ff_cp":
         if gain is None:
             raise ValueError("feedforward closed form needs a gain")
-        if eta <= 0.0:
-            raise ValueError("feedforward closed form undefined at zero efficiency")
         e2r = math.exp(2.0 * r)
         g = gain
         signal = (1.0 + g / _SQRT2) ** 2
@@ -188,7 +194,7 @@ def fidelity_closed_form(
     x = e^{-2r}, so its overlap with the secret saturates below 1 and falls
     off as exp(-((2 - sqrt(3))/2) (m+^2/(2 + 3x) + m-^2/(2 + x))).
     """
-    _require_finite(r, *means)
+    _require_domain(r, 0.0, 1.0, *means)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2":
         return 1.0 / (1.0 + em2r)
@@ -225,9 +231,7 @@ def optimal_gain(
     """
     if objective not in ("max_tq", "min_vq"):
         raise ValueError(f"unknown objective {objective!r}")
-    _require_finite(r, v_m, eta)
-    if not 0.0 < eta < math.inf:
-        raise ValueError("feedforward closed form undefined at zero efficiency")
+    _require_domain(r, v_m, eta)
     quiet = 3.0 * math.exp(-2.0 * r) + 4.0 * (1.0 - eta) / eta
     if objective == "min_vq":
         quiet *= 3.0

@@ -63,20 +63,18 @@ class Shares(namedtuple("Shares", "share1 share2 share3 detector")):
 
 def _require_coherent(secret: FieldState) -> None:
     """The dealer map and the fidelity formula assume a coherent secret."""
-    plus = dict(secret.coeffs_plus)
-    minus = dict(secret.coeffs_minus)
-    if len(plus) != 1 or len(minus) != 1:
-        raise ValueError("secret must be a coherent state: one vacuum mode, unit coefficient")
-    (mid_p, quad_p), c_p = next(iter(plus.items()))
-    (mid_m, quad_m), c_m = next(iter(minus.items()))
-    ok = (
-        mid_p == mid_m
-        and quad_p is Quad.PLUS
-        and quad_m is Quad.MINUS
-        and abs(c_p - 1.0) <= 1e-12
-        and abs(c_m - 1.0) <= 1e-12
-        and secret.basis.kind(mid_p) is ModeKind.VACUUM
-    )
+    plus, minus = secret.coeffs_plus.items(), secret.coeffs_minus.items()
+    ok = len(plus) == len(minus) == 1
+    if ok:
+        [((mid_p, quad_p), c_p)], [((mid_m, quad_m), c_m)] = plus, minus
+        ok = (
+            mid_p == mid_m
+            and quad_p is Quad.PLUS
+            and quad_m is Quad.MINUS
+            and abs(c_p - 1.0) <= 1e-12
+            and abs(c_m - 1.0) <= 1e-12
+            and secret.basis.kind(mid_p) is ModeKind.VACUUM
+        )
     if not ok:
         raise ValueError("secret must be a coherent state: one vacuum mode, unit coefficient")
 

@@ -1,7 +1,6 @@
 """CLI subcommands: run, tv-curve, table, verify; determinism and exit codes."""
 
 import csv
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvqss.cli
 import cvqss.metrics
 from cvqss import (
     FF_GAIN_OPTIMAL,
@@ -145,11 +145,6 @@ class TestRunScenario:
     def test_invalid_field_rejected_when_built(self, field, value):
         with pytest.raises(ValueError):
             ScenarioConfig(**{"scheme": "feedforward", field: value})
-
-    def test_config_is_frozen(self):
-        cfg = ScenarioConfig("feedforward", r=0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.r = -1.0
 
 
 def _per_scheme_scenario(cfg):
@@ -448,6 +443,31 @@ class TestVerify:
                               gains=(0.0, TWO_SQRT2))
         assert summary["pass"] is True
         assert summary["families"]["feedforward_tv"]["count"] == 4
+
+    def test_each_dealer_configuration_is_dealt_once(self, monkeypatch):
+        configs = []
+        real_deal = cvqss.cli.deal
+
+        def counting_deal(secret, config):
+            configs.append(config)
+            return real_deal(secret, config)
+
+        monkeypatch.setattr(cvqss.cli, "deal", counting_deal)
+        summary = verify_grid()
+        assert len(configs) == len(set(configs)) == 6 * 3
+        counts = {family: fam["count"] for family, fam in summary["families"].items()}
+        assert counts == {
+            "single_player": 36, "feedforward_tv": 612, "psa2_tv": 6, "feedforward_fidelity": 6,
+        }
+
+    def test_unmodulated_families_are_checked_only_where_v_m_is_zero(self):
+        grid = {"r_values": (0.0, 0.5), "eta_values": (1.0,), "gains": (TWO_SQRT2,)}
+        summary = verify_grid(vm_values=(1.0,), **grid)
+        assert summary["pass"] is True
+        assert set(summary["families"]) == {"single_player", "feedforward_tv"}
+        summary = verify_grid(vm_values=(1.0, 0.0), **grid)
+        assert summary["families"]["psa2_tv"]["count"] == 2
+        assert summary["families"]["feedforward_fidelity"]["count"] == 2
 
 
 def _exit_code(argv):

@@ -200,6 +200,25 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form("bogus", 0.5)
 
+    @pytest.mark.parametrize("form, args", [
+        (closed_form, ("ff_cp", 0.5, 0.0, 2.0, 2.8)),
+        (closed_form, ("ff_cp", -0.5, 0.0, 1.0, 2.8)),
+        (closed_form, ("ff_cp", 0.5, -1.0, 1.0, 2.8)),
+        (closed_form, ("sp", 0.5, -3.0)),
+        (closed_form, ("sp", -0.5)),
+        (closed_form, ("psa2_cp", -0.5)),
+        (fidelity_closed_form, ("psa2", -0.5)),
+        (fidelity_closed_form, ("ff", -0.5, (4.0, 2.0))),
+        (optimal_gain, (0.5, 0.0, 2.0)),
+        (optimal_gain, (0.5, 0.0, -1.0)),
+        (optimal_gain, (0.5, -1.0)),
+        (optimal_gain, (-0.5,)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_inputs_the_simulation_rejects_are_rejected(self, form, args):
+        # DealerConfig and the feedforward loop refuse r < 0, v_m < 0 and eta outside (0, 1]
+        with pytest.raises(ValueError, match="closed forms need"):
+            form(*args)
+
     def test_psa_and_feedforward_coincide_at_the_cancellation_gain(self):
         # At G = 2 sqrt(2) and eta = 1 the feedforward forms telescope onto
         # the two-PSA ones: same T_q, same V_q product.

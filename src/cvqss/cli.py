@@ -288,6 +288,13 @@ VERIFY_TOLERANCE = 1e-9
 _VERIFY_R = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
 _VERIFY_VM = (0.0, 1.0, 100.0)
 _VERIFY_ETA = (1.0, 0.9)
+# The params each family reports for a point, in order.
+_VERIFY_PARAMS = {
+    "single_player": ("r", "v_m", "player"),
+    "feedforward_tv": ("r", "v_m", "eta", "gain"),
+    "psa2_tv": ("r",),
+    "feedforward_fidelity": ("r",),
+}
 
 
 def verify_grid(
@@ -308,14 +315,18 @@ def verify_grid(
     families: dict[str, dict] = {}
     failures: list[dict] = []
 
-    def record(family: str, params: dict, sim: tuple, ref: tuple) -> None:
+    def record(family: str, values: tuple, sim: tuple, ref: tuple) -> None:
+        # a point's params dict is built only when it is the new worst or fails
         deviation = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
-        fam = families.setdefault(family, {"max_deviation": 0.0, "count": 0, "worst": None})
+        fam = families.get(family)
+        if fam is None:
+            fam = families[family] = {"max_deviation": 0.0, "count": 0, "worst": None}
         fam["count"] += 1
         if deviation > fam["max_deviation"]:
             fam["max_deviation"] = deviation
-            fam["worst"] = params
+            fam["worst"] = dict(zip(_VERIFY_PARAMS[family], values))
         if deviation > VERIFY_TOLERANCE:
+            params = dict(zip(_VERIFY_PARAMS[family], values))
             failures.append({"family": family, "params": params, "deviation": deviation})
 
     for r in r_values:
@@ -324,24 +335,23 @@ def verify_grid(
             ref = metrics.closed_form("sp", r, v_m)
             for player in (1, 2):
                 sim = tv_point(secret, shares.share(player))
-                record("single_player", {"r": r, "v_m": v_m, "player": player}, sim, ref)
+                record("single_player", (r, v_m, player), sim, ref)
             sweeps = feedforward_tv_sweep(secret, shares, gains, eta_values)
             for eta, sweep in zip(eta_values, sweeps):
-                for g, sim in zip(gains, sweep):
-                    ref = metrics.closed_form("ff_cp", r, v_m, eta, g)
-                    params = {"r": r, "v_m": v_m, "eta": eta, "gain": g}
-                    record("feedforward_tv", params, sim, ref)
+                refs = metrics.ff_cp_column(r, v_m, eta, gains)
+                for g, sim, ref in zip(gains, sweep, refs):
+                    record("feedforward_tv", (r, v_m, eta, g), sim, ref)
             if v_m != 0.0:
                 continue
             sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
-            record("psa2_tv", {"r": r}, sim, metrics.closed_form("psa2_cp", r))
+            record("psa2_tv", (r,), sim, metrics.closed_form("psa2_cp", r))
 
             out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
             corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
             sim = (metrics.fidelity(secret, out), metrics.fidelity(secret, corrected))
             ref = (metrics.fidelity_closed_form("ff", r, DEFAULT_MEANS),
                    metrics.fidelity_closed_form("psa2", r))
-            record("feedforward_fidelity", {"r": r}, sim, ref)
+            record("feedforward_fidelity", (r,), sim, ref)
 
     return {
         "pass": not failures,

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Sequence
 
-from .noise import FieldState, Quad, covariance, cross_covariance, variance
+from .noise import FieldState, Quad, check_squeezing_limit, covariance, cross_covariance, variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
+_TWO_SQRT2 = 2.0 * _SQRT2
 _ZERO_SECRET_MEAN = "signal transfer undefined for a zero secret mean; use a displaced secret"
 
 
@@ -134,10 +136,12 @@ def _require_finite(*values: float) -> None:
 
 
 def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) -> None:
-    """The domain where the simulation runs: r, v_m >= 0, 0 < eta <= 1; free values finite."""
+    """The domain where the simulation runs: r, v_m >= 0, 0 < eta <= 1, r within the
+    dealer's squeezing limit; free values finite."""
     if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf and 0.0 < eta <= 1.0):
         _require_finite(r, v_m, eta)
         raise ValueError("closed forms need r >= 0, v_m >= 0 and 0 < eta <= 1")
+    check_squeezing_limit(r)
     _require_finite(*free)
 
 
@@ -147,12 +151,17 @@ def closed_form(
     """Closed-form (T_q, V_q) for a scheme at the given parameters.
 
     Schemes: "ff_cp" (feedforward, collaborating players; needs gain and
-    eta), "psa2_cp" (two-PSA scheme at its optimal gain), "sp" (a single
-    player measuring a secret-bearing share directly).
+    eta, see ff_cp_column), "psa2_cp" (two-PSA scheme at its optimal gain),
+    "sp" (a single player measuring a secret-bearing share directly).
 
     The two-PSA scheme has equal conditional variances 2 e^{-2r} in both
     quadratures, so its V_q product is 4 e^{-4r}.
     """
+    if scheme == "ff_cp":
+        if gain is None:
+            raise ValueError("feedforward closed form needs a gain")
+        (point,) = ff_cp_column(r, v_m, eta, (gain,))
+        return point
     _require_domain(r, v_m, eta, 0.0 if gain is None else gain)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2_cp":
@@ -160,27 +169,41 @@ def closed_form(
     if scheme == "sp":
         bulge = math.cosh(2.0 * r) + v_m
         return 2.0 / (1.0 + bulge), (bulge / 2.0) ** 2
-    if scheme == "ff_cp":
-        if gain is None:
-            raise ValueError("feedforward closed form needs a gain")
-        e2r = math.exp(2.0 * r)
-        g = gain
-        signal = (1.0 + g / _SQRT2) ** 2
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def ff_cp_column(
+    r: float, v_m: float, eta: float, gains: Sequence[float]
+) -> list[tuple[float, float]]:
+    """closed_form("ff_cp", r, v_m, eta, g) for each gain g in gains.
+
+    The domain check and the terms that depend only on (r, v_m, eta) run
+    once per column; every float operation is closed_form's, in its order.
+    """
+    _require_domain(r, v_m, eta, *gains)
+    em2r = math.exp(-2.0 * r)
+    e2r = math.exp(2.0 * r)
+    t_squeezed = 1.0 / (1.0 + 2.0 * em2r)
+    v_scale = em2r / 18.0
+    two_vm = 2.0 * v_m
+    loss = 1.0 - eta
+    column = []
+    for g in gains:
+        g_sqrt2 = g / _SQRT2
+        signal = (1.0 + g_sqrt2) ** 2
         noise = (
             (g / 2.0 - _SQRT2) ** 2 * e2r
             + (1.5 * g) ** 2 * em2r
-            + (2.0 - g / _SQRT2) ** 2 * v_m
-            + 3.0 * g * g * (1.0 - eta) / eta
+            + (2.0 - g_sqrt2) ** 2 * v_m
+            + 3.0 * g * g * loss / eta
         )
-        t_q = 1.0 / (1.0 + 2.0 * em2r) + signal / (signal + noise)
-        v_q = (em2r / 18.0) * (
-            9.0 * g * g * em2r
-            + e2r * (g - 2.0 * _SQRT2) ** 2
-            + 2.0 * v_m * (g - 2.0 * _SQRT2) ** 2
-            + 12.0 * g * g * (1.0 - eta) / eta
+        uncancelled = (g - _TWO_SQRT2) ** 2
+        v_q = v_scale * (
+            9.0 * g * g * em2r + e2r * uncancelled + two_vm * uncancelled
+            + 12.0 * g * g * loss / eta
         )
-        return t_q, v_q
-    raise ValueError(f"unknown scheme {scheme!r}")
+        column.append((t_squeezed + signal / (signal + noise), v_q))
+    return column
 
 
 def fidelity_closed_form(
@@ -236,7 +259,7 @@ def optimal_gain(
     if objective == "min_vq":
         quiet *= 3.0
     loud = math.exp(2.0 * r) + 2.0 * v_m
-    return 2.0 * _SQRT2 / (1.0 + quiet / loud)
+    return _TWO_SQRT2 / (1.0 + quiet / loud)
 
 
 def squeezing_pct(r: float) -> float:

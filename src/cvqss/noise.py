@@ -146,6 +146,12 @@ class FieldState:
     the sources independent, so variances and covariances are quadratic
     forms over the coefficient vectors.  Immutable; every optical element
     returns a new instance.
+
+    Building one checks that every coefficient key is a registered source
+    of the basis.  The algebra below (lincomb, field_from_mode, psa_ideal)
+    builds its results with _derived_field, which skips that check: their
+    keys are a subset of keys already checked, on the same append-only
+    basis, so they stay registered.
     """
 
     __slots__ = ("basis", "mean_plus", "mean_minus", "coeffs_plus", "coeffs_minus")
@@ -190,17 +196,27 @@ _set_basis, _set_mean_plus, _set_mean_minus, _set_coeffs_plus, _set_coeffs_minus
 )
 
 
+def _derived_field(
+    basis: NoiseBasis, mean_plus: float, mean_minus: float,
+    coeffs_plus: dict[Source, float], coeffs_minus: dict[Source, float],
+) -> FieldState:
+    """FieldState(...) without its key check, for keys known to be registered."""
+    fld = object.__new__(FieldState)
+    _set_basis(fld, basis)
+    _set_mean_plus(fld, mean_plus)
+    _set_mean_minus(fld, mean_minus)
+    _set_coeffs_plus(fld, coeffs_plus)
+    _set_coeffs_minus(fld, coeffs_minus)
+    return fld
+
+
 def field_from_mode(
     basis: NoiseBasis, mid: int, mean_plus: float = 0.0, mean_minus: float = 0.0
 ) -> FieldState:
     """A beam whose fluctuations are exactly one registered mode's."""
-    basis.kind(mid)  # FieldState's key check alone would take 0.0 or False for 0
-    return FieldState(
-        basis,
-        mean_plus,
-        mean_minus,
-        {(mid, Quad.PLUS): 1.0},
-        {(mid, Quad.MINUS): 1.0},
+    basis.kind(mid)  # an int id in range, so both keys are registered (0.0 or False is not)
+    return _derived_field(
+        basis, mean_plus, mean_minus, {(mid, Quad.PLUS): 1.0}, {(mid, Quad.MINUS): 1.0}
     )
 
 
@@ -246,7 +262,9 @@ def lincomb(terms: Iterable[tuple[Weight, FieldState]]) -> FieldState:
     stands for (w, 0, 0, w).  Map entries that are exactly zero are skipped.
     Each output dict takes its keys in term order, the X+-sourced entries of
     a term before its X--sourced ones, which fixes every later summation
-    order.
+    order.  The output's keys are drawn from its terms' keys, which were
+    checked when those fields were built, so only the shared basis is
+    checked here.
     """
     terms = list(terms)
     if not terms:
@@ -271,7 +289,7 @@ def lincomb(terms: Iterable[tuple[Weight, FieldState]]) -> FieldState:
         if d:
             mean_m += d * fld.mean_minus
             _accumulate(cm, fld.coeffs_minus, d)
-    return FieldState(basis, mean_p, mean_m, _prune(cp), _prune(cm))
+    return _derived_field(basis, mean_p, mean_m, _prune(cp), _prune(cm))
 
 
 def fields_close(a: FieldState, b: FieldState, atol: float = COEFF_ATOL) -> bool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .noise import FieldState, ModeKind, field_from_mode, lincomb
+from .noise import FieldState, ModeKind, _derived_field, field_from_mode, lincomb
 
 
 def phase_shift(fld: FieldState, theta: float) -> FieldState:
@@ -58,7 +58,7 @@ def psa_ideal(fld: FieldState, gain: float) -> FieldState:
     if not 0.0 < gain < math.inf:
         raise ValueError("PSA gain must be positive")
     s = math.sqrt(gain)
-    return FieldState(
+    return _derived_field(
         fld.basis,
         s * fld.mean_plus,
         fld.mean_minus / s,

@@ -193,11 +193,13 @@ def reconstruct_ff(
     return feedforward_mix(kept, current, gain, epsilon, lo_mode)
 
 
-def _mixed_sources(kept: FieldState, current: Photocurrent) -> list:
-    """The sources of the mixed beam's X+ in the order lincomb gives them:
-    K+'s, then the ones only P+ has."""
-    kp = kept.coeffs_plus
-    return list(kp) + [src for src in current.beam.coeffs_plus if src not in kp]
+def _mixed_rows(kept: FieldState, current: Photocurrent) -> dict:
+    """(K+, P+, variance) of each source of the mixed beam's X+, in the order
+    lincomb gives them: K+'s sources, then the ones only P+ has."""
+    kp, pp = kept.coeffs_plus, current.beam.coeffs_plus
+    variance_of = kept.basis.source_variance
+    srcs = list(kp) + [src for src in pp if src not in kp]
+    return {src: (kp.get(src, 0.0), pp.get(src, 0.0), variance_of(src)) for src in srcs}
 
 
 def _plus_pass(
@@ -206,34 +208,32 @@ def _plus_pass(
     current: Photocurrent,
     gains: Sequence[float],
     eta: float,
-) -> Iterator[tuple[list[float], Moments, float, float]]:
+) -> Iterator[tuple[float, Moments, float, float]]:
     """Score the X+ of feedforward_mix(kept, current, g) at each gain g.
 
     That X+ is K+ + w P+, with K the kept beam, P the photocurrent and
-    w = g / sqrt(eta).  K+, P+ and the source variances are laid out once
-    as aligned columns over _mixed_sources.  Each gain then costs one pass
-    of float arithmetic over the rows, every product and sum in
-    feedforward_mix's and evaluate's order, and builds no FieldState; at
-    w = 0 the extra terms are zeros, which leave every sum unchanged.
-    Yields the coefficient column, the moments, T+ and V+_cv.
+    w = g / sqrt(eta).  The rows (K+, P+, variance) are laid out once, over
+    _mixed_rows.  Each gain is then one fused pass over them that forms
+    each coefficient k + w p and squares and weighs it in place, and a
+    pass over the secret's rows for the covariance; no coefficient list
+    and no FieldState is built.  This is bit-identical to evaluate on
+    feedforward_mix's output: each coefficient is lincomb's k + w p, and
+    the variance and covariance terms are the same products, summed in the
+    same order.  At w = 0 the rows only P+ has are zeros, which leave every
+    sum unchanged.  Yields w, the moments, T+ and V+_cv.
     """
-    kp, pp = kept.coeffs_plus, current.beam.coeffs_plus
-    srcs = _mixed_sources(kept, current)
-    k_col = [kp.get(src, 0.0) for src in srcs]
-    p_col = [pp.get(src, 0.0) for src in srcs]
-    v_col = [kept.basis.source_variance(src) for src in srcs]
-    row = {src: i for i, src in enumerate(srcs)}
+    table = _mixed_rows(kept, current)
+    rows = list(table.values())
     # covariance's terms with the secret
-    secret_rows = [(c, row[src]) for src, c in secret.coeffs_plus.items() if src in row]
+    secret_rows = [(a, *table[src]) for src, a in secret.coeffs_plus.items() if src in table]
     ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
     mk, mp = kept.mean_plus, current.beam.mean_plus
     root_eta = math.sqrt(eta)
     for g in gains:
         w = g / root_eta
-        c = [k + w * p for k, p in zip(k_col, p_col)]
-        plus = (ms, vs, mk + w * mp, sum(x * x * v for x, v in zip(c, v_col)))
-        cov = sum(a * c[i] * v_col[i] for a, i in secret_rows)
-        yield (c, plus, *_transfer_and_cv(plus, cov))
+        plus = (ms, vs, mk + w * mp, sum([(x := k + w * p) * x * v for k, p, v in rows]))
+        cov = sum([a * (k + w * p) * v for a, k, p, v in secret_rows])
+        yield (w, plus, *_transfer_and_cv(plus, cov))
 
 
 def feedforward_sweep(
@@ -256,16 +256,14 @@ def feedforward_sweep(
     km = kept.coeffs_minus
     # cross_covariance's terms with K-
     cross_rows = [
-        (i, km[src], kept.basis.source_variance(src))
-        for i, src in enumerate(_mixed_sources(kept, current))
-        if src in km
+        (k, p, km[src], v) for src, (k, p, v) in _mixed_rows(kept, current).items() if src in km
     ]
     minus = _moments(secret, kept, Quad.MINUS)
     t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, kept, Quad.MINUS))
     cross_secret = cross_covariance(secret)
     scores = []
-    for c, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta):
-        cross = cross_secret + sum(c[i] * m * v for i, m, v in cross_rows)
+    for w, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta):
+        cross = cross_secret + sum([(k + w * p) * m * v for k, p, m, v in cross_rows])
         fid = _overlap(plus, minus, cross)
         scores.append(Metrics(fid, t_plus, t_minus, vcv_plus, vcv_minus))
     return scores

@@ -224,13 +224,12 @@ def test_criterion_10_verifier_self_test(capsys, monkeypatch):
     assert main(["verify"]) == 0
     capsys.readouterr()
 
-    true_form = cvqss.metrics.closed_form
+    true_column = cvqss.metrics.ff_cp_column
 
-    def flipped(scheme, r, v_m=0.0, eta=1.0, gain=None):
-        t_q, v_q = true_form(scheme, r, v_m, eta, gain)
-        return (t_q, -v_q) if scheme == "ff_cp" else (t_q, v_q)
+    def flipped(r, v_m, eta, gains):
+        return [(t_q, -v_q) for t_q, v_q in true_column(r, v_m, eta, gains)]
 
-    monkeypatch.setattr(cvqss.metrics, "closed_form", flipped)
+    monkeypatch.setattr(cvqss.metrics, "ff_cp_column", flipped)
     assert main(["verify"]) == 1
     summary = json.loads(capsys.readouterr().out)
     assert summary["failures"][0]["family"] == "feedforward_tv"

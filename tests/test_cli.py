@@ -421,15 +421,12 @@ class TestVerify:
             assert summary["families"][family]["max_deviation"] < 1e-9
 
     def test_flipped_sign_fixture_fails_with_named_tuple(self, capsys, monkeypatch):
-        true_form = cvqss.metrics.closed_form
+        true_column = cvqss.metrics.ff_cp_column
 
-        def flipped(scheme, r, v_m=0.0, eta=1.0, gain=None):
-            t_q, v_q = true_form(scheme, r, v_m, eta, gain)
-            if scheme == "ff_cp":
-                v_q = -v_q
-            return t_q, v_q
+        def flipped(r, v_m, eta, gains):
+            return [(t_q, -v_q) for t_q, v_q in true_column(r, v_m, eta, gains)]
 
-        monkeypatch.setattr(cvqss.metrics, "closed_form", flipped)
+        monkeypatch.setattr(cvqss.metrics, "ff_cp_column", flipped)
         assert main(["verify"]) == 1
         summary = json.loads(capsys.readouterr().out)
         assert summary["pass"] is False

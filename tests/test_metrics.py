@@ -31,6 +31,9 @@ from cvqss import (
     variance,
 )
 
+from cvqss.metrics import ff_cp_column
+from cvqss.noise import MAX_SQUEEZING
+
 from conftest import SECRET_MEANS, dealt
 
 P = Quad.PLUS
@@ -219,6 +222,24 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="closed forms need"):
             form(*args)
 
+    @pytest.mark.parametrize("form, args", [
+        (closed_form, ("sp", 400.0)),
+        (closed_form, ("ff_cp", 400.0, 0.0, 1.0, 2.0)),
+        (closed_form, ("psa2_cp", 400.0)),
+        (fidelity_closed_form, ("psa2", 400.0)),
+        (optimal_gain, (400.0,)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_squeezing_beyond_the_dealers_limit_is_rejected(self, form, args):
+        # DealerConfig refuses r above MAX_SQUEEZING, where e^{2r} overflows
+        with pytest.raises(ValueError, match="squeezing parameter must be at most"):
+            form(*args)
+
+    def test_squeezing_up_to_the_dealers_limit_is_accepted(self):
+        closed_form("psa2_cp", MAX_SQUEEZING)
+        closed_form("ff_cp", MAX_SQUEEZING, 0.0, 1.0, TWO_SQRT2)
+        fidelity_closed_form("psa2", MAX_SQUEEZING)
+        optimal_gain(MAX_SQUEEZING)
+
     def test_psa_and_feedforward_coincide_at_the_cancellation_gain(self):
         # At G = 2 sqrt(2) and eta = 1 the feedforward forms telescope onto
         # the two-PSA ones: same T_q, same V_q product.
@@ -226,6 +247,67 @@ class TestClosedForms:
             ff = closed_form("ff_cp", r, 0.0, 1.0, TWO_SQRT2)
             psa = closed_form("psa2_cp", r)
             assert ff == pytest.approx(psa, rel=1e-12, abs=1e-12)
+
+
+# in and out of the closed forms' domain, without gains large enough to overflow
+_ANY_FLOAT = (
+    st.floats(0.0, 1.0) | st.floats(-1e3, 1e3) | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+def ff_cp_transcribed(r, v_m, eta, g):
+    """The feedforward closed form written out per gain, one expression per term."""
+    em2r, e2r = math.exp(-2.0 * r), math.exp(2.0 * r)
+    sqrt2 = math.sqrt(2.0)
+    signal = (1.0 + g / sqrt2) ** 2
+    noise = (
+        (g / 2.0 - sqrt2) ** 2 * e2r
+        + (1.5 * g) ** 2 * em2r
+        + (2.0 - g / sqrt2) ** 2 * v_m
+        + 3.0 * g * g * (1.0 - eta) / eta
+    )
+    t_q = 1.0 / (1.0 + 2.0 * em2r) + signal / (signal + noise)
+    v_q = (em2r / 18.0) * (
+        9.0 * g * g * em2r
+        + e2r * (g - 2.0 * sqrt2) ** 2
+        + 2.0 * v_m * (g - 2.0 * sqrt2) ** 2
+        + 12.0 * g * g * (1.0 - eta) / eta
+    )
+    return t_q, v_q
+
+
+class TestFeedforwardColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=st.one_of(st.just(0.0), st.floats(0.0, 20.0), st.floats(0.0, MAX_SQUEEZING)),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 100.0), st.floats(0.0, 1e6)),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        gains=st.lists(st.floats(-10.0, 10.0) | st.just(TWO_SQRT2), max_size=6),
+    )
+    def test_each_entry_is_the_single_gain_closed_form(self, r, v_m, eta, gains):
+        # no tolerance: hoisting the per-column terms changes no float
+        # operation; repr equality also matches nan to nan
+        column = repr(ff_cp_column(r, v_m, eta, gains))
+        assert column == repr([closed_form("ff_cp", r, v_m, eta, g) for g in gains])
+        assert column == repr([ff_cp_transcribed(r, v_m, eta, g) for g in gains])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        r=_ANY_FLOAT, v_m=_ANY_FLOAT, eta=_ANY_FLOAT,
+        gains=st.lists(_ANY_FLOAT, min_size=1, max_size=4),
+    )
+    def test_rejects_what_closed_form_rejects(self, r, v_m, eta, gains):
+        rejected = False
+        for g in gains:
+            try:
+                closed_form("ff_cp", r, v_m, eta, g)
+            except ValueError:
+                rejected = True
+        if rejected:
+            with pytest.raises(ValueError):
+                ff_cp_column(r, v_m, eta, gains)
+        else:
+            ff_cp_column(r, v_m, eta, gains)
 
 
 class TestFidelityClosedForm:

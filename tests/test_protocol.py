@@ -522,6 +522,53 @@ class TestFeedforwardTvSweep:
         assert len(calls) == 2 * len(r_values)
 
 
+class TestDerivedBeamKeys:
+    """The algebra builds its beams without FieldState's key check; this
+    checks instead that every key it produces is a registered source."""
+
+    @staticmethod
+    def assert_registered(field, basis):
+        assert field.basis is basis
+        for src in [*field.coeffs_plus, *field.coeffs_minus]:
+            mid, quad = src
+            assert type(mid) is int and type(quad) is Quad, src
+            basis.kind(mid)
+            basis.source_variance(src)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.0, 20.0),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        source=st.sampled_from(EprSource),
+        players=st.sampled_from([(2, 3), (1, 3)]),
+        psa_gain=st.one_of(st.just(PSA_GAIN_OPTIMAL), st.floats(0.01, 100.0)),
+        ff_gain=st.one_of(st.just(0.0), st.just(FF_GAIN_OPTIMAL), st.floats(0.0, 8.0)),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        epsilon=st.floats(0.0, 0.5, exclude_min=True),
+        scale=st.one_of(st.just(FF_SYMPLECTIC_SCALE), st.floats(0.1, 10.0)),
+    )
+    def test_every_pipeline_key_is_a_registered_source(
+        self, r, v_m, source, players, psa_gain, ff_gain, eta, epsilon, scale
+    ):
+        psi, shares = dealt(r, v_m, source)
+        basis = psi.basis
+        kept, detected = collaboration_beams(shares, players)
+        current = detect(detected, eta, shares.detector)
+        raw = reconstruct_ff(shares, ff_gain, eta, players)
+        beams = [
+            *shares[:3],
+            reconstruct_12(shares),
+            reconstruct_2psa(shares, psa_gain, players),
+            raw,
+            current.beam,
+            feedforward_mix(kept, current, ff_gain, epsilon, basis.vacuum()),
+            reconstruct_ff(shares, ff_gain, eta, players, epsilon),
+            symplectic_correct(raw, scale),
+        ]
+        for beam in beams:
+            self.assert_registered(beam, basis)
+
+
 class TestSymplecticCorrect:
     def test_unit_scale_is_identity(self, basis):
         fld = field_from_mode(basis, basis.vacuum(), 1.0, 2.0)

@@ -211,7 +211,7 @@ def tv_curve_records(
     single-player point does not depend on the gain so it appears once per
     family.  Each family is dealt once.  Its feedforward rows print the
     fidelity, so they come from one feedforward_sweep, which scores every
-    gain from precomputed coefficient columns instead of building an output
+    gain from coefficient rows laid out once instead of building an output
     field; every row still equals the run_scenario record of its
     configuration bit for bit.
     """
@@ -317,7 +317,9 @@ def verify_grid(
 
     def record(family: str, values: tuple, sim: tuple, ref: tuple) -> None:
         # a point's params dict is built only when it is the new worst or fails
-        deviation = max(abs(sim[0] - ref[0]), abs(sim[1] - ref[1]))
+        d_t, d_v = abs(sim[0] - ref[0]), abs(sim[1] - ref[1])
+        # a NaN on either side deviates without bound; max() and > would both drop it
+        deviation = math.inf if math.isnan(d_t + d_v) else max(d_t, d_v)
         fam = families.get(family)
         if fam is None:
             fam = families[family] = {"max_deviation": 0.0, "count": 0, "worst": None}

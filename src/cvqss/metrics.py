@@ -2,8 +2,8 @@
 
 Fidelity, per-quadrature signal transfer coefficients T and conditional
 variances V_cv, and the T-V summary pair (T_q = T+ + T-, V_q = V+_cv V-_cv).
-The closed-form expressions act as independent oracles for the simulation
-and vice versa.
+The closed forms are transcribed by hand, not yet derived independently of
+the simulation, so the two cross-check each other but are not oracles.
 """
 
 from __future__ import annotations
@@ -168,7 +168,10 @@ def closed_form(
         return 2.0 / (1.0 + 2.0 * em2r), (2.0 * em2r) ** 2
     if scheme == "sp":
         bulge = math.cosh(2.0 * r) + v_m
-        return 2.0 / (1.0 + bulge), (bulge / 2.0) ** 2
+        try:
+            return 2.0 / (1.0 + bulge), (bulge / 2.0) ** 2
+        except OverflowError:  # float ** raises where * would give inf
+            return 2.0 / (1.0 + bulge), math.inf
     raise ValueError(f"unknown scheme {scheme!r}")
 
 

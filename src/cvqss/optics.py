@@ -135,11 +135,7 @@ def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
 
 
 def feedforward_mix(
-    b: FieldState,
-    current: Photocurrent,
-    total_gain: float,
-    epsilon: float = 0.0,
-    lo_mode: int | None = None,
+    b: FieldState, current: Photocurrent, total_gain: float, epsilon: float = 0.0
 ) -> FieldState:
     """Feed a detected photocurrent forward onto a beam's amplitude quadrature.
 
@@ -151,10 +147,11 @@ def feedforward_mix(
     G sqrt((1-eta)/eta) of detector vacuum.
 
     By default the local-oscillator mixing splitter is taken in its exact
-    high-reflectivity limit.  Passing epsilon > 0, with a fresh vacuum mode
-    standing in for the oscillator's own fluctuations, keeps it finite for
-    sensitivity studies: the kept beam is attenuated by sqrt(1 - epsilon)
-    and sqrt(epsilon) of oscillator vacuum enters both quadratures.
+    high-reflectivity limit.  epsilon > 0 keeps it finite for sensitivity
+    studies: each call registers a fresh vacuum mode on the basis for the
+    oscillator's own fluctuations, the kept beam is attenuated by
+    sqrt(1 - epsilon) and sqrt(epsilon) of that vacuum enters both
+    quadratures.
     """
     if b.basis is not current.beam.basis:
         raise ValueError("photocurrent built over a different noise basis")
@@ -164,14 +161,10 @@ def feedforward_mix(
         raise ValueError("cannot feed forward a dark detector's photocurrent")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("mixing transmission epsilon must be in [0, 1)")
-    if epsilon == 0.0 and total_gain == 0.0:
-        return b
 
     terms = [(math.sqrt(1.0 - epsilon), b)]
     if total_gain != 0.0:
         terms.append(((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam))
     if epsilon > 0.0:
-        if lo_mode is None or b.basis.kind(lo_mode) is not ModeKind.VACUUM:
-            raise ValueError("finite-epsilon mixing needs a fresh vacuum lo_mode")
-        terms.append((math.sqrt(epsilon), field_from_mode(b.basis, lo_mode)))
+        terms.append((math.sqrt(epsilon), field_from_mode(b.basis, b.basis.vacuum())))
     return lincomb(terms)

@@ -12,7 +12,10 @@ from collections import namedtuple
 from collections.abc import Iterator, Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .metrics import Metrics, Moments, _moments, _overlap, _quad_scores, _transfer_and_cv
+from .metrics import (
+    _SQRT2, _SQRT3, _TWO_SQRT2, Metrics, Moments, _moments, _overlap, _quad_scores,
+    _transfer_and_cv,
+)
 from .noise import (
     FieldState, ModeKind, Quad, check_squeezing_limit, covariance, cross_covariance, lincomb,
     variance,
@@ -21,15 +24,15 @@ from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
 # sqrt(G) + 1/sqrt(G) = 2 sqrt(2).
-PSA_GAIN_OPTIMAL = (math.sqrt(2.0) + 1.0) / (math.sqrt(2.0) - 1.0)
+PSA_GAIN_OPTIMAL = (_SQRT2 + 1.0) / (_SQRT2 - 1.0)
 
 # Feedforward loop gain that cancels the anti-squeezed and classical noise
 # terms on the kept beam.
-FF_GAIN_OPTIMAL = 2.0 * math.sqrt(2.0)
+FF_GAIN_OPTIMAL = _TWO_SQRT2
 
 # Symplectic scaling left on the feedforward output at optimal gain:
 # X+ stretched by sqrt(3), X- shrunk by 1/sqrt(3).
-FF_SYMPLECTIC_SCALE = math.sqrt(3.0)
+FF_SYMPLECTIC_SCALE = _SQRT3
 
 _PAIRS = ((2, 3), (1, 3))
 
@@ -52,7 +55,8 @@ class Shares(namedtuple("Shares", "share1 share2 share3 detector")):
     """The three dealt beams and the detector_vacuum mode declared with them.
 
     Every feedforward reconstruction from the shares admixes that mode
-    through its detector's loss port, so reconstructing never grows the basis.
+    through its detector's loss port, so reconstructing grows the basis only
+    by the oscillator vacuum that feedforward_mix registers when epsilon > 0.
     """
 
     __slots__ = ()
@@ -186,11 +190,11 @@ def reconstruct_ff(
     anti-squeezed and classical-modulation terms cancel, leaving a
     symplectically scaled secret: sqrt(3) X+, X-/sqrt(3).  epsilon > 0
     keeps the local-oscillator mixing splitter finite instead of taking its
-    high-reflectivity limit; the closed forms assume epsilon = 0.
+    high-reflectivity limit, and registers a fresh oscillator vacuum mode on
+    the shares' basis; the closed forms assume epsilon = 0.
     """
     kept, (current,) = _feedforward_stages(shares, (gain,), (eta,), players)
-    lo_mode = kept.basis.vacuum() if epsilon > 0.0 else None
-    return feedforward_mix(kept, current, gain, epsilon, lo_mode)
+    return feedforward_mix(kept, current, gain, epsilon)
 
 
 def _mixed_rows(kept: FieldState, current: Photocurrent) -> dict:
@@ -203,24 +207,21 @@ def _mixed_rows(kept: FieldState, current: Photocurrent) -> dict:
 
 
 def _plus_pass(
-    secret: FieldState,
-    kept: FieldState,
-    current: Photocurrent,
-    gains: Sequence[float],
-    eta: float,
+    secret: FieldState, kept: FieldState, current: Photocurrent, gains: Sequence[float]
 ) -> Iterator[tuple[float, Moments, float, float]]:
     """Score the X+ of feedforward_mix(kept, current, g) at each gain g.
 
     That X+ is K+ + w P+, with K the kept beam, P the photocurrent and
-    w = g / sqrt(eta).  The rows (K+, P+, variance) are laid out once, over
-    _mixed_rows.  Each gain is then one fused pass over them that forms
-    each coefficient k + w p and squares and weighs it in place, and a
-    pass over the secret's rows for the covariance; no coefficient list
-    and no FieldState is built.  This is bit-identical to evaluate on
-    feedforward_mix's output: each coefficient is lincomb's k + w p, and
-    the variance and covariance terms are the same products, summed in the
-    same order.  At w = 0 the rows only P+ has are zeros, which leave every
-    sum unchanged.  Yields w, the moments, T+ and V+_cv.
+    w = g / sqrt(eta), eta the photocurrent's own.  The rows (K+, P+,
+    variance) are laid out once, over _mixed_rows.  Each gain is then one
+    fused pass over them that forms each coefficient k + w p and squares
+    and weighs it in place, and a pass over the secret's rows for the
+    covariance; no coefficient list and no FieldState is built.  This is
+    bit-identical to evaluate on feedforward_mix's output: each
+    coefficient is lincomb's k + w p, and the variance and covariance terms
+    are the same products, summed in the same order.  At w = 0 the rows
+    only P+ has are zeros, which leave every sum unchanged.  Yields w, the
+    moments, T+ and V+_cv.
     """
     table = _mixed_rows(kept, current)
     rows = list(table.values())
@@ -228,7 +229,7 @@ def _plus_pass(
     secret_rows = [(a, *table[src]) for src, a in secret.coeffs_plus.items() if src in table]
     ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
     mk, mp = kept.mean_plus, current.beam.mean_plus
-    root_eta = math.sqrt(eta)
+    root_eta = math.sqrt(current.eta)
     for g in gains:
         w = g / root_eta
         plus = (ms, vs, mk + w * mp, sum([(x := k + w * p) * x * v for k, p, v in rows]))
@@ -262,7 +263,7 @@ def feedforward_sweep(
     t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, kept, Quad.MINUS))
     cross_secret = cross_covariance(secret)
     scores = []
-    for w, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta):
+    for w, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains):
         cross = cross_secret + sum([(k + w * p) * m * v for k, p, m, v in cross_rows])
         fid = _overlap(plus, minus, cross)
         scores.append(Metrics(fid, t_plus, t_minus, vcv_plus, vcv_minus))
@@ -288,9 +289,9 @@ def feedforward_tv_sweep(
     return [
         [
             (t_plus + t_minus, vcv_plus * vcv_minus)
-            for _, _, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains, eta)
+            for _, _, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains)
         ]
-        for eta, current in zip(etas, currents)
+        for current in currents
     ]
 
 

@@ -435,6 +435,30 @@ class TestVerify:
         assert first["family"] == "feedforward_tv"
         assert {"r", "v_m", "eta", "gain"} <= set(first["params"])
 
+    def test_a_nan_deviation_is_a_failure(self, monkeypatch):
+        true_form = cvqss.metrics.closed_form
+
+        def nan_sp(scheme, *args, **kwargs):
+            t_q, v_q = true_form(scheme, *args, **kwargs)
+            return (t_q, math.nan) if scheme == "sp" else (t_q, v_q)
+
+        monkeypatch.setattr(cvqss.metrics, "closed_form", nan_sp)
+        summary = verify_grid(r_values=(0.0, 0.5), vm_values=(0.0,), eta_values=(1.0,),
+                              gains=(TWO_SQRT2,))
+        assert summary["pass"] is False
+        failed = [(f["family"], f["params"]["player"]) for f in summary["failures"]]
+        assert failed == [("single_player", 1), ("single_player", 2)] * 2
+        assert all(f["deviation"] == math.inf for f in summary["failures"])
+        assert summary["families"]["single_player"]["max_deviation"] == math.inf
+
+    def test_squeezing_past_the_single_player_overflow_fails_instead_of_raising(self):
+        summary = verify_grid(r_values=(200.0,), vm_values=(0.0,), eta_values=(1.0,),
+                              gains=(TWO_SQRT2,))
+        assert summary["pass"] is False
+        players = [f["params"]["player"] for f in summary["failures"]
+                   if f["family"] == "single_player"]
+        assert players == [1, 2]
+
     def test_verify_grid_shape(self):
         summary = verify_grid(r_values=(0.0, 0.5), vm_values=(0.0,), eta_values=(1.0,),
                               gains=(0.0, TWO_SQRT2))

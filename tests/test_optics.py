@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqss import (
+    ModeKind,
     NoiseBasis,
     Quad,
     beam_splitter,
@@ -237,6 +238,28 @@ class TestFeedforwardMix:
         assert out.coeff(Quad.PLUS, (d, Quad.PLUS)) == pytest.approx(
             0.9428090415820634, abs=1e-12
         )
+
+    def test_finite_epsilon_registers_one_oscillator_vacuum_per_call(self, basis):
+        b = field_from_mode(basis, basis.squeezed(0.5), 1.0, -1.0)
+        c = field_from_mode(basis, basis.vacuum())
+        current = detect(c, 0.8, basis.detector())
+        lo = len(basis)  # the id the next registered mode gets
+        first = feedforward_mix(b, current, 1.7, 0.1)
+        second = feedforward_mix(b, current, 1.7, 0.1)
+        assert len(basis) == lo + 2
+        for out, mode, other in ((first, lo, lo + 1), (second, lo + 1, lo)):
+            assert basis.kind(mode) is ModeKind.VACUUM
+            for quad in (Quad.PLUS, Quad.MINUS):
+                assert out.coeff(quad, (mode, quad)) == math.sqrt(0.1)
+                assert out.coeff(quad, (other, quad)) == 0.0
+
+    def test_zero_epsilon_registers_nothing(self, basis):
+        b = field_from_mode(basis, basis.vacuum(), 1.0, 1.0)
+        current = detect(field_from_mode(basis, basis.vacuum()), 1.0, basis.detector())
+        before = len(basis)
+        feedforward_mix(b, current, 1.7)
+        feedforward_mix(b, current, 0.0)
+        assert len(basis) == before
 
     def test_phase_quadrature_untouched(self, basis):
         b = field_from_mode(basis, basis.squeezed(0.5), 1.0, -1.0)

@@ -561,7 +561,7 @@ class TestDerivedBeamKeys:
             reconstruct_2psa(shares, psa_gain, players),
             raw,
             current.beam,
-            feedforward_mix(kept, current, ff_gain, epsilon, basis.vacuum()),
+            feedforward_mix(kept, current, ff_gain, epsilon),
             reconstruct_ff(shares, ff_gain, eta, players, epsilon),
             symplectic_correct(raw, scale),
         ]
@@ -673,7 +673,7 @@ def _mix(gain, epsilon=0.0):
     shares = _shares()
     kept, detected = collaboration_beams(shares)
     current = detect(detected, 1.0, shares.detector)
-    return feedforward_mix(kept, current, gain, epsilon, kept.basis.vacuum())
+    return feedforward_mix(kept, current, gain, epsilon)
 
 
 @pytest.mark.parametrize(

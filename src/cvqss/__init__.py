@@ -12,7 +12,6 @@ from .entanglement import (
     duan_sum,
     epr_type1,
     epr_type2,
-    is_entangled,
 )
 from .metrics import (
     Metrics,
@@ -36,7 +35,6 @@ from .noise import (
     Quad,
     covariance,
     field_from_mode,
-    fields_close,
     lincomb,
     variance,
 )
@@ -63,7 +61,6 @@ from .protocol import (
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
-    secret_coefficient,
     single_quadrature_readout,
     symplectic_correct,
 )

@@ -21,13 +21,15 @@ from collections.abc import Sequence
 from . import metrics
 from .metrics import (
     Metrics,
-    _quad_scores,
+    _pair,
     _require_finite,
+    _scores,
+    conditional_variance,
     evaluate,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
-    tv_point,
+    transfer_coefficient,
 )
 from .noise import FieldState, NoiseBasis, Quad, covariance, field_from_mode, variance
 from .protocol import (
@@ -36,9 +38,8 @@ from .protocol import (
     PSA_GAIN_OPTIMAL,
     DealerConfig,
     Shares,
+    _feedforward_tallies,
     deal,
-    feedforward_sweep,
-    feedforward_tv_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -167,7 +168,8 @@ def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldStat
     """
     if cfg.scheme != "single_quadrature":
         return _row(cfg, gain, _score_columns(evaluate(secret, out)))
-    t, vcv = _quad_scores(secret, out, cfg.quadrature)
+    t, vcv = transfer_coefficient(secret, out, cfg.quadrature), conditional_variance(
+        secret, out, cfg.quadrature)
     if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
         return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
     return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0), ("vcv_plus", "v_q"))
@@ -209,25 +211,28 @@ def tv_curve_records(
 
     One family per entry of vm_dbs (None meaning no added modulation); the
     single-player point does not depend on the gain so it appears once per
-    family.  Each family is dealt once.  Its feedforward rows print the
-    fidelity, so they come from one feedforward_sweep, which scores every
-    gain from coefficient rows laid out once instead of building an output
-    field; every row still equals the run_scenario record of its
-    configuration bit for bit.
+    family.  No coefficient depends on v_m, so one deal serves every
+    family: each output is built and tallied once, and each family scores
+    the tallies under its class variances.  Every row equals the
+    run_scenario record of its configuration bit for bit.
     """
     if not gains:
         raise ValueError("gain sweep must be nonempty")
     if list(gains) != sorted(gains):
         raise ValueError("gain sweep must be monotone increasing")
     floats = [float(g) for g in gains]
+    secret, shares = _dealt(r, 0.0, secret_means, EprSource(source))
+    minus, [(pluses, crosses)] = _feedforward_tallies(secret, shares, floats, (eta,), (2, 3), True)
+    single_pair = _pair(secret, shares.share1, cross=True)
     rows = []
     for vm_db in vm_dbs:
         ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
         single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
-        secret, shares = _dealt(r, ff.v_m, secret_means, EprSource(source))
-        swept = feedforward_sweep(secret, shares, floats, eta)
+        variances = secret.basis.class_variances(r, ff.v_m)
+        swept = _scores(variances, pluses, minus, crosses)
         rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
-        rows.append(_record(single, _resolve_gain(single, shares), secret, shares.share1))
+        (m,) = _scores(variances, *single_pair)
+        rows.append(_row(single, _resolve_gain(single, shares), _score_columns(m)))
     return rows
 
 
@@ -245,8 +250,9 @@ def table_entries(
 
     Conditions: without/with entanglement (clas/quan, r = 0 or r_large) and
     without/with added classical noise (vm = 0 or vm_db_large).  V_q above
-    cap is reported as infinity.  Each condition is dealt once and scores
-    all six subsets from the same shares.
+    cap is reported as infinity.  No coefficient depends on (r, v_m), so
+    one deal serves all four conditions: each output is tallied once and
+    scored under each condition's class variances.
     """
     if vm_db_large >= MAX_VM_DB:
         raise ValueError(f"--vm-db-large must be below {MAX_VM_DB!r} dB")
@@ -257,16 +263,20 @@ def table_entries(
         ("quan_noise", r_large, 10.0 ** (vm_db_large / 10.0)),
     )
     subsets = ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}")
+    secret, shares = _dealt(0.0, 0.0, means)
+    pairs = ((1, 3), (2, 3))
+    outs = [shares.share1, shares.share2, shares.share3, reconstruct_12(shares)]
+    outs += [reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players) for players in pairs]
+    pairs_tallied = [_pair(secret, out) for out in outs]
     rows = []
     for cond, r, v_m in conditions:
-        secret, shares = _dealt(r, v_m, means)
-        points = [tv_point(secret, shares.share(i)) for i in (1, 2, 3)]
-        points.append(tv_point(secret, reconstruct_12(shares)))
-        for players in ((1, 3), (2, 3)):
-            ff = tv_point(secret, reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players))
-            direct = points[players[0] - 1]
+        DealerConfig(r, v_m)  # each condition passes the dealer's checks
+        variances = secret.basis.class_variances(r, v_m)
+        points = [_scores(variances, *pair)[0] for pair in pairs_tallied]
+        for i, players in enumerate(pairs, 4):
+            ff, direct = points[i], points[players[0] - 1]
             # both strategies are available to the pair; report the better transfer
-            points.append(ff if ff[0] >= direct[0] else direct)
+            points[i] = ff if ff[0] >= direct[0] else direct
         for subset, (t_q, v_q) in zip(subsets, points):
             rows.append(
                 {
@@ -305,12 +315,13 @@ def verify_grid(
 ) -> dict:
     """Compare simulated metrics with the closed forms over a full grid.
 
-    Each (r, v_m) is dealt once, and every family is scored from that deal.
     At every (r, v_m): single_player for players 1 and 2, and feedforward_tv
     (T_q, V_q) at every (eta, gain).  Where v_m == 0, since their closed
     forms assume an unmodulated dealer: psa2_tv at the optimal PSA gain, and
     feedforward_fidelity (raw and after symplectic correction) at the
-    cancellation gain, the only family that computes a fidelity.
+    cancellation gain, the only family that computes a fidelity.  The grid
+    is dealt and tallied once; each (r, v_m) scores the tallies under its
+    class variances, bit for bit as a fresh deal there would.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
@@ -331,26 +342,28 @@ def verify_grid(
             params = dict(zip(_VERIFY_PARAMS[family], values))
             failures.append({"family": family, "params": params, "deviation": deviation})
 
+    secret, shares = _dealt(0.0, 0.0, DEFAULT_MEANS)
+    singles = [_pair(secret, shares.share(player)) for player in (1, 2)]
+    minus, passes = _feedforward_tallies(secret, shares, gains, eta_values, (2, 3))
+    psa2 = _pair(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
+    out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
+    fidelities = [_pair(secret, fld, cross=True)
+                  for fld in (out, symplectic_correct(out, FF_SYMPLECTIC_SCALE))]
     for r in r_values:
         for v_m in vm_values:
-            secret, shares = _dealt(r, v_m, DEFAULT_MEANS)
+            DealerConfig(r, v_m)  # each point passes the dealer's checks
+            variances = secret.basis.class_variances(r, v_m)
             ref = metrics.closed_form("sp", r, v_m)
-            for player in (1, 2):
-                sim = tv_point(secret, shares.share(player))
-                record("single_player", (r, v_m, player), sim, ref)
-            sweeps = feedforward_tv_sweep(secret, shares, gains, eta_values)
-            for eta, sweep in zip(eta_values, sweeps):
+            for player, pair in zip((1, 2), singles):
+                record("single_player", (r, v_m, player), _scores(variances, *pair)[0], ref)
+            for eta, (pluses, _) in zip(eta_values, passes):
                 refs = metrics.ff_cp_column(r, v_m, eta, gains)
-                for g, sim, ref in zip(gains, sweep, refs):
+                for g, sim, ref in zip(gains, _scores(variances, pluses, minus), refs):
                     record("feedforward_tv", (r, v_m, eta, g), sim, ref)
             if v_m != 0.0:
                 continue
-            sim = tv_point(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
-            record("psa2_tv", (r,), sim, metrics.closed_form("psa2_cp", r))
-
-            out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-            corrected = symplectic_correct(out, FF_SYMPLECTIC_SCALE)
-            sim = (metrics.fidelity(secret, out), metrics.fidelity(secret, corrected))
+            record("psa2_tv", (r,), _scores(variances, *psa2)[0], metrics.closed_form("psa2_cp", r))
+            sim = tuple(_scores(variances, *pair)[0].fidelity for pair in fidelities)
             ref = (metrics.fidelity_closed_form("ff", r, DEFAULT_MEANS),
                    metrics.fidelity_closed_form("psa2", r))
             record("feedforward_fidelity", (r,), sim, ref)

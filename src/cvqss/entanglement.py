@@ -63,7 +63,3 @@ def duan_sum(pair: EprPair) -> float:
     """
     joint = lincomb([(1.0, pair.beam1), ((1.0, 0.0, 0.0, -1.0), pair.beam2)])
     return variance(joint, Quad.PLUS) + variance(joint, Quad.MINUS)
-
-
-def is_entangled(pair: EprPair) -> bool:
-    return duan_sum(pair) < DUAN_SEPARABLE_BOUND - 1e-9

@@ -2,6 +2,8 @@
 
 Fidelity, per-quadrature signal transfer coefficients T and conditional
 variances V_cv, and the T-V summary pair (T_q = T+ + T-, V_q = V+_cv V-_cv).
+Second moments sum squared coefficients per variance class; V_cv sums every
+source but the secret's own, so it takes no V_out - cov^2/V_s difference.
 The closed forms are transcribed by hand, not yet derived independently of
 the simulation, so the two cross-check each other but are not oracles.
 """
@@ -12,7 +14,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .noise import FieldState, Quad, check_squeezing_limit, covariance, cross_covariance, variance
+from .noise import FieldState, Quad, check_squeezing_limit, variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -38,29 +40,100 @@ class Metrics(namedtuple("Metrics", "fidelity t_plus t_minus vcv_plus vcv_minus"
         return self.vcv_plus * self.vcv_minus
 
 
+# One quadrature of a (secret, output) pair: (secret mean, secret variance,
+# output mean, output variance).
+Moments = tuple[float, float, float, float]
+
+# One quadrature of a (secret, output) pair by variance class: (secret mean,
+# a^2 for the secret's coefficient a on its one source, output mean, c^2 for
+# the output's on that source, the source's class, and the output's other
+# c_k^2 summed per class id), which _moments scores under any class variances.
+Tally = tuple[float, float, float, float, int, list]
+
+
+def _dot(weights: list[float], variances: Sequence[float]) -> float:
+    return sum([w * v for w, v in zip(weights, variances)], 0.0)
+
+
+def _tally(secret: FieldState, out: FieldState, quad: Quad) -> Tally:
+    if secret.basis is not out.basis:
+        raise ValueError("fields live on different noise bases")
+    if len(secret.coeffs(quad)) != 1:
+        raise ValueError("the secret must have exactly one noise source per quadrature")
+    ((own, a),) = secret.coeffs(quad).items()
+    classes, weights, own2 = out.basis._classes, [0.0] * len(out.basis._class_variances), 0.0
+    for src, c in out.coeffs(quad).items():
+        if src == own:
+            own2 = c * c
+        else:
+            weights[classes[src]] += c * c
+    return secret.mean(quad), a * a, out.mean(quad), own2, classes[own], weights
+
+
+def _cross(secret: FieldState, out: FieldState) -> list[float]:
+    """Both beams' X+ X- coefficient products summed per class, for _overlap."""
+    if secret.basis is not out.basis:
+        raise ValueError("fields live on different noise bases")
+    classes, dense = out.basis._classes, [0.0] * len(out.basis._class_variances)
+    for fld in (secret, out):
+        cm = fld.coeffs_minus
+        for src, c in fld.coeffs_plus.items():
+            if src in cm:
+                dense[classes[src]] += c * cm[src]
+    return dense
+
+
+def _moments(tally: Tally, variances: Sequence[float]) -> tuple[Moments, float]:
+    """A tallied quadrature's moments under these class variances, and its
+    V_cv: the output's weights alone.  V_out adds the secret's source back."""
+    ms, a2, mo, own2, own, weights = tally
+    vcv = sum([w * v for w, v in zip(weights, variances)], 0.0)  # _dot, inline on the hot path
+    return (ms, a2 * variances[own], mo, vcv + own2 * variances[own]), vcv
+
+
+def _transfer(moments: Moments) -> float:
+    ms, vs, mo, vo = moments
+    if ms * ms == 0.0:  # also a mean so small that its square underflows
+        raise ValueError(_ZERO_SECRET_MEAN)
+    return (mo * mo / vo) / (ms * ms / vs)
+
+
+def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, crosses=None) -> list:
+    """(T_q, V_q) of each X+ tally in pluses paired with one X- tally under
+    these class variances; given each one's _cross weights, its Metrics."""
+    mm, vcv_minus = _moments(minus, variances)
+    t_minus = _transfer(mm)
+    scored = [_moments(plus, variances) for plus in pluses]
+    if crosses is None:
+        return [(_transfer(mp) + t_minus, vcv_plus * vcv_minus) for mp, vcv_plus in scored]
+    return [
+        Metrics(_overlap(mp, mm, _dot(cw, variances)), _transfer(mp), t_minus,
+                vcv_plus, vcv_minus)
+        for (mp, vcv_plus), cw in zip(scored, crosses)
+    ]
+
+
+def _pair(secret: FieldState, out: FieldState, cross: bool = False) -> tuple:
+    """_scores' arguments after the variances for one (secret, output) pair."""
+    plus, minus = (_tally(secret, out, quad) for quad in Quad)
+    return [plus], minus, [_cross(secret, out)] if cross else None
+
+
 def fidelity(secret: FieldState, out: FieldState) -> float:
     """Overlap tr(rho_s rho_out) of two Gaussian states: their fidelity when either is pure.
 
     F = 2/sqrt(det S) exp(-d^T S^-1 d / 2), S = sigma_s + sigma_out the sum
     of the covariance matrices and d the difference of the means; for two
-    coherent states this is exp(-|alpha - beta|^2).
+    coherent states this is exp(-|alpha - beta|^2).  It reads totals only,
+    so any pure state may stand as the secret.
     """
-    return _overlap(
-        _moments(secret, out, Quad.PLUS),
-        _moments(secret, out, Quad.MINUS),
-        cross_covariance(secret) + cross_covariance(out),
-    )
-
-
-# One quadrature of a (secret, output) pair: (secret mean, secret variance,
-# output mean, output variance).  The scores below are float arithmetic on
-# these and on the covariances, so the feedforward sweeps can supply them
-# without building the output field.
-Moments = tuple[float, float, float, float]
-
-
-def _moments(secret: FieldState, out: FieldState, quad: Quad) -> Moments:
-    return secret.mean(quad), variance(secret, quad), out.mean(quad), variance(out, quad)
+    variances = out.basis._class_variances
+    if all(len(secret.coeffs(quad)) == 1 for quad in Quad):
+        plus, minus = (_moments(_tally(secret, out, quad), variances)[0] for quad in Quad)
+    else:  # no one source to keep apart: plain totals
+        plus, minus = ((secret.mean(q), variance(secret, q), out.mean(q), variance(out, q))
+                       for q in Quad)
+    return _overlap(plus, minus, _dot(_cross(secret, out), variances))
 
 
 def _overlap(plus: Moments, minus: Moments, cross: float) -> float:
@@ -82,47 +155,26 @@ def _overlap(plus: Moments, minus: Moments, cross: float) -> float:
 
 def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> float:
     """T = SNR_out / SNR_secret for one quadrature, SNR = <X>^2 / V."""
-    return _quad_scores(secret, out, quad)[0]
+    return _transfer(_moments(_tally(secret, out, quad), out.basis._class_variances)[0])
 
 
 def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> float:
-    """V_cv = V_out - |<dX_s dX_out>|^2 / V_s: output noise the input does not explain."""
-    cov = covariance(secret, out, quad)
-    return variance(out, quad) - cov * cov / variance(secret, quad)
+    """V_cv = V_out - |<dX_s dX_out>|^2 / V_s: output noise the input does not explain.
 
-
-def _transfer_and_cv(moments: Moments, cov: float) -> tuple[float, float]:
-    """(T, V_cv) of one quadrature from its moments and the secret-output covariance.
-
-    V_cv's arithmetic is conditional_variance's, so the two are bit-identical;
-    conditional_variance stays separate because it accepts a zero secret mean.
+    For a secret with one source s in quad that is sum_k c_k^2 v_k over the
+    output's other sources k, summed per class; other secrets raise ValueError.
     """
-    ms, vs, mo, vo = moments
-    if ms * ms == 0.0:  # also a mean so small that its square underflows
-        raise ValueError(_ZERO_SECRET_MEAN)
-    return (mo * mo / vo) / (ms * ms / vs), vo - cov * cov / vs
-
-
-def _quad_scores(secret: FieldState, out: FieldState, quad: Quad) -> tuple[float, float]:
-    """(T, V_cv) of one quadrature of a (secret, output) pair."""
-    return _transfer_and_cv(_moments(secret, out, quad), covariance(secret, out, quad))
+    return _moments(_tally(secret, out, quad), out.basis._class_variances)[1]
 
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
     """(T_q, V_q) for the T-V diagram; ideal reconstruction sits at (2, 0)."""
-    t_plus, vcv_plus = _quad_scores(secret, out, Quad.PLUS)
-    t_minus, vcv_minus = _quad_scores(secret, out, Quad.MINUS)
-    return t_plus + t_minus, vcv_plus * vcv_minus
+    return _scores(out.basis._class_variances, *_pair(secret, out))[0]
 
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    plus = _moments(secret, out, Quad.PLUS)
-    minus = _moments(secret, out, Quad.MINUS)
-    t_plus, vcv_plus = _transfer_and_cv(plus, covariance(secret, out, Quad.PLUS))
-    t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, out, Quad.MINUS))
-    cross = cross_covariance(secret) + cross_covariance(out)
-    return Metrics(_overlap(plus, minus, cross), t_plus, t_minus, vcv_plus, vcv_minus)
+    return _scores(out.basis._class_variances, *_pair(secret, out, cross=True))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,17 @@ class NoiseBasis:
     """Append-only registry of the noise modes active in one scenario.
 
     A mode is its kind plus its two quadrature variances, each stored once.
+    Each source falls in a variance class, one per (kind, quadrature,
+    variance), numbered in registration order, by which the metrics sum.
     """
 
     def __init__(self) -> None:
         self._kinds: list[ModeKind] = []
         # Variance of every registered source, read by the algebra below.
         self._variances: dict[Source, float] = {}
+        self._classes: dict[Source, int] = {}
+        self._class_ids: dict[tuple[ModeKind, Quad, float], int] = {}
+        self._class_variances: list[float] = []  # by class id
 
     def __len__(self) -> int:
         return len(self._kinds)
@@ -106,8 +111,10 @@ class NoiseBasis:
                 raise ValueError("classical modulation is symmetric: v_plus = v_minus")
         mid = len(self._kinds)
         self._kinds.append(kind)
-        self._variances[(mid, Quad.PLUS)] = v_plus
-        self._variances[(mid, Quad.MINUS)] = v_minus
+        for quad, v in ((Quad.PLUS, v_plus), (Quad.MINUS, v_minus)):
+            self._variances[(mid, quad)] = v
+            self._classes[(mid, quad)] = self._class_ids.setdefault((kind, quad, v), len(self._class_ids))
+        self._class_variances = [v for _, _, v in self._class_ids]
         return mid
 
     # Convenience constructors for the four kinds in use.
@@ -130,6 +137,17 @@ class NoiseBasis:
 
     def source_variance(self, source: Source) -> float:
         return self._variances[source]
+
+    def class_variances(self, r: float, v_m: float) -> list[float]:
+        """The class variances had each squeezed mode been registered by squeezed(r)
+        and each modulation mode by modulation(v_m): a type-1 deal's beams score
+        under these as a fresh deal's at (r, v_m), bit for bit."""
+        squeezed = {Quad.PLUS: math.exp(-2.0 * r), Quad.MINUS: math.exp(2.0 * r)}
+        return [
+            squeezed[quad] if kind is ModeKind.SQUEEZED
+            else v_m if kind is ModeKind.CLASSICAL_MODULATION else v
+            for kind, quad, v in self._class_ids
+        ]
 
 
 def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
@@ -237,12 +255,6 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     return sum(c * cb[src] * table[src] for src, c in ca.items() if src in cb)
 
 
-def cross_covariance(fld: FieldState) -> float:
-    """<dX+ dX-> of one beam: nonzero once an element mixes its quadratures."""
-    cm, table = fld.coeffs_minus, fld.basis._variances
-    return sum(c * cm[src] * table[src] for src, c in fld.coeffs_plus.items() if src in cm)
-
-
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:
     # An empty out skips the 0.0 + k * x: that sum differs from k * x only
     # for -0.0, and _prune drops both zeros.
@@ -290,16 +302,3 @@ def lincomb(terms: Iterable[tuple[Weight, FieldState]]) -> FieldState:
             mean_m += d * fld.mean_minus
             _accumulate(cm, fld.coeffs_minus, d)
     return _derived_field(basis, mean_p, mean_m, _prune(cp), _prune(cm))
-
-
-def fields_close(a: FieldState, b: FieldState, atol: float = COEFF_ATOL) -> bool:
-    """True when means and every fluctuation coefficient agree within atol."""
-    if a.basis is not b.basis:
-        return False
-    if abs(a.mean_plus - b.mean_plus) > atol or abs(a.mean_minus - b.mean_minus) > atol:
-        return False
-    for quad in Quad:
-        for src in set(a.coeffs(quad)) | set(b.coeffs(quad)):
-            if abs(a.coeff(quad, src) - b.coeff(quad, src)) > atol:
-                return False
-    return True

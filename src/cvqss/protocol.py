@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import (
-    _SQRT2, _SQRT3, _TWO_SQRT2, Metrics, Moments, _moments, _overlap, _quad_scores,
-    _transfer_and_cv,
+    _SQRT2, _SQRT3, _TWO_SQRT2, Metrics, Tally, _cross, _scores, _tally,
 )
-from .noise import (
-    FieldState, ModeKind, Quad, check_squeezing_limit, covariance, cross_covariance, lincomb,
-    variance,
-)
+from .noise import FieldState, ModeKind, Quad, check_squeezing_limit, lincomb
 from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -197,44 +193,20 @@ def reconstruct_ff(
     return feedforward_mix(kept, current, gain, epsilon)
 
 
-def _mixed_rows(kept: FieldState, current: Photocurrent) -> dict:
-    """(K+, P+, variance) of each source of the mixed beam's X+, in the order
-    lincomb gives them: K+'s sources, then the ones only P+ has."""
-    kp, pp = kept.coeffs_plus, current.beam.coeffs_plus
-    variance_of = kept.basis.source_variance
-    srcs = list(kp) + [src for src in pp if src not in kp]
-    return {src: (kp.get(src, 0.0), pp.get(src, 0.0), variance_of(src)) for src in srcs}
-
-
-def _plus_pass(
-    secret: FieldState, kept: FieldState, current: Photocurrent, gains: Sequence[float]
-) -> Iterator[tuple[float, Moments, float, float]]:
-    """Score the X+ of feedforward_mix(kept, current, g) at each gain g.
-
-    That X+ is K+ + w P+, with K the kept beam, P the photocurrent and
-    w = g / sqrt(eta), eta the photocurrent's own.  The rows (K+, P+,
-    variance) are laid out once, over _mixed_rows.  Each gain is then one
-    fused pass over them that forms each coefficient k + w p and squares
-    and weighs it in place, and a pass over the secret's rows for the
-    covariance; no coefficient list and no FieldState is built.  This is
-    bit-identical to evaluate on feedforward_mix's output: each
-    coefficient is lincomb's k + w p, and the variance and covariance terms
-    are the same products, summed in the same order.  At w = 0 the rows
-    only P+ has are zeros, which leave every sum unchanged.  Yields w, the
-    moments, T+ and V+_cv.
-    """
-    table = _mixed_rows(kept, current)
-    rows = list(table.values())
-    # covariance's terms with the secret
-    secret_rows = [(a, *table[src]) for src, a in secret.coeffs_plus.items() if src in table]
-    ms, vs = secret.mean_plus, variance(secret, Quad.PLUS)
-    mk, mp = kept.mean_plus, current.beam.mean_plus
-    root_eta = math.sqrt(current.eta)
-    for g in gains:
-        w = g / root_eta
-        plus = (ms, vs, mk + w * mp, sum([(x := k + w * p) * x * v for k, p, v in rows]))
-        cov = sum([a * (k + w * p) * v for a, k, p, v in secret_rows])
-        yield (w, plus, *_transfer_and_cv(plus, cov))
+def _feedforward_tallies(
+    secret: FieldState, shares: Shares, gains: Sequence[float], etas: Sequence[float],
+    players: tuple[int, int], cross: bool = False,
+) -> tuple[Tally, list[tuple[list[Tally], list | None]]]:
+    """Tallies of reconstruct_ff's outputs at every (eta, gain), bit for bit: one
+    X- tally, the kept beam's, for all, and per eta the X+ tallies over gains
+    (with cross, also their _cross weights).  The splitter runs once."""
+    kept, currents = _feedforward_stages(shares, gains, etas, players)
+    passes = []
+    for current in currents:
+        outs = [feedforward_mix(kept, current, g) for g in gains]
+        passes.append(([_tally(secret, out, Quad.PLUS) for out in outs],
+                       [_cross(secret, out) for out in outs] if cross else None))
+    return _tally(secret, kept, Quad.MINUS), passes
 
 
 def feedforward_sweep(
@@ -246,28 +218,11 @@ def feedforward_sweep(
 ) -> list[Metrics]:
     """evaluate(secret, reconstruct_ff(shares, g, eta, players)) at each gain g, bit for bit.
 
-    secret is the coherent secret the shares were dealt from.  The output
-    is X+ = K+ + w P+ and X- = K- (kept beam K, photocurrent P), so only X+
-    moves with the gain: the splitter, the detection and the X- scores run
-    once, and each gain costs one _plus_pass step plus the X+/X- cross
-    term the fidelity needs.  Use feedforward_tv_sweep when only
-    (T_q, V_q) is read.
+    secret is the coherent secret the shares were dealt from.  The stages
+    before the mix and the X- scores run once; see _feedforward_tallies.
     """
-    kept, (current,) = _feedforward_stages(shares, gains, (eta,), players)
-    km = kept.coeffs_minus
-    # cross_covariance's terms with K-
-    cross_rows = [
-        (k, p, km[src], v) for src, (k, p, v) in _mixed_rows(kept, current).items() if src in km
-    ]
-    minus = _moments(secret, kept, Quad.MINUS)
-    t_minus, vcv_minus = _transfer_and_cv(minus, covariance(secret, kept, Quad.MINUS))
-    cross_secret = cross_covariance(secret)
-    scores = []
-    for w, plus, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains):
-        cross = cross_secret + sum([(k + w * p) * m * v for k, p, m, v in cross_rows])
-        fid = _overlap(plus, minus, cross)
-        scores.append(Metrics(fid, t_plus, t_minus, vcv_plus, vcv_minus))
-    return scores
+    minus, [(pluses, crosses)] = _feedforward_tallies(secret, shares, gains, (eta,), players, True)
+    return _scores(secret.basis._class_variances, pluses, minus, crosses)
 
 
 def feedforward_tv_sweep(
@@ -279,20 +234,12 @@ def feedforward_tv_sweep(
 ) -> list[list[tuple[float, float]]]:
     """tv_point(secret, reconstruct_ff(shares, g, eta, players)), bit for bit.
 
-    One list per eta in etas, one (T_q, V_q) per gain g in gains.  Like
-    feedforward_sweep, but it computes no fidelity, and the 2/3 splitter
-    and the X- scores (the kept beam's, the same at every eta) run once for
-    all etas: only the detection and the X+ pass run per eta.
+    One list per eta in etas, one (T_q, V_q) per gain g in gains: like
+    feedforward_sweep without the fidelity, and with one splitter and X-
+    tally for all etas.
     """
-    kept, currents = _feedforward_stages(shares, gains, etas, players)
-    t_minus, vcv_minus = _quad_scores(secret, kept, Quad.MINUS)
-    return [
-        [
-            (t_plus + t_minus, vcv_plus * vcv_minus)
-            for _, _, t_plus, vcv_plus in _plus_pass(secret, kept, current, gains)
-        ]
-        for current in currents
-    ]
+    minus, passes = _feedforward_tallies(secret, shares, gains, etas, players)
+    return [_scores(secret.basis._class_variances, pluses, minus) for pluses, _ in passes]
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:
@@ -315,10 +262,4 @@ def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
     reconstructing the state.
     """
     return lincomb([(1.0, shares.share2), (gain, shares.share3)])
-
-
-def secret_coefficient(out: FieldState, secret: FieldState, quad: Quad) -> float:
-    """Weight of the secret's own noise mode inside an output quadrature."""
-    (src,) = secret.coeffs(quad)
-    return out.coeff(quad, src)
 

@@ -25,7 +25,6 @@ from cvqss import (
     duan_sum,
     epr_type1,
     fidelity,
-    is_entangled,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -35,7 +34,7 @@ from cvqss import (
 )
 from cvqss.cli import main
 
-from conftest import dealt
+from conftest import dealt, is_entangled
 from test_protocol import assert_coeffs, mode_ids
 
 P = Quad.PLUS

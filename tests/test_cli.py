@@ -13,16 +13,21 @@ import cvqss.cli
 import cvqss.metrics
 from cvqss import (
     FF_GAIN_OPTIMAL,
+    FF_SYMPLECTIC_SCALE,
     PSA_GAIN_OPTIMAL,
+    DealerConfig,
     EprSource,
+    Metrics,
     Quad,
     collaboration_beams,
     covariance,
+    fidelity,
     optimal_gain,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
     single_quadrature_readout,
+    symplectic_correct,
     tv_point,
     variance,
 )
@@ -311,6 +316,20 @@ class TestTvCurve:
         assert repr(tv_curve_records(r, gains, vm_dbs, eta, means, source)) == repr(expected)
 
 
+def _capture_scores(monkeypatch):
+    """Record every score the CLI's drivers compute, in order."""
+    scored = []
+    real = cvqss.cli._scores
+
+    def capturing(*args):
+        result = real(*args)
+        scored.extend(result)
+        return result
+
+    monkeypatch.setattr(cvqss.cli, "_scores", capturing)
+    return scored
+
+
 def _table_by_subset(r_large, vm_db_large, cap, means):
     """Reference table: one deal per (subset, condition) entry."""
     conditions = (
@@ -354,6 +373,17 @@ class TestTable:
     def test_matches_one_deal_per_entry(self, r_large, vm_db_large, cap, means):
         expected = _table_by_subset(r_large, vm_db_large, cap, means)
         assert repr(table_entries(r_large, vm_db_large, cap, means)) == repr(expected)
+
+    def test_unrounded_points_are_a_fresh_deals(self, monkeypatch):
+        scored = _capture_scores(monkeypatch)
+        table_entries(2.0, 20.0)
+        fresh = []
+        for r, v_m in ((0.0, 0.0), (0.0, 100.0), (2.0, 0.0), (2.0, 100.0)):
+            psi, shares = dealt(r, v_m)
+            outs = [*shares[:3], reconstruct_12(shares)]
+            outs += [reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, pair) for pair in ((1, 3), (2, 3))]
+            fresh += [tv_point(psi, out) for out in outs]
+        assert repr(scored) == repr(fresh)
 
     def test_has_24_entries(self):
         rows = table_entries()
@@ -466,6 +496,7 @@ class TestVerify:
         assert summary["families"]["feedforward_tv"]["count"] == 4
 
     def test_each_dealer_configuration_is_dealt_once(self, monkeypatch):
+        # no coefficient depends on (r, v_m): one deal scores every point
         configs = []
         real_deal = cvqss.cli.deal
 
@@ -475,11 +506,32 @@ class TestVerify:
 
         monkeypatch.setattr(cvqss.cli, "deal", counting_deal)
         summary = verify_grid()
-        assert len(configs) == len(set(configs)) == 6 * 3
+        assert configs == [DealerConfig(0.0, 0.0)]
         counts = {family: fam["count"] for family, fam in summary["families"].items()}
         assert counts == {
             "single_player": 36, "feedforward_tv": 612, "psa2_tv": 6, "feedforward_fidelity": 6,
         }
+
+    def test_each_point_is_scored_as_a_fresh_deal_would_be(self, monkeypatch):
+        grid = {"r_values": (0.0, 0.5, 4.0), "vm_values": (0.0, 1.0, 100.0),
+                "eta_values": (1.0, 0.9), "gains": (0.0, 1.5, FF_GAIN_OPTIMAL, 8.0)}
+        scored = _capture_scores(monkeypatch)
+        assert verify_grid(**grid)["pass"] is True
+        fresh = []
+        for r in grid["r_values"]:
+            for v_m in grid["vm_values"]:
+                psi, shares = dealt(r, v_m)
+                fresh += [tv_point(psi, shares.share(player)) for player in (1, 2)]
+                fresh += [tv_point(psi, reconstruct_ff(shares, g, eta))
+                          for eta in grid["eta_values"] for g in grid["gains"]]
+                if v_m == 0.0:
+                    fresh.append(tv_point(psi, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL)))
+                    out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
+                    fresh += [fidelity(psi, out),
+                              fidelity(psi, symplectic_correct(out, FF_SYMPLECTIC_SCALE))]
+        # the fidelity family reads only the fidelity of its Metrics
+        scored = [s.fidelity if isinstance(s, Metrics) else s for s in scored]
+        assert repr(scored) == repr(fresh)
 
     def test_unmodulated_families_are_checked_only_where_v_m_is_zero(self):
         grid = {"r_values": (0.0, 0.5), "eta_values": (1.0,), "gains": (TWO_SQRT2,)}

@@ -15,11 +15,12 @@ from cvqss import (
     duan_sum,
     epr_type1,
     epr_type2,
-    is_entangled,
     lincomb,
     phase_modulate,
     variance,
 )
+
+from conftest import is_entangled
 
 
 def modulated_type1(basis, r, v_m):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cvqss import (
     EprSource,
+    FieldState,
+    NoiseBasis,
     FF_GAIN_OPTIMAL,
     PSA_GAIN_OPTIMAL,
     Quad,
@@ -123,6 +125,41 @@ class TestConditionalVariance:
         assert conditional_variance(psi, shares.share3, P) == pytest.approx(
             expected, abs=1e-12
         )
+
+
+class TestVarianceClasses:
+    @staticmethod
+    def two_source_secret():
+        # a pure state whose X+ is spread over two vacua: V_out - cov^2/V_s is
+        # defined for it, but no single source carries the secret
+        basis = NoiseBasis()
+        a, b = basis.vacuum(), basis.vacuum()
+        half = math.sqrt(0.5)
+        secret = FieldState(
+            basis, 4.0, 2.0, {(a, P): half, (b, P): half}, {(a, Quad.MINUS): 1.0}
+        )
+        noise = field_from_mode(basis, basis.squeezed(0.5))
+        return secret, lincomb([(1.0, secret), (0.7, noise)])
+
+    def test_a_secret_without_one_source_per_quadrature_is_rejected(self):
+        secret, out = self.two_source_secret()
+        for score in (tv_point, evaluate, lambda s, o: conditional_variance(s, o, P)):
+            with pytest.raises(ValueError, match="exactly one noise source"):
+                score(secret, out)
+
+    def test_sources_of_one_kind_with_two_variances_stay_apart(self):
+        basis = NoiseBasis()
+        psi = field_from_mode(basis, basis.vacuum(), *SECRET_MEANS)
+        a, b = (field_from_mode(basis, basis.squeezed(r)) for r in (0.3, 1.1))
+        out = lincomb([(1.0, psi), (0.7, a), ((0.2, -0.4, 0.1, 0.3), b)])
+        for quad in Quad:
+            own = set(psi.coeffs(quad))
+            exact = math.fsum(
+                c * c * basis.source_variance(src)
+                for src, c in out.coeffs(quad).items() if src not in own
+            )
+            assert conditional_variance(psi, out, quad) == pytest.approx(exact, rel=1e-15)
+        assert len(basis._class_variances) == 6  # vacuum, and each squeezing apart
 
 
 class TestTvPoint:

@@ -13,13 +13,12 @@ from cvqss import (
     Quad,
     covariance,
     field_from_mode,
-    fields_close,
     lincomb,
     variance,
 )
 from cvqss.optics import beam_splitter, phase_shift, psa_ideal, psa_type2_pair
 
-from conftest import dealt
+from conftest import dealt, fields_close
 
 
 class TestRegistry:

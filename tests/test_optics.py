@@ -14,7 +14,6 @@ from cvqss import (
     detect,
     feedforward_mix,
     field_from_mode,
-    fields_close,
     lincomb,
     phase_modulate,
     phase_shift,
@@ -22,6 +21,8 @@ from cvqss import (
     psa_type2_pair,
     variance,
 )
+
+from conftest import fields_close
 
 SQRT2 = math.sqrt(2.0)
 

@@ -29,7 +29,6 @@ from cvqss import (
     feedforward_sweep,
     feedforward_tv_sweep,
     field_from_mode,
-    fields_close,
     fidelity,
     lincomb,
     optimal_gain,
@@ -37,7 +36,6 @@ from cvqss import (
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
-    secret_coefficient,
     single_quadrature_readout,
     symplectic_correct,
     tv_point,
@@ -48,7 +46,7 @@ from cvqss.noise import MAX_SQUEEZING
 from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
 from cvqss.protocol import _psa2_outputs
 
-from conftest import dealt
+from conftest import dealt, fields_close, secret_coefficient
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -520,6 +518,31 @@ class TestFeedforwardTvSweep:
         # one raw and one corrected fidelity per r; the feedforward_tv points
         # (2 eta x 3 v_m x 17 gains per r) compute none
         assert len(calls) == 2 * len(r_values)
+
+
+class TestDealOnce:
+    """verify, table and tv-curve deal once and score every (r, v_m) from
+    that deal's class variances; this pins the facts they rest on."""
+
+    POINTS = [(0.0, 0.0), (0.5, 1.0), (4.0, 100.0)]
+
+    def test_type1_coefficients_do_not_depend_on_r_or_v_m(self):
+        layouts = set()
+        for r, v_m in self.POINTS:
+            _, shares = dealt(r, v_m)
+            # keys, their order and the floats; repr tells -0.0 from 0.0
+            layouts.add(repr([
+                (list(s.coeffs_plus.items()), list(s.coeffs_minus.items()), s.mean_plus,
+                 s.mean_minus) for s in shares[:3]
+            ] + [shares.detector]))
+        assert len(layouts) == 1
+
+    @pytest.mark.parametrize("r, v_m", [*POINTS, (2.0, 0.0), (0.0, 1e6)])
+    def test_class_variances_are_those_of_a_fresh_deal(self, r, v_m):
+        psi, _ = dealt(0.5, 1.0)
+        fresh, _ = dealt(r, v_m)
+        assert fresh.basis._classes == psi.basis._classes
+        assert repr(psi.basis.class_variances(r, v_m)) == repr(fresh.basis._class_variances)
 
 
 class TestDerivedBeamKeys:

@@ -56,8 +56,6 @@ from .protocol import (
     Shares,
     collaboration_beams,
     deal,
-    feedforward_sweep,
-    feedforward_tv_sweep,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,

@@ -321,30 +321,40 @@ def verify_grid(
     feedforward_fidelity (raw and after symplectic correction) at the
     cancellation gain, the only family that computes a fidelity.  The grid
     is dealt and tallied once; each (r, v_m) scores the tallies under its
-    class variances, bit for bit as a fresh deal there would.
+    class variances, bit for bit as a fresh deal there would.  Each family
+    is scored and recorded a column at a time, one column per (r, v_m[, eta]),
+    and the closed form's gain-only terms are formed once per grid.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
 
-    def record(family: str, values: tuple, sim: tuple, ref: tuple) -> None:
-        # a point's params dict is built only when it is the new worst or fails
-        d_t, d_v = abs(sim[0] - ref[0]), abs(sim[1] - ref[1])
-        # a NaN on either side deviates without bound; max() and > would both drop it
-        deviation = math.inf if math.isnan(d_t + d_v) else max(d_t, d_v)
-        fam = families.get(family)
-        if fam is None:
-            fam = families[family] = {"max_deviation": 0.0, "count": 0, "worst": None}
-        fam["count"] += 1
-        if deviation > fam["max_deviation"]:
-            fam["max_deviation"] = deviation
-            fam["worst"] = dict(zip(_VERIFY_PARAMS[family], values))
-        if deviation > VERIFY_TOLERANCE:
-            params = dict(zip(_VERIFY_PARAMS[family], values))
-            failures.append({"family": family, "params": params, "deviation": deviation})
+    def record(family: str, head: tuple, keys: Sequence, sims: list, refs: Sequence) -> None:
+        # one column: point i has params head + (keys[i],), and its params dict
+        # is built only when it is the family's new worst or fails
+        deviations = []
+        for (sim_t, sim_v), (ref_t, ref_v) in zip(sims, refs):
+            d_t, d_v = abs(sim_t - ref_t), abs(sim_v - ref_v)
+            # max(d_t, d_v) without the calls; a NaN on either side (d != d)
+            # deviates without bound, where max() and > would both drop it
+            deviations.append(math.inf if d_t + d_v != d_t + d_v else d_t if d_t >= d_v else d_v)
+        if not deviations:
+            return
+        fam = families.setdefault(family, {"max_deviation": 0.0, "count": 0, "worst": None})
+        fam["count"] += len(deviations)
+        names, worst = _VERIFY_PARAMS[family], max(deviations)
+        if worst > fam["max_deviation"]:  # the first point to reach the column's worst
+            fam["max_deviation"] = worst
+            fam["worst"] = dict(zip(names, (*head, keys[deviations.index(worst)])))
+        if worst > VERIFY_TOLERANCE:
+            failures.extend(
+                {"family": family, "params": dict(zip(names, (*head, key))), "deviation": d}
+                for key, d in zip(keys, deviations) if d > VERIFY_TOLERANCE
+            )
 
     secret, shares = _dealt(0.0, 0.0, DEFAULT_MEANS)
     singles = [_pair(secret, shares.share(player)) for player in (1, 2)]
     minus, passes = _feedforward_tallies(secret, shares, gains, eta_values, (2, 3))
+    ff_gains = metrics._FfGains(gains)
     psa2 = _pair(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
     out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
     fidelities = [_pair(secret, fld, cross=True)
@@ -354,19 +364,20 @@ def verify_grid(
             DealerConfig(r, v_m)  # each point passes the dealer's checks
             variances = secret.basis.class_variances(r, v_m)
             ref = metrics.closed_form("sp", r, v_m)
-            for player, pair in zip((1, 2), singles):
-                record("single_player", (r, v_m, player), _scores(variances, *pair)[0], ref)
+            sims = [_scores(variances, *pair)[0] for pair in singles]
+            record("single_player", (r, v_m), (1, 2), sims, (ref, ref))
             for eta, (pluses, _) in zip(eta_values, passes):
-                refs = metrics.ff_cp_column(r, v_m, eta, gains)
-                for g, sim, ref in zip(gains, _scores(variances, pluses, minus), refs):
-                    record("feedforward_tv", (r, v_m, eta, g), sim, ref)
+                refs = metrics.ff_cp_column(r, v_m, eta, ff_gains)
+                sims = _scores(variances, pluses, minus)
+                record("feedforward_tv", (r, v_m, eta), gains, sims, refs)
             if v_m != 0.0:
                 continue
-            record("psa2_tv", (r,), _scores(variances, *psa2)[0], metrics.closed_form("psa2_cp", r))
+            sims = _scores(variances, *psa2)
+            record("psa2_tv", (), (r,), sims, [metrics.closed_form("psa2_cp", r)])
             sim = tuple(_scores(variances, *pair)[0].fidelity for pair in fidelities)
             ref = (metrics.fidelity_closed_form("ff", r, DEFAULT_MEANS),
                    metrics.fidelity_closed_form("psa2", r))
-            record("feedforward_fidelity", (r,), sim, ref)
+            record("feedforward_fidelity", (), (r,), [sim], [ref])
 
     return {
         "pass": not failures,

@@ -10,9 +10,11 @@ the simulation, so the two cross-check each other but are not oracles.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
+from itertools import compress
 
 from .noise import FieldState, Quad, check_squeezing_limit, variance
 
@@ -47,12 +49,19 @@ Moments = tuple[float, float, float, float]
 # One quadrature of a (secret, output) pair by variance class: (secret mean,
 # a^2 for the secret's coefficient a on its one source, output mean, c^2 for
 # the output's on that source, the source's class, and the output's other
-# c_k^2 summed per class id), which _moments scores under any class variances.
+# c_k^2 summed per class: (class id, weight) pairs in class-id order for the
+# classes it weighs), which _moments scores under any class variances.
 Tally = tuple[float, float, float, float, int, list]
 
 
-def _dot(weights: list[float], variances: Sequence[float]) -> float:
-    return sum([w * v for w, v in zip(weights, variances)], 0.0)
+def _dot(weights: list[tuple[int, float]], variances: Sequence[float]) -> float:
+    return sum([w * variances[c] for c, w in weights], 0.0)
+
+
+def _sparse(dense: list[float]) -> list[tuple[int, float]]:
+    """Per-class sums as (class id, weight) pairs, without the 0.0 weights: each
+    would only add + 0.0 to a dot product, and a sum from 0.0 is never -0.0."""
+    return list(compress(enumerate(dense), dense))
 
 
 def _tally(secret: FieldState, out: FieldState, quad: Quad) -> Tally:
@@ -67,10 +76,10 @@ def _tally(secret: FieldState, out: FieldState, quad: Quad) -> Tally:
             own2 = c * c
         else:
             weights[classes[src]] += c * c
-    return secret.mean(quad), a * a, out.mean(quad), own2, classes[own], weights
+    return secret.mean(quad), a * a, out.mean(quad), own2, classes[own], _sparse(weights)
 
 
-def _cross(secret: FieldState, out: FieldState) -> list[float]:
+def _cross(secret: FieldState, out: FieldState) -> list[tuple[int, float]]:
     """Both beams' X+ X- coefficient products summed per class, for _overlap."""
     if secret.basis is not out.basis:
         raise ValueError("fields live on different noise bases")
@@ -80,14 +89,14 @@ def _cross(secret: FieldState, out: FieldState) -> list[float]:
         for src, c in fld.coeffs_plus.items():
             if src in cm:
                 dense[classes[src]] += c * cm[src]
-    return dense
+    return _sparse(dense)
 
 
 def _moments(tally: Tally, variances: Sequence[float]) -> tuple[Moments, float]:
     """A tallied quadrature's moments under these class variances, and its
     V_cv: the output's weights alone.  V_out adds the secret's source back."""
     ms, a2, mo, own2, own, weights = tally
-    vcv = sum([w * v for w, v in zip(weights, variances)], 0.0)  # _dot, inline on the hot path
+    vcv = sum([w * variances[c] for c, w in weights], 0.0)  # _dot, inline on the hot path
     return (ms, a2 * variances[own], mo, vcv + own2 * variances[own]), vcv
 
 
@@ -100,17 +109,25 @@ def _transfer(moments: Moments) -> float:
 
 def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, crosses=None) -> list:
     """(T_q, V_q) of each X+ tally in pluses paired with one X- tally under
-    these class variances; given each one's _cross weights, its Metrics."""
+    these class variances; given each one's _cross weights, its Metrics.  The
+    (T_q, V_q) loop inlines _moments' and _transfer's float operations, in order."""
     mm, vcv_minus = _moments(minus, variances)
     t_minus = _transfer(mm)
-    scored = [_moments(plus, variances) for plus in pluses]
-    if crosses is None:
-        return [(_transfer(mp) + t_minus, vcv_plus * vcv_minus) for mp, vcv_plus in scored]
-    return [
-        Metrics(_overlap(mp, mm, _dot(cw, variances)), _transfer(mp), t_minus,
-                vcv_plus, vcv_minus)
-        for (mp, vcv_plus), cw in zip(scored, crosses)
-    ]
+    if crosses is not None:
+        return [
+            Metrics(_overlap(mp, mm, _dot(cw, variances)), _transfer(mp), t_minus,
+                    vcv_plus, vcv_minus)
+            for (mp, vcv_plus), cw in zip((_moments(p, variances) for p in pluses), crosses)
+        ]
+    scored = []
+    for ms, a2, mo, own2, own, weights in pluses:
+        vcv = sum([w * variances[c] for c, w in weights], 0.0)
+        v_own = variances[own]
+        if ms * ms == 0.0:
+            raise ValueError(_ZERO_SECRET_MEAN)
+        t_plus = (mo * mo / (vcv + own2 * v_own)) / (ms * ms / (a2 * v_own))
+        scored.append((t_plus + t_minus, vcv * vcv_minus))
+    return scored
 
 
 def _pair(secret: FieldState, out: FieldState, cross: bool = False) -> tuple:
@@ -227,15 +244,30 @@ def closed_form(
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _ff_gain_terms(gains: Sequence[float]) -> list[tuple[float, ...]]:
+    return [((1.0 + g / _SQRT2) ** 2, (g / 2.0 - _SQRT2) ** 2, (1.5 * g) ** 2,
+             (2.0 - g / _SQRT2) ** 2, 3.0 * g * g, (g - _TWO_SQRT2) ** 2, 9.0 * g * g,
+             12.0 * g * g) for g in gains]
+
+
+class _FfGains(tuple):
+    """Gains that keep the ff_cp closed form's gain-only terms, formed by the
+    first ff_cp_column given them, after its domain check, and then reused."""
+
+    terms = functools.cached_property(_ff_gain_terms)
+
+
 def ff_cp_column(
     r: float, v_m: float, eta: float, gains: Sequence[float]
 ) -> list[tuple[float, float]]:
     """closed_form("ff_cp", r, v_m, eta, g) for each gain g in gains.
 
     The domain check and the terms that depend only on (r, v_m, eta) run
-    once per column; every float operation is closed_form's, in its order.
+    once per column, those that depend only on g once per _FfGains (verify
+    passes one per grid); every float operation is closed_form's, in its order.
     """
     _require_domain(r, v_m, eta, *gains)
+    terms = gains.terms if isinstance(gains, _FfGains) else _ff_gain_terms(gains)
     em2r = math.exp(-2.0 * r)
     e2r = math.exp(2.0 * r)
     t_squeezed = 1.0 / (1.0 + 2.0 * em2r)
@@ -243,19 +275,10 @@ def ff_cp_column(
     two_vm = 2.0 * v_m
     loss = 1.0 - eta
     column = []
-    for g in gains:
-        g_sqrt2 = g / _SQRT2
-        signal = (1.0 + g_sqrt2) ** 2
-        noise = (
-            (g / 2.0 - _SQRT2) ** 2 * e2r
-            + (1.5 * g) ** 2 * em2r
-            + (2.0 - g_sqrt2) ** 2 * v_m
-            + 3.0 * g * g * loss / eta
-        )
-        uncancelled = (g - _TWO_SQRT2) ** 2
+    for signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v in terms:
+        noise = at_e2r * e2r + at_em2r * em2r + at_vm * v_m + at_loss * loss / eta
         v_q = v_scale * (
-            9.0 * g * g * em2r + e2r * uncancelled + two_vm * uncancelled
-            + 12.0 * g * g * loss / eta
+            at_em2r_v * em2r + e2r * uncancelled + two_vm * uncancelled + at_loss_v * loss / eta
         )
         column.append((t_squeezed + signal / (signal + noise), v_q))
     return column

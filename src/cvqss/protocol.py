@@ -13,7 +13,7 @@ from collections.abc import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import (
-    _SQRT2, _SQRT3, _TWO_SQRT2, Metrics, Tally, _cross, _scores, _tally,
+    _SQRT2, _SQRT3, _TWO_SQRT2, Tally, _cross, _tally,
 )
 from .noise import FieldState, ModeKind, Quad, check_squeezing_limit, lincomb
 from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
@@ -207,39 +207,6 @@ def _feedforward_tallies(
         passes.append(([_tally(secret, out, Quad.PLUS) for out in outs],
                        [_cross(secret, out) for out in outs] if cross else None))
     return _tally(secret, kept, Quad.MINUS), passes
-
-
-def feedforward_sweep(
-    secret: FieldState,
-    shares: Shares,
-    gains: Sequence[float],
-    eta: float = 1.0,
-    players: tuple[int, int] = (2, 3),
-) -> list[Metrics]:
-    """evaluate(secret, reconstruct_ff(shares, g, eta, players)) at each gain g, bit for bit.
-
-    secret is the coherent secret the shares were dealt from.  The stages
-    before the mix and the X- scores run once; see _feedforward_tallies.
-    """
-    minus, [(pluses, crosses)] = _feedforward_tallies(secret, shares, gains, (eta,), players, True)
-    return _scores(secret.basis._class_variances, pluses, minus, crosses)
-
-
-def feedforward_tv_sweep(
-    secret: FieldState,
-    shares: Shares,
-    gains: Sequence[float],
-    etas: Sequence[float],
-    players: tuple[int, int] = (2, 3),
-) -> list[list[tuple[float, float]]]:
-    """tv_point(secret, reconstruct_ff(shares, g, eta, players)), bit for bit.
-
-    One list per eta in etas, one (T_q, V_q) per gain g in gains: like
-    feedforward_sweep without the fidelity, and with one splitter and X-
-    tally for all etas.
-    """
-    minus, passes = _feedforward_tallies(secret, shares, gains, etas, players)
-    return [_scores(secret.basis._class_variances, pluses, minus) for pluses, _ in passes]
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:

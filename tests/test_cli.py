@@ -33,9 +33,11 @@ from cvqss import (
 )
 from cvqss.cli import (
     CSV_COLUMNS,
+    DEFAULT_MEANS,
     MAX_VM_DB,
     SCHEMES,
     ScenarioConfig,
+    VERIFY_TOLERANCE,
     _record,
     main,
     run_scenario,
@@ -441,6 +443,45 @@ class TestTable:
         assert noisy["v_q"] is None
 
 
+def _verify_by_point(r_values, vm_values, eta_values, gains):
+    """verify_grid's summary from a fresh deal and a single-gain closed form
+    per point, recorded a point at a time: the reference for its bookkeeping."""
+    cf = cvqss.metrics.closed_form
+    families, failures = {}, []
+
+    def record(family, params, sim, ref):
+        d_t, d_v = abs(sim[0] - ref[0]), abs(sim[1] - ref[1])
+        deviation = math.inf if math.isnan(d_t + d_v) else max(d_t, d_v)
+        fam = families.setdefault(family, {"max_deviation": 0.0, "count": 0, "worst": None})
+        fam["count"] += 1
+        if deviation > fam["max_deviation"]:
+            fam["max_deviation"], fam["worst"] = deviation, dict(params)
+        if deviation > VERIFY_TOLERANCE:
+            failures.append({"family": family, "params": dict(params), "deviation": deviation})
+
+    for r in r_values:
+        for v_m in vm_values:
+            psi, shares = dealt(r, v_m, means=DEFAULT_MEANS)
+            for player in (1, 2):
+                record("single_player", {"r": r, "v_m": v_m, "player": player},
+                       tv_point(psi, shares.share(player)), cf("sp", r, v_m))
+            for eta in eta_values:
+                for g in gains:
+                    record("feedforward_tv", {"r": r, "v_m": v_m, "eta": eta, "gain": g},
+                           tv_point(psi, reconstruct_ff(shares, g, eta)), cf("ff_cp", r, v_m, eta, g))
+            if v_m != 0.0:
+                continue
+            record("psa2_tv", {"r": r}, tv_point(psi, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL)),
+                   cf("psa2_cp", r))
+            out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
+            sim = (fidelity(psi, out), fidelity(psi, symplectic_correct(out, FF_SYMPLECTIC_SCALE)))
+            ref = (cvqss.metrics.fidelity_closed_form("ff", r, DEFAULT_MEANS),
+                   cvqss.metrics.fidelity_closed_form("psa2", r))
+            record("feedforward_fidelity", {"r": r}, sim, ref)
+    return {"pass": not failures, "tolerance": VERIFY_TOLERANCE, "families": families,
+            "failures": failures}
+
+
 class TestVerify:
     def test_pristine_build_passes(self, capsys):
         assert main(["verify"]) == 0
@@ -532,6 +573,53 @@ class TestVerify:
         # the fidelity family reads only the fidelity of its Metrics
         scored = [s.fidelity if isinstance(s, Metrics) else s for s in scored]
         assert repr(scored) == repr(fresh)
+
+    # a failing grid (80 failures); and a repeated gain, 8 then 8.0: the two
+    # tie, and the family's worst is the first of them (repr tells them apart)
+    BOOKKEEPING_GRIDS = {
+        "failing": {"r_values": (0, 12, 20), "vm_values": (0, 1e6),
+                    "eta_values": cvqss.cli._VERIFY_ETA, "gains": cvqss.cli.DEFAULT_GAIN_GRID},
+        "tied": {"r_values": (0.5, 12.0), "vm_values": (0.0, 1e6), "eta_values": (1.0, 0.9),
+                 "gains": (1.0, 8, 2.0, 8.0)},
+    }
+
+    @pytest.mark.parametrize("name", BOOKKEEPING_GRIDS)
+    @pytest.mark.parametrize("nan_gain", [None, 2.0])
+    def test_summary_equals_the_per_point_bookkeeping(self, name, nan_gain, monkeypatch):
+        grid = self.BOOKKEEPING_GRIDS[name]
+        if nan_gain is not None:
+            # a NaN reference at one gain, seen alike by ff_cp_column's callers:
+            # each such point fails with deviation inf, in point order
+            true_column = cvqss.metrics.ff_cp_column
+
+            def nan_at(r, v_m, eta, gains):
+                column = true_column(r, v_m, eta, gains)
+                return [(t, math.nan) if g == nan_gain else (t, v) for g, (t, v) in zip(gains, column)]
+
+            monkeypatch.setattr(cvqss.metrics, "ff_cp_column", nan_at)
+        summary = verify_grid(**grid)
+        expected = _verify_by_point(**grid)
+        assert repr(summary) == repr(expected)
+        ff = summary["families"]["feedforward_tv"]
+        if nan_gain is not None:
+            assert ff["max_deviation"] == math.inf and ff["worst"]["gain"] == nan_gain
+        elif name == "tied":
+            assert repr(ff["worst"]["gain"]) == "8"
+        else:
+            assert len(summary["failures"]) == 80
+
+    def test_an_empty_column_records_nothing(self):
+        summary = verify_grid(r_values=(0.0, 0.5), gains=())
+        assert "feedforward_tv" not in summary["families"]
+        assert repr(summary) == repr(
+            _verify_by_point((0.0, 0.5), (0.0, 1.0, 100.0), (1.0, 0.9), ())
+        )
+        assert verify_grid(r_values=()) == {
+            "pass": True, "tolerance": VERIFY_TOLERANCE, "families": {}, "failures": [],
+        }
+        assert set(verify_grid(eta_values=())["families"]) == {
+            "single_player", "psa2_tv", "feedforward_fidelity",
+        }
 
     def test_unmodulated_families_are_checked_only_where_v_m_is_zero(self):
         grid = {"r_values": (0.0, 0.5), "eta_values": (1.0,), "gains": (TWO_SQRT2,)}

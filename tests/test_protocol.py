@@ -26,8 +26,6 @@ from cvqss import (
     deal,
     detect,
     evaluate,
-    feedforward_sweep,
-    feedforward_tv_sweep,
     field_from_mode,
     fidelity,
     lincomb,
@@ -42,9 +40,10 @@ from cvqss import (
     variance,
 )
 from cvqss import cli, metrics, protocol
+from cvqss.metrics import _scores
 from cvqss.noise import MAX_SQUEEZING
 from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
-from cvqss.protocol import _psa2_outputs
+from cvqss.protocol import _feedforward_tallies, _psa2_outputs
 
 from conftest import dealt, fields_close, secret_coefficient
 
@@ -54,6 +53,14 @@ SQRT6 = math.sqrt(6.0)
 SQRT24 = math.sqrt(24.0)
 P = Quad.PLUS
 M = Quad.MINUS
+
+
+def ff_sweep(psi, shares, gains, etas, players=(2, 3), cross=False):
+    """The CLI's feedforward sweep: _feedforward_tallies scored by _scores,
+    one list per eta of one score per gain (with cross, Metrics)."""
+    minus, passes = _feedforward_tallies(psi, shares, gains, etas, players, cross)
+    variances = psi.basis._class_variances
+    return [_scores(variances, pluses, minus, crosses) for pluses, crosses in passes]
 
 
 def mode_ids(basis):
@@ -418,7 +425,7 @@ class TestFeedforwardSweep:
     ):
         psi, shares = dealt(r, v_m, source, means)
         size = len(psi.basis)
-        swept = feedforward_sweep(psi, shares, gains, eta, players)
+        (swept,) = ff_sweep(psi, shares, gains, (eta,), players, cross=True)
         assert len(psi.basis) == size
         assert len(swept) == len(gains)
         for gain, scores in zip(gains, swept):
@@ -442,9 +449,9 @@ class TestFeedforwardSweep:
         size = len(shares.share1.basis)
         gains.insert(at, bad)
         with pytest.raises(ValueError):
-            feedforward_sweep(psi, shares, gains, 0.9)
+            ff_sweep(psi, shares, gains, (0.9,), cross=True)
         with pytest.raises(ValueError):
-            feedforward_tv_sweep(psi, shares, gains, [1.0, 0.9])
+            ff_sweep(psi, shares, gains, [1.0, 0.9])
         with pytest.raises(ValueError):
             reconstruct_ff(shares, bad, 0.9, epsilon=epsilon)
         assert len(shares.share1.basis) == size
@@ -461,9 +468,9 @@ class TestFeedforwardSweep:
         psi, shares = dealt(r=0.5)
         size = len(shares.share1.basis)
         with pytest.raises(ValueError):
-            feedforward_sweep(psi, shares, [0.0, 1.0], eta)
+            ff_sweep(psi, shares, [0.0, 1.0], (eta,), cross=True)
         with pytest.raises(ValueError):
-            feedforward_tv_sweep(psi, shares, [0.0, 1.0], [1.0, eta])
+            ff_sweep(psi, shares, [0.0, 1.0], [1.0, eta])
         with pytest.raises(ValueError):
             reconstruct_ff(shares, 1.0, eta, epsilon=epsilon)
         assert len(shares.share1.basis) == size
@@ -490,7 +497,7 @@ class TestFeedforwardTvSweep:
     ):
         psi, shares = dealt(r, v_m, source, means)
         size = len(psi.basis)
-        swept = feedforward_tv_sweep(psi, shares, gains, etas, players)
+        swept = ff_sweep(psi, shares, gains, etas, players)
         assert len(psi.basis) == size
         assert [len(sweep) for sweep in swept] == [len(gains)] * len(etas)
         for eta, sweep in zip(etas, swept):
@@ -712,8 +719,8 @@ def _mix(gain, epsilon=0.0):
         lambda: reconstruct_2psa(_shares(), NAN),
         lambda: reconstruct_ff(_shares(), NAN),
         lambda: reconstruct_ff(_shares(), INF),
-        lambda: feedforward_sweep(*dealt(r=0.5), [1.0, NAN]),
-        lambda: feedforward_tv_sweep(*dealt(r=0.5), [1.0, INF], [1.0, 0.9]),
+        lambda: ff_sweep(*dealt(r=0.5), [1.0, NAN], (1.0,), cross=True),
+        lambda: ff_sweep(*dealt(r=0.5), [1.0, INF], [1.0, 0.9]),
         lambda: symplectic_correct(_shares().share1, NAN),
         lambda: symplectic_correct(_shares().share1, INF),
         lambda: optimal_gain(0.5, 0.0, NAN),

@@ -237,16 +237,20 @@ def closed_form(
         return 2.0 / (1.0 + 2.0 * em2r), (2.0 * em2r) ** 2
     if scheme == "sp":
         bulge = math.cosh(2.0 * r) + v_m
-        try:
-            return 2.0 / (1.0 + bulge), (bulge / 2.0) ** 2
-        except OverflowError:  # float ** raises where * would give inf
-            return 2.0 / (1.0 + bulge), math.inf
+        return 2.0 / (1.0 + bulge), _square(bulge / 2.0)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
+def _square(x: float) -> float:
+    try:
+        return x ** 2
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
+
+
 def _ff_gain_terms(gains: Sequence[float]) -> list[tuple[float, ...]]:
-    return [((1.0 + g / _SQRT2) ** 2, (g / 2.0 - _SQRT2) ** 2, (1.5 * g) ** 2,
-             (2.0 - g / _SQRT2) ** 2, 3.0 * g * g, (g - _TWO_SQRT2) ** 2, 9.0 * g * g,
+    return [(_square(1.0 + g / _SQRT2), _square(g / 2.0 - _SQRT2), _square(1.5 * g),
+             _square(2.0 - g / _SQRT2), 3.0 * g * g, _square(g - _TWO_SQRT2), 9.0 * g * g,
              12.0 * g * g) for g in gains]
 
 

@@ -49,6 +49,9 @@ class ModeKind(Enum):
     CLASSICAL_MODULATION = "classical_modulation"
     DETECTOR_VACUUM = "detector_vacuum"
 
+    # As for Quad: the (kind, quad, variance) class key hashes in C.
+    __hash__ = object.__hash__
+
 
 # One scalar fluctuation component of a registered mode.  Each mode carries
 # two independent components, one per quadrature; optical elements with a

@@ -33,7 +33,7 @@ from cvqss import (
     variance,
 )
 
-from cvqss.metrics import ff_cp_column
+from cvqss.metrics import _ff_gain_terms, ff_cp_column
 from cvqss.noise import MAX_SQUEEZING
 
 from conftest import SECRET_MEANS, dealt
@@ -354,6 +354,13 @@ class TestFeedforwardColumn:
                 ff_cp_column(r, v_m, eta, gains)
         else:
             ff_cp_column(r, v_m, eta, gains)
+
+    @pytest.mark.parametrize("g", [1e155, -1e155, 1e200, 1.7e308])
+    def test_a_square_that_overflows_is_inf(self, g):
+        # float ** raises OverflowError where * gives inf, as in closed_form("sp")
+        assert _ff_gain_terms([g]) == [(math.inf,) * 8]
+        column = ff_cp_column(0.5, 0.0, 1.0, [1.0, g])
+        assert repr(column) == repr([closed_form("ff_cp", 0.5, 0.0, 1.0, x) for x in (1.0, g)])
 
 
 class TestFidelityClosedForm:

@@ -129,6 +129,13 @@ class TestDeal:
         for quad in Quad:
             assert secret_coefficient(diffed, psi, quad) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("source", ["type1", "type2", "bogus", 3, None])
+    def test_source_must_be_an_epr_source(self, source):
+        with pytest.raises(ValueError, match=r"EprSource\.TYPE1 or EprSource\.TYPE2"):
+            DealerConfig(0.5, 0.0, source)
+        with pytest.raises(ValueError, match=r"EprSource\.TYPE1 or EprSource\.TYPE2"):
+            DealerConfig(0.5)._replace(source=source)
+
     def test_non_coherent_secret_rejected(self, basis):
         squeezed = field_from_mode(basis, basis.squeezed(0.3))
         with pytest.raises(ValueError, match="coherent"):
@@ -550,6 +557,70 @@ class TestDealOnce:
         fresh, _ = dealt(r, v_m)
         assert fresh.basis._classes == psi.basis._classes
         assert repr(psi.basis.class_variances(r, v_m)) == repr(fresh.basis._class_variances)
+
+
+class TestDealerNetwork:
+    """A type-1 deal re-keys a network built once per process; it must give
+    what _noise_beams run on the deal's own basis gives, bit for bit."""
+
+    @staticmethod
+    def snapshot(shares):
+        basis = shares.share1.basis
+        return repr((
+            [(s.mean_plus, s.mean_minus, list(s.coeffs_plus.items()), list(s.coeffs_minus.items()))
+             for s in shares[:3]],
+            shares.detector, basis._kinds, list(basis._variances.items()),
+            list(basis._classes.items()), basis._class_variances,
+        ))
+
+    @staticmethod
+    def basis_with(modes):
+        basis = NoiseBasis()
+        for kind, x in modes:
+            if kind in ("vacuum", "detector"):
+                getattr(basis, kind)()
+            else:
+                getattr(basis, kind)(x)
+        return basis
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+        means=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        source=st.sampled_from(EprSource),
+        modes=st.lists(st.tuples(
+            st.sampled_from(["vacuum", "squeezed", "modulation", "detector"]), st.floats(0.0, 3.0),
+        ), max_size=4),
+    )
+    def test_equals_the_network_run_on_the_deals_basis(self, r, v_m, means, source, modes):
+        config = DealerConfig(r, v_m, source)
+        basis, twin = self.basis_with(modes), self.basis_with(modes)
+        shares = deal(field_from_mode(basis, basis.vacuum(), *means), config)
+        secret = field_from_mode(twin, twin.vacuum(), *means)
+        beam1, beam2 = protocol._noise_beams(twin, config)
+        reference = protocol.Shares(*beam_splitter(secret, beam1, 0.5), beam2, twin.detector())
+        assert self.snapshot(shares) == self.snapshot(reference)
+
+    def test_type1_deals_share_no_coefficient_dict(self):
+        (_, first), (_, second) = dealt(0.5, 1.0), dealt(0.5, 1.0)
+        template = protocol._type1_template()
+        owners = [first[:3], second[:3], template]
+        ids = [{id(d) for fld in beams for d in (fld.coeffs_plus, fld.coeffs_minus)} for beams in owners]
+        assert [len(i) for i in ids] == [6, 6, 4]
+        assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & ids[2]
+
+    def test_a_second_type1_deal_runs_no_network(self, monkeypatch):
+        expected = self.snapshot(dealt(1.0, 2.0)[1])
+
+        def refuse(*args):
+            raise AssertionError("the type-1 network was built again")
+
+        monkeypatch.setattr(protocol, "epr_type1", refuse)
+        monkeypatch.setattr(protocol, "phase_modulate", refuse)
+        assert self.snapshot(dealt(1.0, 2.0)[1]) == expected
+        with pytest.raises(AssertionError, match="built again"):
+            dealt(1.0, 2.0, EprSource.TYPE2)
 
 
 class TestDerivedBeamKeys:

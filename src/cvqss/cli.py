@@ -10,9 +10,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import io
-import json
 import math
 import sys
 from collections import namedtuple
@@ -31,7 +30,8 @@ from .metrics import (
     squeezing_pct,
     transfer_coefficient,
 )
-from .noise import FieldState, NoiseBasis, Quad, covariance, field_from_mode, variance
+from .noise import FieldState, NoiseBasis, Quad, _derived_field, covariance, field_from_mode, variance
+from .optics import beam_splitter
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -39,7 +39,7 @@ from .protocol import (
     DealerConfig,
     Shares,
     _feedforward_tallies,
-    deal,
+    _noise_beams,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -151,13 +151,34 @@ def _resolve_gain(cfg: ScenarioConfig, shares: Shares) -> float:
     return default if cfg.gain is None else float(cfg.gain)
 
 
+@functools.cache
+def _dealer(source: EprSource) -> tuple[NoiseBasis, tuple[FieldState, FieldState]]:
+    """deal's basis and noise beams at (0, 0) for a secret on mode 0: the pair's
+    modes are 1 and 2, the modulation 3 and the detector 4.  Read only."""
+    basis = NoiseBasis()
+    basis.vacuum()
+    beams = _noise_beams(basis, DealerConfig(0.0, 0.0, source))
+    basis.detector()
+    return basis, beams
+
+
 def _dealt(
     r: float, v_m: float, means: tuple[float, float], source: EprSource = EprSource.TYPE1
 ) -> tuple[FieldState, Shares]:
-    """A coherent secret with these means on a fresh basis, and its shares."""
-    basis = NoiseBasis()
-    secret = field_from_mode(basis, basis.vacuum(), *means)
-    return secret, deal(secret, DealerConfig(r, v_m, source))
+    """A coherent secret with these means on a copy of the source's dealt basis at
+    (r, v_m), and its shares, bit for bit as from a fresh NoiseBasis and deal.  Type 2's
+    beams hold cosh r and sinh r, so only they are rebuilt on the copy's modes."""
+    config = DealerConfig(r, v_m, source)  # rejects every input deal rejects
+    template, (beam1, beam2) = _dealer(source)
+    basis = template.at(r, v_m)
+    if source is EprSource.TYPE1:
+        beam1, beam2 = (_derived_field(basis, fld.mean_plus, fld.mean_minus, dict(fld.coeffs_plus),
+                                       dict(fld.coeffs_minus)) for fld in (beam1, beam2))
+    else:
+        beam1, beam2 = _noise_beams(basis, config, (1, 2, 3))
+    secret = field_from_mode(basis, 0, *means)
+    share1, share2 = beam_splitter(secret, beam1, 0.5)
+    return secret, Shares(share1, share2, beam2, 4)
 
 
 def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldState) -> dict:
@@ -393,6 +414,7 @@ def verify_grid(
 
 def _records_to_csv(rows: list[dict], columns: Sequence[str]) -> str:
     # floats print as repr, None as an empty cell, and a cell holding a comma is quoted
+    import csv
     buf = io.StringIO()
     writer = csv.DictWriter(buf, columns, lineterminator="\n")
     writer.writeheader()
@@ -414,6 +436,7 @@ def _render(rows: list[dict], columns: Sequence[str], fmt: str, output: str | No
     if fmt == "csv":
         text = _records_to_csv(rows, columns)
     else:
+        import json
         payload = rows[0] if len(rows) == 1 else rows
         text = json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
     if output:
@@ -506,6 +529,7 @@ def _config_tokens(path: str) -> list[str]:
     A scalar value becomes one token after its flag, a list one token per
     element; argparse then types and checks them like typed flags.
     """
+    import json
     with open(path, encoding="utf-8") as fh:
         defaults = json.load(fh)
     if not isinstance(defaults, dict):

@@ -34,10 +34,7 @@ def epr_type1(basis: NoiseBasis, r: float) -> EprPair:
     """
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
-    sq1 = field_from_mode(basis, basis.squeezed(r))
-    sq2 = field_from_mode(basis, basis.squeezed(r))
-    out1, out2 = beam_splitter(sq1, sq2, 0.5, phase=math.pi / 2)
-    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
+    return _pair_network(basis, EprSource.TYPE1, r, basis.squeezed(r), basis.squeezed(r))
 
 
 def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
@@ -49,9 +46,17 @@ def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
     """
     if r < 0:
         raise ValueError("interaction parameter must be nonnegative")
-    sig = field_from_mode(basis, basis.vacuum())
-    idl = field_from_mode(basis, basis.vacuum())
-    return EprPair(*psa_type2_pair(sig, idl, -r))
+    return _pair_network(basis, EprSource.TYPE2, r, basis.vacuum(), basis.vacuum())
+
+
+def _pair_network(basis: NoiseBasis, source: EprSource, r: float, mid1: int, mid2: int) -> EprPair:
+    """The source's optics on its two registered modes: squeezed for type 1,
+    whose coefficients do not depend on r; signal and idler vacua for type 2."""
+    a, b = field_from_mode(basis, mid1), field_from_mode(basis, mid2)
+    if source is EprSource.TYPE2:
+        return EprPair(*psa_type2_pair(a, b, -r))
+    out1, out2 = beam_splitter(a, b, 0.5, phase=math.pi / 2)
+    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
 
 
 def duan_sum(pair: EprPair) -> float:

@@ -74,8 +74,6 @@ class NoiseBasis:
 
     def __init__(self) -> None:
         self._kinds: list[ModeKind] = []
-        # Variance of every registered source, read by the algebra below.
-        self._variances: dict[Source, float] = {}
         self._classes: dict[Source, int] = {}
         self._class_ids: dict[tuple[ModeKind, Quad, float], int] = {}
         self._class_variances: list[float] = []  # by class id
@@ -115,9 +113,10 @@ class NoiseBasis:
         mid = len(self._kinds)
         self._kinds.append(kind)
         for quad, v in ((Quad.PLUS, v_plus), (Quad.MINUS, v_minus)):
-            self._variances[(mid, quad)] = v
-            self._classes[(mid, quad)] = self._class_ids.setdefault((kind, quad, v), len(self._class_ids))
-        self._class_variances = [v for _, _, v in self._class_ids]
+            cid = self._class_ids.setdefault((kind, quad, v), len(self._class_ids))
+            if cid == len(self._class_variances):
+                self._class_variances.append(v)
+            self._classes[(mid, quad)] = cid
         return mid
 
     # Convenience constructors for the four kinds in use.
@@ -139,7 +138,7 @@ class NoiseBasis:
         return self.register(ModeKind.DETECTOR_VACUUM, 1.0, 1.0)
 
     def source_variance(self, source: Source) -> float:
-        return self._variances[source]
+        return self._class_variances[self._classes[source]]
 
     def class_variances(self, r: float, v_m: float) -> list[float]:
         """The class variances had each squeezed mode been registered by squeezed(r)
@@ -151,6 +150,18 @@ class NoiseBasis:
             else v_m if kind is ModeKind.CLASSICAL_MODULATION else v
             for kind, quad, v in self._class_ids
         ]
+
+    def at(self, r: float, v_m: float) -> NoiseBasis:
+        """A copy sharing no container: the same modes, ids and classes, each class
+        at its class_variances(r, v_m), as squeezed(r) and modulation(v_m) register."""
+        copy = object.__new__(NoiseBasis)
+        copy._kinds, copy._classes = self._kinds.copy(), self._classes.copy()
+        copy._class_variances = self.class_variances(r, v_m)
+        keys = [(kind, quad, v) for (kind, quad, _), v in zip(self._class_ids, copy._class_variances)]
+        copy._class_ids = dict(zip(keys, range(len(keys))))
+        if len(copy._class_ids) != len(keys):
+            raise ValueError("two variance classes of this basis merge at this (r, v_m)")
+        return copy
 
 
 def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
@@ -186,7 +197,7 @@ class FieldState:
         coeffs_minus = {} if coeffs_minus is None else coeffs_minus
         # Every key must be a registered (mid, Quad) source: this rejects
         # stale ids and malformed quadratures alike.
-        known = basis._variances.keys()
+        known = basis._classes.keys()
         for coeffs in (coeffs_plus, coeffs_minus):
             if not coeffs.keys() <= known:
                 bad = next(src for src in coeffs if src not in known)
@@ -243,8 +254,8 @@ def field_from_mode(
 
 def variance(fld: FieldState, quad: Quad) -> float:
     """Fluctuation variance of one quadrature, in shot-noise units."""
-    table = fld.basis._variances
-    return sum(c * c * table[src] for src, c in fld.coeffs(quad).items())
+    classes, table = fld.basis._classes, fld.basis._class_variances
+    return sum(c * c * table[classes[src]] for src, c in fld.coeffs(quad).items())
 
 
 def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
@@ -254,8 +265,8 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     ca, cb = a.coeffs(quad), b.coeffs(quad)
     if len(cb) < len(ca):
         ca, cb = cb, ca
-    table = a.basis._variances
-    return sum(c * cb[src] * table[src] for src, c in ca.items() if src in cb)
+    classes, table = a.basis._classes, a.basis._class_variances
+    return sum(c * cb[src] * table[classes[src]] for src, c in ca.items() if src in cb)
 
 
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:

@@ -7,18 +7,15 @@ two phase-sensitive amplifiers or an electro-optic feedforward loop.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .entanglement import EprSource, epr_type1, epr_type2
+from .entanglement import EprSource, _pair_network, epr_type1, epr_type2
 from .metrics import (
     _SQRT2, _SQRT3, _TWO_SQRT2, Tally, _cross, _tally,
 )
-from .noise import (
-    FieldState, ModeKind, NoiseBasis, Quad, _derived_field, check_squeezing_limit, lincomb,
-)
+from .noise import FieldState, ModeKind, NoiseBasis, Quad, check_squeezing_limit, lincomb
 from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -44,6 +41,8 @@ class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, Epr
 
     def __new__(cls, *args, **kwargs) -> DealerConfig:
         self = super().__new__(cls, *args, **kwargs)
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in self[:2]):
+            raise ValueError(f"squeezing and modulation power must be real numbers, not {self[:2]!r}")
         if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
             raise ValueError("squeezing and modulation power must be nonnegative")
         check_squeezing_limit(self.r)
@@ -84,28 +83,17 @@ def _require_coherent(secret: FieldState) -> None:
         raise ValueError("secret must be a coherent state: one vacuum mode, unit coefficient")
 
 
-def _noise_beams(basis: NoiseBasis, config: DealerConfig) -> tuple[FieldState, FieldState]:
-    """The EPR pair after the modulators: the beams carrying the shares' noise."""
-    pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
-    mod = basis.modulation(config.v_m)
+def _noise_beams(
+    basis: NoiseBasis, config: DealerConfig, mids: tuple[int, int, int] | None = None
+) -> tuple[FieldState, FieldState]:
+    """The EPR pair after the modulators: the beams carrying the shares' noise.
+    mids are the pair's two modes and the modulation mode, if already registered."""
+    if mids is None:
+        pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
+        mod = basis.modulation(config.v_m)
+    else:
+        pair, mod = _pair_network(basis, config.source, config.r, *mids[:2]), mids[2]
     return phase_modulate(pair.beam1, mod, +1), phase_modulate(pair.beam2, mod, -1)
-
-
-@functools.cache
-def _type1_template() -> tuple[FieldState, FieldState]:
-    """Type-1 noise beams on a scratch basis at (0, 0), whose modes squeezed,
-    squeezed, modulation are ids 0, 1, 2: each key's id is its registration
-    slot.  Read only; deal copies the dicts."""
-    return _noise_beams(NoiseBasis(), DealerConfig(0.0))
-
-
-def _rekeyed(basis: NoiseBasis, fld: FieldState, ids: tuple[int, ...]) -> FieldState:
-    """A template beam on basis, mode slot k renamed to ids[k], in fresh dicts."""
-    return _derived_field(
-        basis, fld.mean_plus, fld.mean_minus,
-        {(ids[slot], quad): c for (slot, quad), c in fld.coeffs_plus.items()},
-        {(ids[slot], quad): c for (slot, quad), c in fld.coeffs_minus.items()},
-    )
 
 
 def deal(secret: FieldState, config: DealerConfig) -> Shares:
@@ -115,22 +103,13 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     and entangled beam 1; share 3 is entangled beam 2.  For both sources one
     classical mode of variance v_m rides on the entangled beams with opposite
     signs in X+, so shares 1 and 2 carry equal added noise.  The feedforward
-    detector's vacuum mode is registered last.
-
-    No type-1 coefficient depends on r or v_m, so that network is built once
-    (_type1_template) and each deal re-keys it onto its own squeezed,
-    squeezed and modulation modes, bit for bit what _noise_beams would give.
-    Type 2's coefficients hold cosh r and sinh r; it runs _noise_beams.
+    detector's vacuum mode is registered last.  The CLI deals once per source
+    and copies that basis per (r, v_m) instead (cli._dealt), bit for bit.
     """
     _require_coherent(secret)
-    basis = secret.basis
-    if config.source is EprSource.TYPE1:
-        ids = (basis.squeezed(config.r), basis.squeezed(config.r), basis.modulation(config.v_m))
-        beam1, beam2 = (_rekeyed(basis, fld, ids) for fld in _type1_template())
-    else:
-        beam1, beam2 = _noise_beams(basis, config)
+    beam1, beam2 = _noise_beams(secret.basis, config)
     share1, share2 = beam_splitter(secret, beam1, 0.5)
-    return Shares(share1, share2, beam2, basis.detector())
+    return Shares(share1, share2, beam2, secret.basis.detector())
 
 
 def reconstruct_12(shares: Shares) -> FieldState:

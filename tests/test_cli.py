@@ -18,6 +18,7 @@ from cvqss import (
     DealerConfig,
     EprSource,
     Metrics,
+    NoiseBasis,
     Quad,
     collaboration_beams,
     covariance,
@@ -46,7 +47,7 @@ from cvqss.cli import (
     verify_grid,
 )
 
-from conftest import dealt
+from conftest import SECRET_MEANS, dealt
 
 TWO_SQRT2 = 2.0 * math.sqrt(2.0)
 NONZERO_MEAN = st.one_of(st.floats(-5.0, -0.5), st.floats(0.5, 5.0))
@@ -537,17 +538,24 @@ class TestVerify:
         assert summary["families"]["feedforward_tv"]["count"] == 4
 
     def test_each_dealer_configuration_is_dealt_once(self, monkeypatch):
-        # no coefficient depends on (r, v_m): one deal scores every point
-        configs = []
-        real_deal = cvqss.cli.deal
+        # no coefficient depends on (r, v_m): one copy of the dealt basis scores
+        # every point, and after a warm-up no mode is registered and nothing dealt
+        verify_grid(r_values=(0.5,), vm_values=(0.0,), eta_values=(1.0,), gains=(1.0,))
+        calls = []
+        real_dealt = cvqss.cli._dealt
 
-        def counting_deal(secret, config):
-            configs.append(config)
-            return real_deal(secret, config)
+        def counting_dealt(*args):
+            calls.append(args)
+            return real_dealt(*args)
 
-        monkeypatch.setattr(cvqss.cli, "deal", counting_deal)
+        def refuse(*args):
+            raise AssertionError("verify dealt a basis of its own")
+
+        monkeypatch.setattr(cvqss.cli, "_dealt", counting_dealt)
+        monkeypatch.setattr(cvqss.protocol, "deal", refuse)
+        monkeypatch.setattr(NoiseBasis, "register", refuse)
         summary = verify_grid()
-        assert configs == [DealerConfig(0.0, 0.0)]
+        assert calls == [(0.0, 0.0, DEFAULT_MEANS)]
         counts = {family: fam["count"] for family, fam in summary["families"].items()}
         assert counts == {
             "single_player": 36, "feedforward_tv": 612, "psa2_tv": 6, "feedforward_fidelity": 6,
@@ -732,3 +740,64 @@ def test_modulation_depth_limit_is_where_the_power_overflows():
         ScenarioConfig("feedforward", vm_db=MAX_VM_DB)
     with pytest.raises(ValueError, match="--vm-db-large must be "):
         table_entries(vm_db_large=MAX_VM_DB)
+
+
+class TestDealtCopy:
+    """_dealt copies one basis per source, dealt once at (0, 0), to each
+    (r, v_m): every copy must be what a fresh NoiseBasis and deal give, bit
+    for bit, and nothing done on a copy may reach that template."""
+
+    @staticmethod
+    def snapshot(secret, shares):
+        basis = secret.basis
+        return repr((
+            [(s.mean_plus, s.mean_minus, list(s.coeffs_plus.items()), list(s.coeffs_minus.items()))
+             for s in (secret, *shares[:3])],
+            shares.detector, basis._kinds, list(basis._classes.items()), list(basis._class_ids),
+            basis._class_variances, [(k, basis.source_variance(k)) for k in basis._classes],
+        ))
+
+    @staticmethod
+    def tables(basis):
+        return repr((len(basis), basis._kinds, list(basis._classes.items()),
+                     list(basis._class_ids.items()), basis._class_variances))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        r=st.one_of(st.just(0.0), st.integers(0, 20), st.floats(0.0, 20.0)),
+        v_m=st.one_of(st.sampled_from([0.0, 1.0, 0, 1]), st.floats(0.0, 1e6)),
+        means=st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3))] * 2),
+        source=st.sampled_from(EprSource),
+    )
+    def test_equals_a_fresh_deal(self, r, v_m, means, source):
+        copied = cvqss.cli._dealt(r, v_m, means, source)
+        assert self.snapshot(*copied) == self.snapshot(*dealt(r, v_m, source, means))
+
+    @pytest.mark.parametrize("source", EprSource)
+    def test_an_oscillator_vacuum_lands_where_a_fresh_basis_puts_it(self, source):
+        template, _ = cvqss.cli._dealer(source)
+        before = self.tables(template)
+        bases = []
+        for secret, shares in (cvqss.cli._dealt(0.5, 2.0, SECRET_MEANS, source),
+                               dealt(0.5, 2.0, source)):
+            out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 0.9, epsilon=0.1)
+            assert len(secret.basis) == 6  # the oscillator vacuum was registered
+            bases.append(self.snapshot(out, shares) + self.tables(secret.basis))
+        assert bases[0] == bases[1]
+        run_scenario(ScenarioConfig("feedforward", 0.5, 3.0, 0.9, source=source.value, epsilon=0.1))
+        assert self.tables(template) == before
+
+    @pytest.mark.parametrize("source", EprSource)
+    def test_two_deals_and_the_template_share_no_container(self, source):
+        template, beams = cvqss.cli._dealer(source)
+        owners = [(template, beams)] + [
+            (secret.basis, (secret, *shares[:3]))
+            for secret, shares in (cvqss.cli._dealt(0.5, 1.0, SECRET_MEANS, source) for _ in range(2))
+        ]
+        ids = [
+            {id(c) for c in (basis._kinds, basis._classes, basis._class_ids, basis._class_variances)}
+            | {id(d) for fld in fields for d in (fld.coeffs_plus, fld.coeffs_minus)}
+            for basis, fields in owners
+        ]
+        assert [len(i) for i in ids] == [8, 12, 12]
+        assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]

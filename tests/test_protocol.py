@@ -129,6 +129,23 @@ class TestDeal:
         for quad in Quad:
             assert secret_coefficient(diffed, psi, quad) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("r, v_m", [
+        ("0.5", 0.0), (None, 0.0), (True, 0.0), (False, 0.0),
+        (0.5, "1"), (0.5, None), (0.5, True), (0.5, 1j),
+    ])
+    def test_squeezing_and_modulation_must_be_real_numbers(self, r, v_m):
+        with pytest.raises(ValueError, match="real numbers"):
+            DealerConfig(r, v_m)
+        with pytest.raises(ValueError, match="real numbers"):
+            DealerConfig(0.5)._replace(r=r, v_m=v_m)
+        with pytest.raises(ValueError, match="real numbers"):
+            cli._dealt(r, v_m, (4.0, 2.0))
+
+    def test_integer_squeezing_and_modulation_are_accepted(self):
+        assert DealerConfig(1, 2) == DealerConfig(1.0, 2.0)
+        scores = [tv_point(psi, shares.share1) for psi, shares in (dealt(1, 2), dealt(1.0, 2.0))]
+        assert scores[0] == scores[1]
+
     @pytest.mark.parametrize("source", ["type1", "type2", "bogus", 3, None])
     def test_source_must_be_an_epr_source(self, source):
         with pytest.raises(ValueError, match=r"EprSource\.TYPE1 or EprSource\.TYPE2"):
@@ -560,8 +577,8 @@ class TestDealOnce:
 
 
 class TestDealerNetwork:
-    """A type-1 deal re-keys a network built once per process; it must give
-    what _noise_beams run on the deal's own basis gives, bit for bit."""
+    """deal runs _noise_beams on the deal's own basis; cli._dealt copies a
+    basis dealt once per source, and runs no type-1 network per call."""
 
     @staticmethod
     def snapshot(shares):
@@ -569,7 +586,7 @@ class TestDealerNetwork:
         return repr((
             [(s.mean_plus, s.mean_minus, list(s.coeffs_plus.items()), list(s.coeffs_minus.items()))
              for s in shares[:3]],
-            shares.detector, basis._kinds, list(basis._variances.items()),
+            shares.detector, basis._kinds, [(k, basis.source_variance(k)) for k in basis._classes],
             list(basis._classes.items()), basis._class_variances,
         ))
 
@@ -603,24 +620,26 @@ class TestDealerNetwork:
         assert self.snapshot(shares) == self.snapshot(reference)
 
     def test_type1_deals_share_no_coefficient_dict(self):
-        (_, first), (_, second) = dealt(0.5, 1.0), dealt(0.5, 1.0)
-        template = protocol._type1_template()
+        (_, first), (_, second) = (cli._dealt(0.5, 1.0, (4.0, 2.0)) for _ in range(2))
+        _, template = cli._dealer(EprSource.TYPE1)
         owners = [first[:3], second[:3], template]
         ids = [{id(d) for fld in beams for d in (fld.coeffs_plus, fld.coeffs_minus)} for beams in owners]
         assert [len(i) for i in ids] == [6, 6, 4]
         assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & ids[2]
 
     def test_a_second_type1_deal_runs_no_network(self, monkeypatch):
-        expected = self.snapshot(dealt(1.0, 2.0)[1])
+        expected = self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0))[1])
 
         def refuse(*args):
             raise AssertionError("the type-1 network was built again")
 
         monkeypatch.setattr(protocol, "epr_type1", refuse)
+        monkeypatch.setattr(protocol, "_pair_network", refuse)
         monkeypatch.setattr(protocol, "phase_modulate", refuse)
-        assert self.snapshot(dealt(1.0, 2.0)[1]) == expected
+        monkeypatch.setattr(NoiseBasis, "register", refuse)
+        assert self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0))[1]) == expected
         with pytest.raises(AssertionError, match="built again"):
-            dealt(1.0, 2.0, EprSource.TYPE2)
+            cli._dealt(1.0, 2.0, (4.0, 2.0), EprSource.TYPE2)
 
 
 class TestDerivedBeamKeys:

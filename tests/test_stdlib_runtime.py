@@ -35,3 +35,9 @@ def test_cli_import_path_skips_dataclasses_and_inspect():
     # A bare interpreter loads neither, and together they cost every cvqss
     # child process about 10 ms.  (typing is not checked: site may load it.)
     assert _loaded_by_cvqss_cli(("dataclasses", "inspect")) == []
+
+
+def test_cli_import_path_skips_json_and_csv():
+    # each is needed only by its own --format (and json by --config), so a
+    # cvqss child pays for neither at import
+    assert _loaded_by_cvqss_cli(("json", "csv")) == []

@@ -22,6 +22,7 @@ from .metrics import (
     Metrics,
     _pair,
     _require_finite,
+    _require_real,
     _scores,
     conditional_variance,
     evaluate,
@@ -31,7 +32,6 @@ from .metrics import (
     transfer_coefficient,
 )
 from .noise import FieldState, NoiseBasis, Quad, _derived_field, covariance, field_from_mode, variance
-from .optics import beam_splitter
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -39,7 +39,7 @@ from .protocol import (
     DealerConfig,
     Shares,
     _feedforward_tallies,
-    _noise_beams,
+    deal,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -114,8 +114,11 @@ class ScenarioConfig(namedtuple(
         self = super().__new__(cls, *args, **kwargs)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if not isinstance(self.secret_means, (tuple, list)) or len(self.secret_means) != 2:
+            raise ValueError(f"secret_means must be two real numbers, not {self.secret_means!r}")
         vm_db = 0.0 if self.vm_db is None else self.vm_db
         numbers = [self.r, vm_db, self.eta, self.epsilon, *self.secret_means]
+        _require_real("r, vm_db, eta, epsilon and the secret means", *numbers)
         if self.gain is not None and self.gain != "optimal":
             if isinstance(self.gain, bool) or not isinstance(self.gain, (int, float)):
                 raise ValueError(f'gain must be a number, "optimal" or None, not {self.gain!r}')
@@ -152,33 +155,33 @@ def _resolve_gain(cfg: ScenarioConfig, shares: Shares) -> float:
 
 
 @functools.cache
-def _dealer(source: EprSource) -> tuple[NoiseBasis, tuple[FieldState, FieldState]]:
-    """deal's basis and noise beams at (0, 0) for a secret on mode 0: the pair's
-    modes are 1 and 2, the modulation 3 and the detector 4.  Read only."""
+def _dealer(source: EprSource) -> tuple[FieldState, Shares]:
+    """deal at (0, 0) on a fresh basis, for a zero-mean secret on mode 0.  Read only."""
     basis = NoiseBasis()
-    basis.vacuum()
-    beams = _noise_beams(basis, DealerConfig(0.0, 0.0, source))
-    basis.detector()
-    return basis, beams
+    secret = field_from_mode(basis, basis.vacuum())
+    return secret, deal(secret, DealerConfig(0.0, 0.0, source))
 
 
 def _dealt(
     r: float, v_m: float, means: tuple[float, float], source: EprSource = EprSource.TYPE1
 ) -> tuple[FieldState, Shares]:
-    """A coherent secret with these means on a copy of the source's dealt basis at
-    (r, v_m), and its shares, bit for bit as from a fresh NoiseBasis and deal.  Type 2's
-    beams hold cosh r and sinh r, so only they are rebuilt on the copy's modes."""
-    config = DealerConfig(r, v_m, source)  # rejects every input deal rejects
-    template, (beam1, beam2) = _dealer(source)
-    basis = template.at(r, v_m)
-    if source is EprSource.TYPE1:
-        beam1, beam2 = (_derived_field(basis, fld.mean_plus, fld.mean_minus, dict(fld.coeffs_plus),
-                                       dict(fld.coeffs_minus)) for fld in (beam1, beam2))
-    else:
-        beam1, beam2 = _noise_beams(basis, config, (1, 2, 3))
-    secret = field_from_mode(basis, 0, *means)
-    share1, share2 = beam_splitter(secret, beam1, 0.5)
-    return secret, Shares(share1, share2, beam2, 4)
+    """A coherent secret with these means and its shares, bit for bit as from a fresh
+    NoiseBasis and deal at (r, v_m): the source's _dealer copied onto its basis.at(r, v_m).
+
+    No coefficient of either source depends on (r, v_m), so only the means are
+    set: the 1:1 splitter puts (0.0 + h m) + (+/-h) 0.0, that is h m + 0.0, of
+    each secret mean m on shares 1 and 2, and none on share 3.
+    """
+    DealerConfig(r, v_m, source)  # rejects every input deal rejects
+    zero_secret, shares = _dealer(source)
+    basis = zero_secret.basis.at(r, v_m)
+    (m_p, m_m), h = means, math.sqrt(0.5)  # beam_splitter's weights at reflectivity 0.5
+    split = (h * m_p + 0.0, h * m_m + 0.0)
+    secret, share1, share2, share3 = (
+        _derived_field(basis, *mean, dict(fld.coeffs_plus), dict(fld.coeffs_minus))
+        for fld, mean in zip((zero_secret, *shares[:3]), (means, split, split, (0.0, 0.0)))
+    )
+    return secret, Shares(share1, share2, share3, shares.detector)
 
 
 def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldState) -> dict:

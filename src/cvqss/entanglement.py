@@ -7,7 +7,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .noise import FieldState, NoiseBasis, Quad, field_from_mode, lincomb, variance
-from .optics import beam_splitter, phase_shift, psa_type2_pair
+from .optics import beam_splitter, phase_shift
 
 # Separable bound on the Duan sum in our units (vacuum variance 1 per
 # quadrature): two independent vacua contribute 2 + 2.
@@ -32,31 +32,24 @@ def epr_type1(basis: NoiseBasis, r: float) -> EprPair:
     rotated by -/+ pi/4; this is the convention under which the pair feeds
     the share equations with the published coefficient structure.
     """
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    return _pair_network(basis, EprSource.TYPE1, r, basis.squeezed(r), basis.squeezed(r))
+    a, b = (field_from_mode(basis, basis.squeezed(r)) for _ in range(2))
+    out1, out2 = beam_splitter(a, b, 0.5, phase=math.pi / 2)
+    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
 
 
 def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
     """Entangled signal/idler pair from a single type-II parametric interaction.
 
-    Uses the pump-phase-flipped interaction (r -> -r) so that the correlated
-    combinations are X+_1 + X+_2 and X-_1 - X-_2, i.e. the ones entering the
-    Duan witness.
+    In Bloch-Messiah form, a two-mode squeezer is two single-mode squeezers
+    on a 50:50 splitter (Braunstein, PRA 71, 055801 (2005)): amplitude-squeezed
+    A and B, B turned a quarter wave by the exact map X+ -> -X-, X- -> X+,
+    give beam1 = (A + B')/sqrt(2) and beam2 = (A - B')/sqrt(2).  As for the
+    pump-phase-flipped interaction, the correlated combinations are
+    X+_1 + X+_2 and X-_1 - X-_2, the ones entering the Duan witness; r lives
+    only in the modes' variances, not in cosh r and sinh r coefficients.
     """
-    if r < 0:
-        raise ValueError("interaction parameter must be nonnegative")
-    return _pair_network(basis, EprSource.TYPE2, r, basis.vacuum(), basis.vacuum())
-
-
-def _pair_network(basis: NoiseBasis, source: EprSource, r: float, mid1: int, mid2: int) -> EprPair:
-    """The source's optics on its two registered modes: squeezed for type 1,
-    whose coefficients do not depend on r; signal and idler vacua for type 2."""
-    a, b = field_from_mode(basis, mid1), field_from_mode(basis, mid2)
-    if source is EprSource.TYPE2:
-        return EprPair(*psa_type2_pair(a, b, -r))
-    out1, out2 = beam_splitter(a, b, 0.5, phase=math.pi / 2)
-    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
+    a, b = (field_from_mode(basis, basis.squeezed(r)) for _ in range(2))
+    return EprPair(*beam_splitter(a, lincomb([((0.0, -1.0, 1.0, 0.0), b)]), 0.5))
 
 
 def duan_sum(pair: EprPair) -> float:

@@ -199,6 +199,13 @@ def evaluate(secret: FieldState, out: FieldState) -> Metrics:
 # notation); v_m = 0 means no added noise.
 
 
+def _require_real(what: str, *values: float) -> None:
+    """Reject a bool, or anything but an int or a float, with ValueError."""
+    for x in values:
+        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise ValueError(f"{what} must be real numbers, not {values!r}")
+
+
 def _require_finite(*values: float) -> None:
     if not all(map(math.isfinite, values)):
         raise ValueError("parameters must be finite numbers")

@@ -142,8 +142,8 @@ class NoiseBasis:
 
     def class_variances(self, r: float, v_m: float) -> list[float]:
         """The class variances had each squeezed mode been registered by squeezed(r)
-        and each modulation mode by modulation(v_m): a type-1 deal's beams score
-        under these as a fresh deal's at (r, v_m), bit for bit."""
+        and each modulation mode by modulation(v_m): a deal's beams, of either
+        source, score under these as a fresh deal's at (r, v_m), bit for bit."""
         squeezed = {Quad.PLUS: math.exp(-2.0 * r), Quad.MINUS: math.exp(2.0 * r)}
         return [
             squeezed[quad] if kind is ModeKind.SQUEEZED

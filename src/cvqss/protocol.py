@@ -11,9 +11,9 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .entanglement import EprSource, _pair_network, epr_type1, epr_type2
+from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import (
-    _SQRT2, _SQRT3, _TWO_SQRT2, Tally, _cross, _tally,
+    _SQRT2, _SQRT3, _TWO_SQRT2, Tally, _cross, _require_real, _tally,
 )
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, check_squeezing_limit, lincomb
 from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
@@ -41,8 +41,7 @@ class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, Epr
 
     def __new__(cls, *args, **kwargs) -> DealerConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in self[:2]):
-            raise ValueError(f"squeezing and modulation power must be real numbers, not {self[:2]!r}")
+        _require_real("squeezing and modulation power", *self[:2])
         if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
             raise ValueError("squeezing and modulation power must be nonnegative")
         check_squeezing_limit(self.r)
@@ -83,16 +82,10 @@ def _require_coherent(secret: FieldState) -> None:
         raise ValueError("secret must be a coherent state: one vacuum mode, unit coefficient")
 
 
-def _noise_beams(
-    basis: NoiseBasis, config: DealerConfig, mids: tuple[int, int, int] | None = None
-) -> tuple[FieldState, FieldState]:
-    """The EPR pair after the modulators: the beams carrying the shares' noise.
-    mids are the pair's two modes and the modulation mode, if already registered."""
-    if mids is None:
-        pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
-        mod = basis.modulation(config.v_m)
-    else:
-        pair, mod = _pair_network(basis, config.source, config.r, *mids[:2]), mids[2]
+def _noise_beams(basis: NoiseBasis, config: DealerConfig) -> tuple[FieldState, FieldState]:
+    """The EPR pair after the modulators: the beams carrying the shares' noise."""
+    pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
+    mod = basis.modulation(config.v_m)
     return phase_modulate(pair.beam1, mod, +1), phase_modulate(pair.beam2, mod, -1)
 
 
@@ -103,8 +96,9 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     and entangled beam 1; share 3 is entangled beam 2.  For both sources one
     classical mode of variance v_m rides on the entangled beams with opposite
     signs in X+, so shares 1 and 2 carry equal added noise.  The feedforward
-    detector's vacuum mode is registered last.  The CLI deals once per source
-    and copies that basis per (r, v_m) instead (cli._dealt), bit for bit.
+    detector's vacuum mode is registered last.  No coefficient depends on
+    (r, v_m), so the CLI deals once per source and copies those shares to
+    each (r, v_m) instead (cli._dealt), bit for bit.
     """
     _require_coherent(secret)
     beam1, beam2 = _noise_beams(secret.basis, config)

@@ -154,6 +154,33 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(**{"scheme": "feedforward", field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("r", "0.5"),
+        ("r", True),
+        ("vm_db", "10"),
+        ("vm_db", False),
+        ("eta", None),
+        ("eta", True),
+        ("epsilon", False),
+        ("epsilon", "0.1"),
+        ("secret_means", ("a", 1.0)),
+        ("secret_means", (1.0, True)),
+        ("secret_means", (1.0,)),
+        ("secret_means", (1.0, 2.0, 3.0)),
+        ("secret_means", None),
+        ("secret_means", 5.0),
+    ])
+    def test_numbers_must_be_real_when_built(self, field, value):
+        with pytest.raises(ValueError, match="real numbers"):
+            ScenarioConfig(**{"scheme": "feedforward", field: value})
+        with pytest.raises(ValueError, match="real numbers"):
+            ScenarioConfig("feedforward")._replace(**{field: value})
+
+    def test_integer_numbers_are_accepted(self):
+        ints = ScenarioConfig("feedforward", 1, 10, 1, None, (4, 2), epsilon=0)
+        floats = ScenarioConfig("feedforward", 1.0, 10.0, 1.0, None, (4.0, 2.0), epsilon=0.0)
+        assert run_scenario(ints)["v_q"] == run_scenario(floats)["v_q"]
+
 
 def _per_scheme_scenario(cfg):
     """Reference run_scenario: gain resolution and dispatch written out per scheme name."""
@@ -743,8 +770,8 @@ def test_modulation_depth_limit_is_where_the_power_overflows():
 
 
 class TestDealtCopy:
-    """_dealt copies one basis per source, dealt once at (0, 0), to each
-    (r, v_m): every copy must be what a fresh NoiseBasis and deal give, bit
+    """_dealt copies one set of shares per source, dealt once at (0, 0), to
+    each (r, v_m): every copy must be what a fresh NoiseBasis and deal give, bit
     for bit, and nothing done on a copy may reach that template."""
 
     @staticmethod
@@ -775,7 +802,7 @@ class TestDealtCopy:
 
     @pytest.mark.parametrize("source", EprSource)
     def test_an_oscillator_vacuum_lands_where_a_fresh_basis_puts_it(self, source):
-        template, _ = cvqss.cli._dealer(source)
+        template = cvqss.cli._dealer(source)[0].basis
         before = self.tables(template)
         bases = []
         for secret, shares in (cvqss.cli._dealt(0.5, 2.0, SECRET_MEANS, source),
@@ -789,15 +816,15 @@ class TestDealtCopy:
 
     @pytest.mark.parametrize("source", EprSource)
     def test_two_deals_and_the_template_share_no_container(self, source):
-        template, beams = cvqss.cli._dealer(source)
-        owners = [(template, beams)] + [
+        owners = [
             (secret.basis, (secret, *shares[:3]))
-            for secret, shares in (cvqss.cli._dealt(0.5, 1.0, SECRET_MEANS, source) for _ in range(2))
+            for secret, shares in [cvqss.cli._dealer(source)] + [
+                cvqss.cli._dealt(0.5, 1.0, SECRET_MEANS, source) for _ in range(2)]
         ]
         ids = [
             {id(c) for c in (basis._kinds, basis._classes, basis._class_ids, basis._class_variances)}
             | {id(d) for fld in fields for d in (fld.coeffs_plus, fld.coeffs_minus)}
             for basis, fields in owners
         ]
-        assert [len(i) for i in ids] == [8, 12, 12]
+        assert [len(i) for i in ids] == [12, 12, 12]
         assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 from cvqss import (
     DUAN_SEPARABLE_BOUND,
     EprPair,
+    ModeKind,
     NoiseBasis,
     Quad,
     covariance,
     duan_sum,
     epr_type1,
     epr_type2,
+    field_from_mode,
     lincomb,
     phase_modulate,
+    psa_type2_pair,
     variance,
 )
 
@@ -86,6 +89,38 @@ class TestType2Source:
     def test_negative_interaction_rejected(self, basis):
         with pytest.raises(ValueError):
             epr_type2(basis, -0.5)
+
+    def test_bloch_messiah_form_has_no_r_in_its_coefficients(self):
+        h = math.sqrt(0.5)
+        for r in (0.0, 0.5, 12.0):
+            basis = NoiseBasis()
+            pair = epr_type2(basis, r)
+            assert basis._kinds == [ModeKind.SQUEEZED] * 2
+            plus, minus = (0, Quad.PLUS), (0, Quad.MINUS)
+            b_plus, b_minus = (1, Quad.PLUS), (1, Quad.MINUS)
+            assert pair.beam1.coeffs_plus == {plus: h, b_minus: -h}
+            assert pair.beam1.coeffs_minus == {minus: h, b_plus: h}
+            assert pair.beam2.coeffs_plus == {plus: h, b_minus: h}
+            assert pair.beam2.coeffs_minus == {minus: h, b_plus: -h}
+            assert abs(duan_sum(pair) / (4.0 * math.exp(-2.0 * r)) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 4.0])
+    def test_same_state_as_the_parametric_interaction(self, r):
+        """Every within- and cross-quadrature covariance of the pair equals that of
+        the pump-phase-flipped interaction on two vacua, in cosh r and sinh r."""
+        def moments(pair):
+            basis = pair.beam1.basis
+            rows = [fld.coeffs(q) for fld in pair for q in Quad]
+            return [[sum(c * row_b.get(src, 0.0) * basis.source_variance(src)
+                         for src, c in row_a.items()) for row_b in rows] for row_a in rows]
+
+        basis = NoiseBasis()
+        signal, idler = (field_from_mode(basis, basis.vacuum()) for _ in range(2))
+        reference = moments(EprPair(*psa_type2_pair(signal, idler, -r)))
+        bloch_messiah = moments(epr_type2(NoiseBasis(), r))
+        scale = math.cosh(2.0 * r)
+        for ref_row, row in zip(reference, bloch_messiah):
+            assert row == pytest.approx(ref_row, rel=0.0, abs=1e-15 * scale)
 
 
 class TestDuanWitness:

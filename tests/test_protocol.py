@@ -577,8 +577,8 @@ class TestDealOnce:
 
 
 class TestDealerNetwork:
-    """deal runs _noise_beams on the deal's own basis; cli._dealt copies a
-    basis dealt once per source, and runs no type-1 network per call."""
+    """deal runs _noise_beams on the deal's own basis; cli._dealt copies the
+    shares dealt once per source, and runs no network per call."""
 
     @staticmethod
     def snapshot(shares):
@@ -619,27 +619,30 @@ class TestDealerNetwork:
         reference = protocol.Shares(*beam_splitter(secret, beam1, 0.5), beam2, twin.detector())
         assert self.snapshot(shares) == self.snapshot(reference)
 
-    def test_type1_deals_share_no_coefficient_dict(self):
-        (_, first), (_, second) = (cli._dealt(0.5, 1.0, (4.0, 2.0)) for _ in range(2))
-        _, template = cli._dealer(EprSource.TYPE1)
-        owners = [first[:3], second[:3], template]
+    @pytest.mark.parametrize("source", EprSource)
+    def test_deals_share_no_coefficient_dict(self, source):
+        (_, first), (_, second) = (cli._dealt(0.5, 1.0, (4.0, 2.0), source) for _ in range(2))
+        _, template = cli._dealer(source)
+        owners = [first[:3], second[:3], template[:3]]
         ids = [{id(d) for fld in beams for d in (fld.coeffs_plus, fld.coeffs_minus)} for beams in owners]
-        assert [len(i) for i in ids] == [6, 6, 4]
+        assert [len(i) for i in ids] == [6, 6, 6]
         assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & ids[2]
 
-    def test_a_second_type1_deal_runs_no_network(self, monkeypatch):
-        expected = self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0))[1])
+    @pytest.mark.parametrize("source", EprSource)
+    def test_a_second_deal_runs_no_network(self, source, monkeypatch):
+        expected = self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0), source)[1])
+        basis = NoiseBasis()
+        secret = field_from_mode(basis, basis.vacuum())
 
         def refuse(*args):
-            raise AssertionError("the type-1 network was built again")
+            raise AssertionError("the dealer network was built again")
 
-        monkeypatch.setattr(protocol, "epr_type1", refuse)
-        monkeypatch.setattr(protocol, "_pair_network", refuse)
+        monkeypatch.setattr(protocol, "_noise_beams", refuse)
         monkeypatch.setattr(protocol, "phase_modulate", refuse)
         monkeypatch.setattr(NoiseBasis, "register", refuse)
-        assert self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0))[1]) == expected
+        assert self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0), source)[1]) == expected
         with pytest.raises(AssertionError, match="built again"):
-            cli._dealt(1.0, 2.0, (4.0, 2.0), EprSource.TYPE2)
+            deal(secret, DealerConfig(1.0, 2.0, source))
 
 
 class TestDerivedBeamKeys:

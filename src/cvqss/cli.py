@@ -20,18 +20,18 @@ from collections.abc import Sequence
 from . import metrics
 from .metrics import (
     Metrics,
+    _moments,
     _pair,
     _require_finite,
     _require_real,
     _scores,
-    conditional_variance,
-    evaluate,
+    _tally,
+    _transfer,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
-    transfer_coefficient,
 )
-from .noise import FieldState, NoiseBasis, Quad, _derived_field, covariance, field_from_mode, variance
+from .noise import FieldState, NoiseBasis, Quad, _derived_field, field_from_mode
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -65,20 +65,23 @@ CSV_COLUMNS = (
 )
 
 
-def _regression_gain(cfg: ScenarioConfig, shares: Shares) -> float:
-    # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it
-    quad = cfg.quadrature
-    return -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
+def _regression_gain(cfg: ScenarioConfig, shares: Shares, variances: list[float]) -> float:
+    # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it.
+    # + 0.0 turns the -0.0 of an uncorrelated pair into the gain 0.0
+    s2, s3 = shares.share2.coeffs(cfg.quadrature), shares.share3.coeffs(cfg.quadrature)
+    classes = shares.share3.basis._classes
+    cov = sum(c * s2[src] * variances[classes[src]] for src, c in s3.items() if src in s2)
+    return -cov / sum(c * c * variances[classes[src]] for src, c in s3.items()) + 0.0
 
 
-# name -> (output(shares, gain, cfg), default gain, optimal gain(cfg, shares) or None = default)
+# name -> (output(shares, gain, cfg), default gain, optimal(cfg, shares, variances) or None)
 _SCHEMES = {
     "mz12": (lambda shares, g, cfg: reconstruct_12(shares), 0.0, None),
     "psa2": (lambda shares, g, cfg: reconstruct_2psa(shares, g), PSA_GAIN_OPTIMAL, None),
     "feedforward": (
         lambda shares, g, cfg: reconstruct_ff(shares, g, cfg.eta, epsilon=cfg.epsilon),
         FF_GAIN_OPTIMAL,
-        lambda cfg, shares: optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq"),
+        lambda cfg, shares, variances: optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq"),
     ),
     **{
         f"single_player_{i}": (lambda shares, g, cfg, i=i: shares.share(i), 0.0, None)
@@ -147,10 +150,10 @@ class ScenarioConfig(namedtuple(
         return Quad.PLUS if self.quad == "plus" else Quad.MINUS
 
 
-def _resolve_gain(cfg: ScenarioConfig, shares: Shares) -> float:
+def _resolve_gain(cfg: ScenarioConfig, shares: Shares, variances: list[float]) -> float:
     _, default, optimal = _SCHEMES[cfg.scheme]
     if cfg.gain == "optimal":
-        return default if optimal is None else optimal(cfg, shares)
+        return default if optimal is None else optimal(cfg, shares, variances)
     return default if cfg.gain is None else float(cfg.gain)
 
 
@@ -163,40 +166,23 @@ def _dealer(source: EprSource) -> tuple[FieldState, Shares]:
 
 
 def _dealt(
-    r: float, v_m: float, means: tuple[float, float], source: EprSource = EprSource.TYPE1
+    means: tuple[float, float], source: EprSource = EprSource.TYPE1
 ) -> tuple[FieldState, Shares]:
-    """A coherent secret with these means and its shares, bit for bit as from a fresh
-    NoiseBasis and deal at (r, v_m): the source's _dealer copied onto its basis.at(r, v_m).
+    """A coherent secret with these means and its shares, on the source's _dealer:
+    the secret and shares 1 and 2 are fresh FieldStates on its coefficient dicts.
 
-    No coefficient of either source depends on (r, v_m), so only the means are
-    set: the 1:1 splitter puts (0.0 + h m) + (+/-h) 0.0, that is h m + 0.0, of
-    each secret mean m on shares 1 and 2, and none on share 3.
+    No coefficient depends on (r, v_m), so under class_variances(r, v_m) these
+    score as a fresh deal at (r, v_m), bit for bit.  The 1:1 splitter puts
+    h m + 0.0 of each secret mean m on shares 1 and 2, and none on share 3.
     """
-    DealerConfig(r, v_m, source)  # rejects every input deal rejects
     zero_secret, shares = _dealer(source)
-    basis = zero_secret.basis.at(r, v_m)
     (m_p, m_m), h = means, math.sqrt(0.5)  # beam_splitter's weights at reflectivity 0.5
     split = (h * m_p + 0.0, h * m_m + 0.0)
-    secret, share1, share2, share3 = (
-        _derived_field(basis, *mean, dict(fld.coeffs_plus), dict(fld.coeffs_minus))
-        for fld, mean in zip((zero_secret, *shares[:3]), (means, split, split, (0.0, 0.0)))
+    secret, share1, share2 = (
+        _derived_field(fld.basis, *mean, fld.coeffs_plus, fld.coeffs_minus)
+        for fld, mean in zip((zero_secret, *shares[:2]), (means, split, split))
     )
-    return secret, Shares(share1, share2, share3, shares.detector)
-
-
-def _record(cfg: ScenarioConfig, gain: float, secret: FieldState, out: FieldState) -> dict:
-    """The CSV_COLUMNS row of one scenario: cfg, the gain used, then out's metrics.
-
-    A single_quadrature out is a readout beam, scored in cfg.quad alone:
-    the other quadrature's V_cv and v_q print as inf.
-    """
-    if cfg.scheme != "single_quadrature":
-        return _row(cfg, gain, _score_columns(evaluate(secret, out)))
-    t, vcv = transfer_coefficient(secret, out, cfg.quadrature), conditional_variance(
-        secret, out, cfg.quadrature)
-    if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
-        return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
-    return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0), ("vcv_plus", "v_q"))
+    return secret, shares._replace(share1=share1, share2=share2)
 
 
 def _score_columns(m: Metrics) -> tuple:
@@ -217,10 +203,23 @@ def _row(cfg: ScenarioConfig, gain: float, scores: tuple, unread: tuple = ()) ->
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:
-    """Execute one scenario and return the metrics record."""
-    secret, shares = _dealt(cfg.r, cfg.v_m, cfg.secret_means, EprSource(cfg.source))
-    gain = _resolve_gain(cfg, shares)
-    return _record(cfg, gain, secret, _SCHEMES[cfg.scheme][0](shares, gain, cfg))
+    """One scenario's record: its output, built on _dealt, scored under
+    class_variances(r, v_m) as every command scores.  A single_quadrature out is
+    a readout beam, scored in cfg.quad alone: the other V_cv and v_q print as inf.
+    """
+    dealer = DealerConfig(cfg.r, cfg.v_m, EprSource(cfg.source))  # as deal checks
+    secret, shares = _dealt(cfg.secret_means, dealer.source)
+    variances = secret.basis.class_variances(dealer.r, dealer.v_m)
+    gain = _resolve_gain(cfg, shares, variances)
+    out = _SCHEMES[cfg.scheme][0](shares, gain, cfg)
+    if cfg.scheme != "single_quadrature":
+        (m,) = _scores(variances, *_pair(secret, out, cross=True))
+        return _row(cfg, gain, _score_columns(m))
+    moments, vcv = _moments(_tally(secret, out, cfg.quadrature), variances)
+    t = _transfer(moments)
+    if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
+        return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
+    return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0), ("vcv_plus", "v_q"))
 
 
 def tv_curve_records(
@@ -245,7 +244,8 @@ def tv_curve_records(
     if list(gains) != sorted(gains):
         raise ValueError("gain sweep must be monotone increasing")
     floats = [float(g) for g in gains]
-    secret, shares = _dealt(r, 0.0, secret_means, EprSource(source))
+    # r passes deal's checks here, each vm_db ScenarioConfig's below
+    secret, shares = _dealt(secret_means, DealerConfig(r, 0.0, EprSource(source)).source)
     minus, [(pluses, crosses)] = _feedforward_tallies(secret, shares, floats, (eta,), (2, 3), True)
     single_pair = _pair(secret, shares.share1, cross=True)
     rows = []
@@ -256,7 +256,7 @@ def tv_curve_records(
         swept = _scores(variances, pluses, minus, crosses)
         rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
         (m,) = _scores(variances, *single_pair)
-        rows.append(_row(single, _resolve_gain(single, shares), _score_columns(m)))
+        rows.append(_row(single, _resolve_gain(single, shares, variances), _score_columns(m)))
     return rows
 
 
@@ -287,7 +287,7 @@ def table_entries(
         ("quan_noise", r_large, 10.0 ** (vm_db_large / 10.0)),
     )
     subsets = ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}")
-    secret, shares = _dealt(0.0, 0.0, means)
+    secret, shares = _dealt(means)
     pairs = ((1, 3), (2, 3))
     outs = [shares.share1, shares.share2, shares.share3, reconstruct_12(shares)]
     outs += [reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players) for players in pairs]
@@ -375,7 +375,7 @@ def verify_grid(
                 for key, d in zip(keys, deviations) if d > VERIFY_TOLERANCE
             )
 
-    secret, shares = _dealt(0.0, 0.0, DEFAULT_MEANS)
+    secret, shares = _dealt(DEFAULT_MEANS)
     singles = [_pair(secret, shares.share(player)) for player in (1, 2)]
     minus, passes = _feedforward_tallies(secret, shares, gains, eta_values, (2, 3))
     ff_gains = metrics._FfGains(gains)

@@ -256,9 +256,13 @@ def _square(x: float) -> float:
 
 
 def _ff_gain_terms(gains: Sequence[float]) -> list[tuple[float, ...]]:
-    return [(_square(1.0 + g / _SQRT2), _square(g / 2.0 - _SQRT2), _square(1.5 * g),
-             _square(2.0 - g / _SQRT2), 3.0 * g * g, _square(g - _TWO_SQRT2), 9.0 * g * g,
-             12.0 * g * g) for g in gains]
+    """Each gain's terms, then V_q's factor g2 = 1.0.  Above 2^510, where 12 g^2
+    would near the largest float, the terms are divided by g^2 (1/g and 1 in place
+    of 1 and g) and g2 = g^2: T_q, a ratio of terms, then meets its finite limit."""
+    scaled = ((1.0, g, 1.0) if abs(g) <= 2.0 ** 510 else (1.0 / g, 1.0, g * g) for g in gains)
+    return [(_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
+             _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a), 9.0 * b * b,
+             12.0 * b * b, g2) for a, b, g2 in scaled]
 
 
 class _FfGains(tuple):
@@ -286,11 +290,11 @@ def ff_cp_column(
     two_vm = 2.0 * v_m
     loss = 1.0 - eta
     column = []
-    for signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v in terms:
+    for signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v, g2 in terms:
         noise = at_e2r * e2r + at_em2r * em2r + at_vm * v_m + at_loss * loss / eta
         v_q = v_scale * (
             at_em2r_v * em2r + e2r * uncancelled + two_vm * uncancelled + at_loss_v * loss / eta
-        )
+        ) * g2
         column.append((t_squeezed + signal / (signal + noise), v_q))
     return column
 

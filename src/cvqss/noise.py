@@ -143,25 +143,14 @@ class NoiseBasis:
     def class_variances(self, r: float, v_m: float) -> list[float]:
         """The class variances had each squeezed mode been registered by squeezed(r)
         and each modulation mode by modulation(v_m): a deal's beams, of either
-        source, score under these as a fresh deal's at (r, v_m), bit for bit."""
+        source, score under these as a fresh deal's at (r, v_m), bit for bit.
+        So one deal serves every (r, v_m), and every CLI command scores it so."""
         squeezed = {Quad.PLUS: math.exp(-2.0 * r), Quad.MINUS: math.exp(2.0 * r)}
         return [
             squeezed[quad] if kind is ModeKind.SQUEEZED
             else v_m if kind is ModeKind.CLASSICAL_MODULATION else v
             for kind, quad, v in self._class_ids
         ]
-
-    def at(self, r: float, v_m: float) -> NoiseBasis:
-        """A copy sharing no container: the same modes, ids and classes, each class
-        at its class_variances(r, v_m), as squeezed(r) and modulation(v_m) register."""
-        copy = object.__new__(NoiseBasis)
-        copy._kinds, copy._classes = self._kinds.copy(), self._classes.copy()
-        copy._class_variances = self.class_variances(r, v_m)
-        keys = [(kind, quad, v) for (kind, quad, _), v in zip(self._class_ids, copy._class_variances)]
-        copy._class_ids = dict(zip(keys, range(len(keys))))
-        if len(copy._class_ids) != len(keys):
-            raise ValueError("two variance classes of this basis merge at this (r, v_m)")
-        return copy
 
 
 def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:

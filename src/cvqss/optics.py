@@ -135,7 +135,8 @@ def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
 
 
 def feedforward_mix(
-    b: FieldState, current: Photocurrent, total_gain: float, epsilon: float = 0.0
+    b: FieldState, current: Photocurrent, total_gain: float, epsilon: float = 0.0,
+    oscillator: int | None = None,
 ) -> FieldState:
     """Feed a detected photocurrent forward onto a beam's amplitude quadrature.
 
@@ -148,10 +149,9 @@ def feedforward_mix(
 
     By default the local-oscillator mixing splitter is taken in its exact
     high-reflectivity limit.  epsilon > 0 keeps it finite for sensitivity
-    studies: each call registers a fresh vacuum mode on the basis for the
-    oscillator's own fluctuations, the kept beam is attenuated by
-    sqrt(1 - epsilon) and sqrt(epsilon) of that vacuum enters both
-    quadratures.
+    studies: the kept beam is attenuated by sqrt(1 - epsilon) and sqrt(epsilon)
+    of the vacuum mode oscillator (deal declares one per set of shares), which
+    neither beam may carry, enters both quadratures; epsilon = 0 ignores it.
     """
     if b.basis is not current.beam.basis:
         raise ValueError("photocurrent built over a different noise basis")
@@ -166,5 +166,9 @@ def feedforward_mix(
     if total_gain != 0.0:
         terms.append(((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam))
     if epsilon > 0.0:
-        terms.append((math.sqrt(epsilon), field_from_mode(b.basis, b.basis.vacuum())))
+        keys = [*b.coeffs_plus, *b.coeffs_minus, *current.beam.coeffs_plus, *current.beam.coeffs_minus]
+        if oscillator is None or b.basis.kind(oscillator) is not ModeKind.VACUUM or any(
+                mid == oscillator for mid, _ in keys):
+            raise ValueError("finite epsilon needs an oscillator vacuum mode neither beam carries")
+        terms.append((math.sqrt(epsilon), field_from_mode(b.basis, oscillator)))
     return lincomb(terms)

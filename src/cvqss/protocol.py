@@ -50,12 +50,13 @@ class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, Epr
         return self
 
 
-class Shares(namedtuple("Shares", "share1 share2 share3 detector")):
-    """The three dealt beams and the detector_vacuum mode declared with them.
+class Shares(namedtuple("Shares", "share1 share2 share3 detector oscillator")):
+    """The three dealt beams and the two vacuum modes declared with them.
 
-    Every feedforward reconstruction from the shares admixes that mode
-    through its detector's loss port, so reconstructing grows the basis only
-    by the oscillator vacuum that feedforward_mix registers when epsilon > 0.
+    Every feedforward reconstruction from the shares admixes the
+    detector_vacuum mode detector through its detector's loss port, and at
+    epsilon > 0 the vacuum mode oscillator through its mixing splitter, so
+    no reconstruction registers a mode.
     """
 
     __slots__ = ()
@@ -96,14 +97,14 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     and entangled beam 1; share 3 is entangled beam 2.  For both sources one
     classical mode of variance v_m rides on the entangled beams with opposite
     signs in X+, so shares 1 and 2 carry equal added noise.  The feedforward
-    detector's vacuum mode is registered last.  No coefficient depends on
-    (r, v_m), so the CLI deals once per source and copies those shares to
-    each (r, v_m) instead (cli._dealt), bit for bit.
+    loop's detector vacuum and then its oscillator vacuum are registered last.
+    No coefficient depends on (r, v_m), so the CLI deals once per source and
+    scores those shares under each (r, v_m)'s class variances, bit for bit.
     """
     _require_coherent(secret)
     beam1, beam2 = _noise_beams(secret.basis, config)
     share1, share2 = beam_splitter(secret, beam1, 0.5)
-    return Shares(share1, share2, beam2, secret.basis.detector())
+    return Shares(share1, share2, beam2, secret.basis.detector(), secret.basis.vacuum())
 
 
 def reconstruct_12(shares: Shares) -> FieldState:
@@ -196,11 +197,11 @@ def reconstruct_ff(
     anti-squeezed and classical-modulation terms cancel, leaving a
     symplectically scaled secret: sqrt(3) X+, X-/sqrt(3).  epsilon > 0
     keeps the local-oscillator mixing splitter finite instead of taking its
-    high-reflectivity limit, and registers a fresh oscillator vacuum mode on
-    the shares' basis; the closed forms assume epsilon = 0.
+    high-reflectivity limit, admitting the shares' oscillator vacuum; the
+    closed forms assume epsilon = 0.
     """
     kept, (current,) = _feedforward_stages(shares, (gain,), (eta,), players)
-    return feedforward_mix(kept, current, gain, epsilon)
+    return feedforward_mix(kept, current, gain, epsilon, shares.oscillator)
 
 
 def _feedforward_tallies(

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,18 @@ from cvqss import (
     NoiseBasis,
     Quad,
     collaboration_beams,
+    conditional_variance,
     covariance,
+    evaluate,
     fidelity,
     optimal_gain,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
     single_quadrature_readout,
+    squeezing_pct,
     symplectic_correct,
+    transfer_coefficient,
     tv_point,
     variance,
 )
@@ -39,7 +44,6 @@ from cvqss.cli import (
     SCHEMES,
     ScenarioConfig,
     VERIFY_TOLERANCE,
-    _record,
     main,
     run_scenario,
     table_entries,
@@ -183,14 +187,17 @@ class TestRunScenario:
 
 
 def _per_scheme_scenario(cfg):
-    """Reference run_scenario: gain resolution and dispatch written out per scheme name."""
+    """Reference run_scenario: a fresh deal at (r, v_m), gain resolution and dispatch
+    written out per scheme name, and the scores of evaluate or, for the one
+    quadrature of a readout, of transfer_coefficient and conditional_variance."""
     psi, shares = dealt(cfg.r, cfg.v_m, EprSource(cfg.source), cfg.secret_means)
     g = cfg.gain
     if g == "optimal" and cfg.scheme == "feedforward":
         gain = optimal_gain(cfg.r, cfg.v_m, cfg.eta, objective="max_tq")
     elif g == "optimal" and cfg.scheme == "single_quadrature":
         quad = cfg.quadrature
-        gain = -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad)
+        # + 0.0: an uncorrelated pair's gain is 0.0, not -0.0
+        gain = -covariance(shares.share2, shares.share3, quad) / variance(shares.share3, quad) + 0.0
     elif g is not None and g != "optimal":
         gain = float(g)
     else:
@@ -205,7 +212,16 @@ def _per_scheme_scenario(cfg):
         out = reconstruct_ff(shares, gain, cfg.eta, epsilon=cfg.epsilon)
     else:
         out = shares.share(int(cfg.scheme[-1]))
-    return _record(cfg, gain, psi, out)
+    if cfg.scheme != "single_quadrature":
+        m = evaluate(psi, out)
+        scores = (m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity)
+    else:
+        quad, inf = cfg.quadrature, math.inf
+        t, vcv = transfer_coefficient(psi, out, quad), conditional_variance(psi, out, quad)
+        scores = (t, 0.0, t, vcv, inf, inf, 0.0) if cfg.quad == "plus" else (
+            0.0, t, t, inf, vcv, inf, 0.0)
+    config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
+    return dict(zip(CSV_COLUMNS, config + scores, strict=True))
 
 
 @pytest.mark.parametrize("gain", [None, 1.7, "optimal"])
@@ -219,7 +235,65 @@ def test_scheme_table_matches_per_scheme_dispatch(scheme, gain):
         assert repr(run_scenario(cfg)) == repr(_per_scheme_scenario(cfg))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    r=st.one_of(st.just(0.0), st.floats(0.0, 8.0)),
+    vm_db=st.one_of(st.none(), st.floats(0.0, 60.0)),
+    eta=st.one_of(st.just(1.0), st.floats(0.1, 1.0)),
+    gain=st.one_of(st.none(), st.just("optimal"), st.floats(0.0, 8.0)),
+    means=st.tuples(NONZERO_MEAN, NONZERO_MEAN),
+    source=st.sampled_from(("type1", "type2")),
+    quad=st.sampled_from(("plus", "minus")),
+    epsilon=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+)
+def test_every_scheme_scores_as_a_fresh_deal(r, vm_db, eta, gain, means, source, quad, epsilon):
+    for scheme in SCHEMES:
+        cfg = ScenarioConfig(scheme, r, vm_db, eta, gain, means, source, quad, epsilon)
+        try:
+            expected = _per_scheme_scenario(cfg)
+        except ValueError as exc:  # an input that both paths refuse
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                run_scenario(cfg)
+            continue
+        try:
+            record = run_scenario(cfg)
+        except ValueError as exc:  # a score overflowed, and the fresh deal's did as well
+            assert not math.isfinite(expected[str(exc).split()[0]])
+            continue
+        assert repr(record) == repr(expected)
+
+
+def every_scenario():
+    """A run_scenario input for every scheme, source, quad, epsilon and gain kind."""
+    return [
+        ScenarioConfig(scheme, 0.6, 10.0, 0.9, gain, (-1.5, 3.0), source, quad, epsilon)
+        for scheme in SCHEMES for source in ("type1", "type2") for quad in ("plus", "minus")
+        for epsilon in (0.0, 0.1) for gain in (None, 1.7, "optimal")
+    ]
+
+
+def test_run_deals_and_registers_nothing_after_a_warm_up(monkeypatch):
+    for source in ("type1", "type2"):
+        run_scenario(ScenarioConfig("mz12", source=source))
+
+    def refuse(*args):
+        raise AssertionError("run dealt or registered a mode")
+
+    monkeypatch.setattr(cvqss.protocol, "deal", refuse)
+    monkeypatch.setattr(NoiseBasis, "register", refuse)
+    records = [run_scenario(cfg) for cfg in every_scenario()]
+    assert len(records) == 168
+
+
 class TestRunCommand:
+    def test_an_uncorrelated_pairs_optimal_readout_gain_prints_as_zero(self, capsys):
+        # at r = 0 and no modulation the X+ of share 2 and share 3 are
+        # uncorrelated: -cov/var is -0.0 there, which used to print as the gain
+        code = main(["run", "--scheme", "single_quadrature", "--gain", "optimal", "--r", "0"])
+        assert code == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert rows[0]["gain"] == "0.0"
+
     def test_csv_schema_and_values(self, capsys):
         code = main([
             "run", "--scheme", "feedforward", "--r", "0", "--vm-db", "20",
@@ -565,7 +639,7 @@ class TestVerify:
         assert summary["families"]["feedforward_tv"]["count"] == 4
 
     def test_each_dealer_configuration_is_dealt_once(self, monkeypatch):
-        # no coefficient depends on (r, v_m): one copy of the dealt basis scores
+        # no coefficient depends on (r, v_m): the one dealt share set scores
         # every point, and after a warm-up no mode is registered and nothing dealt
         verify_grid(r_values=(0.5,), vm_values=(0.0,), eta_values=(1.0,), gains=(1.0,))
         calls = []
@@ -582,7 +656,7 @@ class TestVerify:
         monkeypatch.setattr(cvqss.protocol, "deal", refuse)
         monkeypatch.setattr(NoiseBasis, "register", refuse)
         summary = verify_grid()
-        assert calls == [(0.0, 0.0, DEFAULT_MEANS)]
+        assert calls == [(DEFAULT_MEANS,)]
         counts = {family: fam["count"] for family, fam in summary["families"].items()}
         assert counts == {
             "single_player": 36, "feedforward_tv": 612, "psa2_tv": 6, "feedforward_fidelity": 6,
@@ -770,18 +844,17 @@ def test_modulation_depth_limit_is_where_the_power_overflows():
 
 
 class TestDealtCopy:
-    """_dealt copies one set of shares per source, dealt once at (0, 0), to
-    each (r, v_m): every copy must be what a fresh NoiseBasis and deal give, bit
-    for bit, and nothing done on a copy may reach that template."""
+    """_dealt gives each (r, v_m) the one set of shares per source dealt at
+    (0, 0), with fresh means, and run_scenario scores it under that basis's
+    class_variances(r, v_m): its beams must be a fresh deal's, bit for bit,
+    and no scheme may change that template."""
 
     @staticmethod
-    def snapshot(secret, shares):
-        basis = secret.basis
+    def beams(secret, shares):
         return repr((
             [(s.mean_plus, s.mean_minus, list(s.coeffs_plus.items()), list(s.coeffs_minus.items()))
              for s in (secret, *shares[:3])],
-            shares.detector, basis._kinds, list(basis._classes.items()), list(basis._class_ids),
-            basis._class_variances, [(k, basis.source_variance(k)) for k in basis._classes],
+            shares[3:],
         ))
 
     @staticmethod
@@ -797,34 +870,29 @@ class TestDealtCopy:
         source=st.sampled_from(EprSource),
     )
     def test_equals_a_fresh_deal(self, r, v_m, means, source):
-        copied = cvqss.cli._dealt(r, v_m, means, source)
-        assert self.snapshot(*copied) == self.snapshot(*dealt(r, v_m, source, means))
+        secret, shares = cvqss.cli._dealt(means, source)
+        psi, fresh = dealt(r, v_m, source, means)
+        assert self.beams(secret, shares) == self.beams(psi, fresh)
+        basis = secret.basis
+        assert (basis._kinds, basis._classes) == (psi.basis._kinds, psi.basis._classes)
+        assert repr(basis.class_variances(r, v_m)) == repr(psi.basis._class_variances)
 
     @pytest.mark.parametrize("source", EprSource)
     def test_an_oscillator_vacuum_lands_where_a_fresh_basis_puts_it(self, source):
         template = cvqss.cli._dealer(source)[0].basis
-        before = self.tables(template)
-        bases = []
-        for secret, shares in (cvqss.cli._dealt(0.5, 2.0, SECRET_MEANS, source),
-                               dealt(0.5, 2.0, source)):
+        beams = []
+        for secret, shares in (cvqss.cli._dealt(SECRET_MEANS, source), dealt(0.5, 2.0, source)):
+            assert len(secret.basis) == 6  # deal declared the oscillator vacuum
             out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 0.9, epsilon=0.1)
-            assert len(secret.basis) == 6  # the oscillator vacuum was registered
-            bases.append(self.snapshot(out, shares) + self.tables(secret.basis))
-        assert bases[0] == bases[1]
-        run_scenario(ScenarioConfig("feedforward", 0.5, 3.0, 0.9, source=source.value, epsilon=0.1))
-        assert self.tables(template) == before
+            assert len(secret.basis) == 6  # and the reconstruction registered none
+            beams.append(self.beams(out, shares))
+        assert beams[0] == beams[1]
+        assert len(template) == 6
 
     @pytest.mark.parametrize("source", EprSource)
-    def test_two_deals_and_the_template_share_no_container(self, source):
-        owners = [
-            (secret.basis, (secret, *shares[:3]))
-            for secret, shares in [cvqss.cli._dealer(source)] + [
-                cvqss.cli._dealt(0.5, 1.0, SECRET_MEANS, source) for _ in range(2)]
-        ]
-        ids = [
-            {id(c) for c in (basis._kinds, basis._classes, basis._class_ids, basis._class_variances)}
-            | {id(d) for fld in fields for d in (fld.coeffs_plus, fld.coeffs_minus)}
-            for basis, fields in owners
-        ]
-        assert [len(i) for i in ids] == [12, 12, 12]
-        assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
+    def test_no_scheme_changes_the_template(self, source):
+        secret, shares = cvqss.cli._dealer(source)
+        before = self.tables(secret.basis) + self.beams(secret, shares)
+        for cfg in every_scenario():
+            run_scenario(cfg)
+        assert self.tables(secret.basis) + self.beams(secret, shares) == before

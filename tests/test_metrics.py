@@ -33,7 +33,7 @@ from cvqss import (
     variance,
 )
 
-from cvqss.metrics import _ff_gain_terms, ff_cp_column
+from cvqss.metrics import _ff_gain_terms, _square, ff_cp_column
 from cvqss.noise import MAX_SQUEEZING
 
 from conftest import SECRET_MEANS, dealt
@@ -358,9 +358,18 @@ class TestFeedforwardColumn:
     @pytest.mark.parametrize("g", [1e155, -1e155, 1e200, 1.7e308])
     def test_a_square_that_overflows_is_inf(self, g):
         # float ** raises OverflowError where * gives inf, as in closed_form("sp")
-        assert _ff_gain_terms([g]) == [(math.inf,) * 8]
+        assert _square(g) == math.inf
         column = ff_cp_column(0.5, 0.0, 1.0, [1.0, g])
         assert repr(column) == repr([closed_form("ff_cp", 0.5, 0.0, 1.0, x) for x in (1.0, g)])
+
+    @pytest.mark.parametrize("g", [1e155, -1e155, 1e200, 1.7e308])
+    def test_a_gain_whose_square_overflows_scores_without_nan(self, g):
+        # the terms are formed divided by g^2, and only V_q's factor g^2 overflows
+        *terms, g2 = _ff_gain_terms([g])[0]
+        assert all(map(math.isfinite, terms)) and g2 == math.inf
+        for r, v_m, eta in ((0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 0.0, 0.5)):
+            t_q, v_q = closed_form("ff_cp", r, v_m, eta, g)
+            assert 0.0 < t_q < 2.0 and v_q == math.inf
 
 
 class TestFidelityClosedForm:

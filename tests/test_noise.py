@@ -72,15 +72,6 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown noise mode id -1"):
             basis.kind(-1)
 
-    @pytest.mark.parametrize("register", [NoiseBasis.squeezed, NoiseBasis.modulation])
-    def test_a_copy_whose_classes_would_merge_is_refused(self, basis, register):
-        # two squeezings (or modulation powers) are two classes here, but
-        # would be one at any single (r, v_m)
-        register(basis, 0.5)
-        register(basis, 1.0)
-        with pytest.raises(ValueError, match="merge"):
-            basis.at(0.3, 0.0)
-
     @pytest.mark.parametrize("mid", [0.0, 1.0, False, True])
     def test_non_integer_mode_id_rejected(self, basis, mid):
         # 0.0 used to reach the list index (TypeError) and False read mode 0

@@ -222,6 +222,12 @@ class TestDetect:
             detect(fld, 0.9, basis.vacuum())
 
 
+def state(fld):
+    """A beam's means and coefficients, in key order, as repr: equal only bit for bit."""
+    return repr((fld.mean_plus, fld.mean_minus, list(fld.coeffs_plus.items()),
+                 list(fld.coeffs_minus.items())))
+
+
 class TestFeedforwardMix:
     def test_zero_gain_returns_kept_beam(self, basis):
         b = field_from_mode(basis, basis.vacuum(), 1.0, 1.0)
@@ -240,19 +246,36 @@ class TestFeedforwardMix:
             0.9428090415820634, abs=1e-12
         )
 
-    def test_finite_epsilon_registers_one_oscillator_vacuum_per_call(self, basis):
+    def test_finite_epsilon_admits_the_given_oscillator_vacuum(self, basis):
         b = field_from_mode(basis, basis.squeezed(0.5), 1.0, -1.0)
         c = field_from_mode(basis, basis.vacuum())
         current = detect(c, 0.8, basis.detector())
-        lo = len(basis)  # the id the next registered mode gets
-        first = feedforward_mix(b, current, 1.7, 0.1)
-        second = feedforward_mix(b, current, 1.7, 0.1)
-        assert len(basis) == lo + 2
-        for out, mode, other in ((first, lo, lo + 1), (second, lo + 1, lo)):
-            assert basis.kind(mode) is ModeKind.VACUUM
-            for quad in (Quad.PLUS, Quad.MINUS):
-                assert out.coeff(quad, (mode, quad)) == math.sqrt(0.1)
-                assert out.coeff(quad, (other, quad)) == 0.0
+        lo = basis.vacuum()
+        size = len(basis)
+        outs = [feedforward_mix(b, current, 1.7, 0.1, lo) for _ in range(2)]
+        assert len(basis) == size  # no call registers a mode
+        assert state(outs[0]) == state(outs[1])
+        for quad in (Quad.PLUS, Quad.MINUS):
+            assert outs[0].coeff(quad, (lo, quad)) == math.sqrt(0.1)
+
+    @pytest.mark.parametrize("which", ["none", "kept", "detected", "detector", "squeezed"])
+    def test_finite_epsilon_refuses_any_but_a_fresh_vacuum(self, basis, which):
+        b = field_from_mode(basis, basis.vacuum(), 1.0, -1.0)
+        c = field_from_mode(basis, basis.vacuum())
+        d = basis.detector()
+        current = detect(c, 0.8, d)
+        oscillator = {
+            "none": None,
+            "kept": next(iter(b.coeffs_plus))[0],
+            "detected": next(iter(c.coeffs_plus))[0],
+            "detector": d,
+            "squeezed": basis.squeezed(0.5),
+        }[which]
+        with pytest.raises(ValueError, match="oscillator"):
+            feedforward_mix(b, current, 1.7, 0.1, oscillator)
+        # epsilon = 0 admits no oscillator, so it reads none
+        assert state(feedforward_mix(b, current, 1.7, 0.0, oscillator)) == state(
+            feedforward_mix(b, current, 1.7))
 
     def test_zero_epsilon_registers_nothing(self, basis):
         b = field_from_mode(basis, basis.vacuum(), 1.0, 1.0)

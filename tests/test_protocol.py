@@ -138,8 +138,9 @@ class TestDeal:
             DealerConfig(r, v_m)
         with pytest.raises(ValueError, match="real numbers"):
             DealerConfig(0.5)._replace(r=r, v_m=v_m)
-        with pytest.raises(ValueError, match="real numbers"):
-            cli._dealt(r, v_m, (4.0, 2.0))
+        if v_m == 0.0:  # tv-curve deals at v_m = 0 and checks r as deal does
+            with pytest.raises(ValueError, match="real numbers"):
+                cli.tv_curve_records(r, [1.0], [None])
 
     def test_integer_squeezing_and_modulation_are_accepted(self):
         assert DealerConfig(1, 2) == DealerConfig(1.0, 2.0)
@@ -430,6 +431,35 @@ class TestFeedforward:
         for out in outs:
             assert out.coeff(P, (shares.detector, P)) != 0.0
 
+    def test_reconstructions_share_the_deals_oscillator(self):
+        # deal declares the oscillator vacuum after the detector: mode 5, in
+        # the secret's vacuum class, where a per-call registration put it
+        psi, shares = dealt(r=0.5, v_m=100.0)
+        basis = psi.basis
+        (secret_plus,) = psi.coeffs_plus
+        assert (shares.detector, shares.oscillator) == (4, 5) and len(basis) == 6
+        assert basis.kind(shares.oscillator) is ModeKind.VACUUM
+        assert basis._classes[(5, P)] == basis._classes[secret_plus]
+        outs = [reconstruct_ff(shares, gain, 0.9, players, epsilon=0.1)
+                for gain in (1.3, FF_GAIN_OPTIMAL) for players in ((2, 3), (1, 3))]
+        assert len(basis) == 6
+        for out in outs:
+            for quad in Quad:
+                assert out.coeff(quad, (shares.oscillator, quad)) == math.sqrt(0.1)
+
+    def test_finite_mixing_needs_a_fresh_oscillator_vacuum(self):
+        # admitting the secret's own mode as the oscillator would give
+        # T_q = 0.772 here instead of 1.070
+        psi, shares = dealt(r=0.5)
+        t_q, _ = tv_point(psi, reconstruct_ff(shares, 2.0, 1.0, epsilon=0.1))
+        assert t_q == pytest.approx(1.0703088477574343, rel=1e-12)
+        (secret_mode, _), = psi.coeffs_plus
+        kept, detected = collaboration_beams(shares)
+        current = detect(detected, 1.0, shares.detector)
+        for mode in (secret_mode, shares.detector, 1, None):  # 1 is squeezed
+            with pytest.raises(ValueError, match="oscillator"):
+                feedforward_mix(kept, current, 2.0, 0.1, mode)
+
 
 class TestFeedforwardSweep:
     @settings(max_examples=150, deadline=None)
@@ -577,7 +607,7 @@ class TestDealOnce:
 
 
 class TestDealerNetwork:
-    """deal runs _noise_beams on the deal's own basis; cli._dealt copies the
+    """deal runs _noise_beams on the deal's own basis; cli._dealt reuses the
     shares dealt once per source, and runs no network per call."""
 
     @staticmethod
@@ -586,7 +616,7 @@ class TestDealerNetwork:
         return repr((
             [(s.mean_plus, s.mean_minus, list(s.coeffs_plus.items()), list(s.coeffs_minus.items()))
              for s in shares[:3]],
-            shares.detector, basis._kinds, [(k, basis.source_variance(k)) for k in basis._classes],
+            shares[3:], basis._kinds, [(k, basis.source_variance(k)) for k in basis._classes],
             list(basis._classes.items()), basis._class_variances,
         ))
 
@@ -616,21 +646,26 @@ class TestDealerNetwork:
         shares = deal(field_from_mode(basis, basis.vacuum(), *means), config)
         secret = field_from_mode(twin, twin.vacuum(), *means)
         beam1, beam2 = protocol._noise_beams(twin, config)
-        reference = protocol.Shares(*beam_splitter(secret, beam1, 0.5), beam2, twin.detector())
+        share1, share2 = beam_splitter(secret, beam1, 0.5)
+        reference = protocol.Shares(share1, share2, beam2, twin.detector(), twin.vacuum())
         assert self.snapshot(shares) == self.snapshot(reference)
 
     @pytest.mark.parametrize("source", EprSource)
-    def test_deals_share_no_coefficient_dict(self, source):
-        (_, first), (_, second) = (cli._dealt(0.5, 1.0, (4.0, 2.0), source) for _ in range(2))
-        _, template = cli._dealer(source)
-        owners = [first[:3], second[:3], template[:3]]
-        ids = [{id(d) for fld in beams for d in (fld.coeffs_plus, fld.coeffs_minus)} for beams in owners]
-        assert [len(i) for i in ids] == [6, 6, 6]
-        assert not ids[0] & ids[1] and not (ids[0] | ids[1]) & ids[2]
+    def test_deals_share_the_templates_dicts_and_modes(self, source):
+        # no dict is copied: only share 1 and 2 and the secret get fresh means
+        template_secret, template = cli._dealer(source)
+        for means in ((4.0, 2.0), (-1.5, 0.0)):
+            secret, shares = cli._dealt(means, source)
+            assert (secret.mean_plus, secret.mean_minus) == means
+            assert shares.share3 is template.share3 and shares[3:] == template[3:]
+            for fld, owner in zip((secret, *shares[:3]), (template_secret, *template[:3])):
+                assert fld.basis is template_secret.basis
+                assert fld.coeffs_plus is owner.coeffs_plus
+                assert fld.coeffs_minus is owner.coeffs_minus
 
     @pytest.mark.parametrize("source", EprSource)
     def test_a_second_deal_runs_no_network(self, source, monkeypatch):
-        expected = self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0), source)[1])
+        expected = self.snapshot(cli._dealt((4.0, 2.0), source)[1])
         basis = NoiseBasis()
         secret = field_from_mode(basis, basis.vacuum())
 
@@ -640,7 +675,7 @@ class TestDealerNetwork:
         monkeypatch.setattr(protocol, "_noise_beams", refuse)
         monkeypatch.setattr(protocol, "phase_modulate", refuse)
         monkeypatch.setattr(NoiseBasis, "register", refuse)
-        assert self.snapshot(cli._dealt(1.0, 2.0, (4.0, 2.0), source)[1]) == expected
+        assert self.snapshot(cli._dealt((4.0, 2.0), source)[1]) == expected
         with pytest.raises(AssertionError, match="built again"):
             deal(secret, DealerConfig(1.0, 2.0, source))
 
@@ -684,7 +719,7 @@ class TestDerivedBeamKeys:
             reconstruct_2psa(shares, psa_gain, players),
             raw,
             current.beam,
-            feedforward_mix(kept, current, ff_gain, epsilon),
+            feedforward_mix(kept, current, ff_gain, epsilon, shares.oscillator),
             reconstruct_ff(shares, ff_gain, eta, players, epsilon),
             symplectic_correct(raw, scale),
         ]
@@ -796,7 +831,7 @@ def _mix(gain, epsilon=0.0):
     shares = _shares()
     kept, detected = collaboration_beams(shares)
     current = detect(detected, 1.0, shares.detector)
-    return feedforward_mix(kept, current, gain, epsilon)
+    return feedforward_mix(kept, current, gain, epsilon, shares.oscillator)
 
 
 @pytest.mark.parametrize(

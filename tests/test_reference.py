@@ -18,6 +18,7 @@ shares the code's structure but not its rounding.
 import csv
 import json
 import math
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -93,6 +94,20 @@ def test_feedforward_v_q_at_the_cancellation_gain_is_accurate(r, source):
     psi, shares = dealt(r, source=source)
     v_q = tv_point(psi, reconstruct_ff(shares, _TWO_SQRT2, 1.0))[1]
     assert rel_error(v_q, ff_cp(r, 0.0, 1.0, _TWO_SQRT2)[1]) <= 1e-9
+
+
+@pytest.mark.parametrize("g", [3.4e153, -1e154, 1e155, 1e200, -1.7e308])
+@pytest.mark.parametrize("r, v_m, eta", [(0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 1.0, 0.5)])
+def test_feedforward_closed_form_is_accurate_where_the_gain_squared_overflows(r, v_m, eta, g):
+    # ff_cp forms these gains' terms divided by g^2: T_q nears its limit, and
+    # V_q is inf only where the exact value lies beyond the largest float
+    t_q, v_q = metrics.closed_form("ff_cp", r, v_m, eta, g)
+    ref_t, ref_v = ff_cp(r, v_m, eta, g)
+    assert rel_error(t_q, ref_t) <= 1e-12
+    if ref_v > sys.float_info.max:
+        assert v_q == math.inf
+    else:
+        assert rel_error(v_q, ref_v) <= 1e-12
 
 
 @pytest.mark.parametrize("source", EprSource)

@@ -10,7 +10,6 @@ Exit codes: 0 ok, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import math
 import sys
@@ -20,26 +19,25 @@ from collections.abc import Sequence
 from . import metrics
 from .metrics import (
     Metrics,
-    _moments,
     _pair,
+    _quadrature_score,
+    _regression_gain,
     _require_finite,
     _require_real,
     _scores,
-    _tally,
-    _transfer,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
 )
-from .noise import FieldState, NoiseBasis, Quad, _derived_field, field_from_mode
+from .noise import Quad
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
     PSA_GAIN_OPTIMAL,
     DealerConfig,
     Shares,
-    _feedforward_tallies,
-    deal,
+    _dealt,
+    _feedforward_outputs,
     reconstruct_12,
     reconstruct_2psa,
     reconstruct_ff,
@@ -65,15 +63,6 @@ CSV_COLUMNS = (
 )
 
 
-def _regression_gain(cfg: ScenarioConfig, shares: Shares, variances: list[float]) -> float:
-    # var(s2 + g s3) is quadratic in g: the regression coefficient minimises it.
-    # + 0.0 turns the -0.0 of an uncorrelated pair into the gain 0.0
-    s2, s3 = shares.share2.coeffs(cfg.quadrature), shares.share3.coeffs(cfg.quadrature)
-    classes = shares.share3.basis._classes
-    cov = sum(c * s2[src] * variances[classes[src]] for src, c in s3.items() if src in s2)
-    return -cov / sum(c * c * variances[classes[src]] for src, c in s3.items()) + 0.0
-
-
 # name -> (output(shares, gain, cfg), default gain, optimal(cfg, shares, variances) or None)
 _SCHEMES = {
     "mz12": (lambda shares, g, cfg: reconstruct_12(shares), 0.0, None),
@@ -88,7 +77,8 @@ _SCHEMES = {
         for i in (1, 2, 3)
     },
     "single_quadrature": (
-        lambda shares, g, cfg: single_quadrature_readout(shares, g), 0.0, _regression_gain
+        lambda shares, g, cfg: single_quadrature_readout(shares, g), 0.0,
+        lambda cfg, shares, v: _regression_gain(shares.share2, shares.share3, cfg.quadrature, v),
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -157,34 +147,6 @@ def _resolve_gain(cfg: ScenarioConfig, shares: Shares, variances: list[float]) -
     return default if cfg.gain is None else float(cfg.gain)
 
 
-@functools.cache
-def _dealer(source: EprSource) -> tuple[FieldState, Shares]:
-    """deal at (0, 0) on a fresh basis, for a zero-mean secret on mode 0.  Read only."""
-    basis = NoiseBasis()
-    secret = field_from_mode(basis, basis.vacuum())
-    return secret, deal(secret, DealerConfig(0.0, 0.0, source))
-
-
-def _dealt(
-    means: tuple[float, float], source: EprSource = EprSource.TYPE1
-) -> tuple[FieldState, Shares]:
-    """A coherent secret with these means and its shares, on the source's _dealer:
-    the secret and shares 1 and 2 are fresh FieldStates on its coefficient dicts.
-
-    No coefficient depends on (r, v_m), so under class_variances(r, v_m) these
-    score as a fresh deal at (r, v_m), bit for bit.  The 1:1 splitter puts
-    h m + 0.0 of each secret mean m on shares 1 and 2, and none on share 3.
-    """
-    zero_secret, shares = _dealer(source)
-    (m_p, m_m), h = means, math.sqrt(0.5)  # beam_splitter's weights at reflectivity 0.5
-    split = (h * m_p + 0.0, h * m_m + 0.0)
-    secret, share1, share2 = (
-        _derived_field(fld.basis, *mean, fld.coeffs_plus, fld.coeffs_minus)
-        for fld, mean in zip((zero_secret, *shares[:2]), (means, split, split))
-    )
-    return secret, shares._replace(share1=share1, share2=share2)
-
-
 def _score_columns(m: Metrics) -> tuple:
     return m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity
 
@@ -215,8 +177,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     if cfg.scheme != "single_quadrature":
         (m,) = _scores(variances, *_pair(secret, out, cross=True))
         return _row(cfg, gain, _score_columns(m))
-    moments, vcv = _moments(_tally(secret, out, cfg.quadrature), variances)
-    t = _transfer(moments)
+    t, vcv = _quadrature_score(secret, out, cfg.quadrature, variances)
     if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
         return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
     return _row(cfg, gain, (0.0, t, t, math.inf, vcv, math.inf, 0.0), ("vcv_plus", "v_q"))
@@ -246,14 +207,15 @@ def tv_curve_records(
     floats = [float(g) for g in gains]
     # r passes deal's checks here, each vm_db ScenarioConfig's below
     secret, shares = _dealt(secret_means, DealerConfig(r, 0.0, EprSource(source)).source)
-    minus, [(pluses, crosses)] = _feedforward_tallies(secret, shares, floats, (eta,), (2, 3), True)
+    kept, (outs,) = _feedforward_outputs(shares, floats, (eta,), (2, 3))
+    swept_pair = _pair(secret, kept, cross=True, sweep=outs)
     single_pair = _pair(secret, shares.share1, cross=True)
     rows = []
     for vm_db in vm_dbs:
         ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
         single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
         variances = secret.basis.class_variances(r, ff.v_m)
-        swept = _scores(variances, pluses, minus, crosses)
+        swept = _scores(variances, *swept_pair)
         rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
         (m,) = _scores(variances, *single_pair)
         rows.append(_row(single, _resolve_gain(single, shares, variances), _score_columns(m)))
@@ -278,8 +240,10 @@ def table_entries(
     one deal serves all four conditions: each output is tallied once and
     scored under each condition's class variances.
     """
-    if vm_db_large >= MAX_VM_DB:
-        raise ValueError(f"--vm-db-large must be below {MAX_VM_DB!r} dB")
+    if not 0.0 <= vm_db_large < MAX_VM_DB:
+        raise ValueError(f"--vm-db-large must be at least 0 and below {MAX_VM_DB!r} dB")
+    if not cap >= 0.0:
+        raise ValueError("--cap must be nonnegative")
     conditions = (
         ("clas_nonoise", 0.0, 0.0),
         ("clas_noise", 0.0, 10.0 ** (vm_db_large / 10.0)),
@@ -347,7 +311,7 @@ def verify_grid(
     is dealt and tallied once; each (r, v_m) scores the tallies under its
     class variances, bit for bit as a fresh deal there would.  Each family
     is scored and recorded a column at a time, one column per (r, v_m[, eta]),
-    and the closed form's gain-only terms are formed once per grid.
+    and ff_cp_column's memo forms the closed form's gain-only terms once per grid.
     """
     families: dict[str, dict] = {}
     failures: list[dict] = []
@@ -377,8 +341,8 @@ def verify_grid(
 
     secret, shares = _dealt(DEFAULT_MEANS)
     singles = [_pair(secret, shares.share(player)) for player in (1, 2)]
-    minus, passes = _feedforward_tallies(secret, shares, gains, eta_values, (2, 3))
-    ff_gains = metrics._FfGains(gains)
+    kept, passes = _feedforward_outputs(shares, gains, eta_values, (2, 3))
+    sweeps = [_pair(secret, kept, sweep=outs) for outs in passes]
     psa2 = _pair(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
     out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
     fidelities = [_pair(secret, fld, cross=True)
@@ -390,9 +354,9 @@ def verify_grid(
             ref = metrics.closed_form("sp", r, v_m)
             sims = [_scores(variances, *pair)[0] for pair in singles]
             record("single_player", (r, v_m), (1, 2), sims, (ref, ref))
-            for eta, (pluses, _) in zip(eta_values, passes):
-                refs = metrics.ff_cp_column(r, v_m, eta, ff_gains)
-                sims = _scores(variances, pluses, minus)
+            for eta, sweep in zip(eta_values, sweeps):
+                refs = metrics.ff_cp_column(r, v_m, eta, gains)
+                sims = _scores(variances, *sweep)
                 record("feedforward_tv", (r, v_m, eta), gains, sims, refs)
             if v_m != 0.0:
                 continue

@@ -130,10 +130,14 @@ def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, cross
     return scored
 
 
-def _pair(secret: FieldState, out: FieldState, cross: bool = False) -> tuple:
-    """_scores' arguments after the variances for one (secret, output) pair."""
-    plus, minus = (_tally(secret, out, quad) for quad in Quad)
-    return [plus], minus, [_cross(secret, out)] if cross else None
+def _pair(secret: FieldState, out: FieldState, cross: bool = False, sweep=None) -> tuple:
+    """_scores' arguments after the variances for one (secret, output) pair, or for
+    each output of a feedforward sweep: its X+ tally (and _cross weights) and one X-
+    tally, out's, the sweep's kept beam.  At epsilon = 0 the loop leaves the kept
+    beam's X- as it is, and no sweep passes epsilon, so that is every output's X-."""
+    outs = [out] if sweep is None else sweep
+    return ([_tally(secret, o, Quad.PLUS) for o in outs], _tally(secret, out, Quad.MINUS),
+            [_cross(secret, o) for o in outs] if cross else None)
 
 
 def fidelity(secret: FieldState, out: FieldState) -> float:
@@ -170,9 +174,16 @@ def _overlap(plus: Moments, minus: Moments, cross: float) -> float:
     return 2.0 * math.exp(-k) * math.sqrt(1.0 / det)
 
 
+def _quadrature_score(secret: FieldState, out: FieldState, quad: Quad, variances) -> tuple:
+    """(T, V_cv) of one quadrature under these class variances: transfer_coefficient
+    and conditional_variance at any (r, v_m)."""
+    moments, vcv = _moments(_tally(secret, out, quad), variances)
+    return _transfer(moments), vcv
+
+
 def transfer_coefficient(secret: FieldState, out: FieldState, quad: Quad) -> float:
     """T = SNR_out / SNR_secret for one quadrature, SNR = <X>^2 / V."""
-    return _transfer(_moments(_tally(secret, out, quad), out.basis._class_variances)[0])
+    return _quadrature_score(secret, out, quad, out.basis._class_variances)[0]
 
 
 def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> float:
@@ -182,6 +193,15 @@ def conditional_variance(secret: FieldState, out: FieldState, quad: Quad) -> flo
     output's other sources k, summed per class; other secrets raise ValueError.
     """
     return _moments(_tally(secret, out, quad), out.basis._class_variances)[1]
+
+
+def _regression_gain(a: FieldState, b: FieldState, quad: Quad, variances) -> float:
+    """The g minimising var(a + g b) in quad under these class variances, which is
+    quadratic in g: -cov(a, b) / var(b).  + 0.0 turns the -0.0 of an uncorrelated
+    pair into the gain 0.0."""
+    ca, cb, classes = a.coeffs(quad), b.coeffs(quad), b.basis._classes
+    cov = sum(c * ca[src] * variances[classes[src]] for src, c in cb.items() if src in ca)
+    return -cov / sum(c * c * variances[classes[src]] for src, c in cb.items()) + 0.0
 
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
@@ -255,21 +275,17 @@ def _square(x: float) -> float:
         return math.inf
 
 
-def _ff_gain_terms(gains: Sequence[float]) -> list[tuple[float, ...]]:
+@functools.lru_cache(maxsize=1)
+def _ff_gain_terms(gains: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
     """Each gain's terms, then V_q's factor g2 = 1.0.  Above 2^510, where 12 g^2
     would near the largest float, the terms are divided by g^2 (1/g and 1 in place
-    of 1 and g) and g2 = g^2: T_q, a ratio of terms, then meets its finite limit."""
+    of 1 and g) and g2 = g^2: T_q, a ratio of terms, then meets its finite limit.
+    Memoised for the last gains, given as floats: of those, only 0.0 and -0.0 are
+    equal keys, and a signed zero meets only squares and sums with a nonzero float."""
     scaled = ((1.0, g, 1.0) if abs(g) <= 2.0 ** 510 else (1.0 / g, 1.0, g * g) for g in gains)
-    return [(_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
-             _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a), 9.0 * b * b,
-             12.0 * b * b, g2) for a, b, g2 in scaled]
-
-
-class _FfGains(tuple):
-    """Gains that keep the ff_cp closed form's gain-only terms, formed by the
-    first ff_cp_column given them, after its domain check, and then reused."""
-
-    terms = functools.cached_property(_ff_gain_terms)
+    return tuple((_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
+                  _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a),
+                  9.0 * b * b, 12.0 * b * b, g2) for a, b, g2 in scaled)
 
 
 def ff_cp_column(
@@ -277,12 +293,12 @@ def ff_cp_column(
 ) -> list[tuple[float, float]]:
     """closed_form("ff_cp", r, v_m, eta, g) for each gain g in gains.
 
-    The domain check and the terms that depend only on (r, v_m, eta) run
-    once per column, those that depend only on g once per _FfGains (verify
-    passes one per grid); every float operation is closed_form's, in its order.
+    The domain check and the terms that depend only on (r, v_m, eta) run once
+    per column, those that depend only on g once per run of columns over one
+    tuple of gains; every float operation is closed_form's, in its order.
     """
     _require_domain(r, v_m, eta, *gains)
-    terms = gains.terms if isinstance(gains, _FfGains) else _ff_gain_terms(gains)
+    terms = _ff_gain_terms(tuple(map(float, gains)))
     em2r = math.exp(-2.0 * r)
     e2r = math.exp(2.0 * r)
     t_squeezed = 1.0 / (1.0 + 2.0 * em2r)

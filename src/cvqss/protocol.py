@@ -7,16 +7,16 @@ two phase-sensitive amplifiers or an electro-optic feedforward loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .metrics import (
-    _SQRT2, _SQRT3, _TWO_SQRT2, Tally, _cross, _require_real, _tally,
-)
-from .noise import FieldState, ModeKind, NoiseBasis, Quad, check_squeezing_limit, lincomb
-from .optics import Photocurrent, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
+from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2, _require_real
+from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
+from .noise import check_squeezing_limit, lincomb
+from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
 # sqrt(G) + 1/sqrt(G) = 2 sqrt(2).
@@ -107,6 +107,34 @@ def deal(secret: FieldState, config: DealerConfig) -> Shares:
     return Shares(share1, share2, beam2, secret.basis.detector(), secret.basis.vacuum())
 
 
+@functools.cache
+def _dealer(source: EprSource) -> tuple[FieldState, Shares]:
+    """deal at (0, 0) on a fresh basis, for a zero-mean secret on mode 0.  Read only."""
+    basis = NoiseBasis()
+    secret = field_from_mode(basis, basis.vacuum())
+    return secret, deal(secret, DealerConfig(0.0, 0.0, source))
+
+
+def _dealt(
+    means: tuple[float, float], source: EprSource = EprSource.TYPE1
+) -> tuple[FieldState, Shares]:
+    """A coherent secret with these means and its shares, on the source's _dealer:
+    the secret and shares 1 and 2 are fresh FieldStates on its coefficient dicts.
+
+    No coefficient depends on (r, v_m), so under class_variances(r, v_m) these
+    score as a fresh deal at (r, v_m), bit for bit.  deal's 1:1 splitter puts
+    h m + 0.0 of each secret mean m on shares 1 and 2, and none on share 3.
+    """
+    zero_secret, shares = _dealer(source)
+    (m_p, m_m), h = means, math.sqrt(0.5)  # beam_splitter's weights at reflectivity 0.5
+    split = (h * m_p + 0.0, h * m_m + 0.0)
+    secret, share1, share2 = (
+        _derived_field(fld.basis, *mean, fld.coeffs_plus, fld.coeffs_minus)
+        for fld, mean in zip((zero_secret, *shares[:2]), (means, split, split))
+    )
+    return secret, shares._replace(share1=share1, share2=share2)
+
+
 def reconstruct_12(shares: Shares) -> FieldState:
     """Mach-Zehnder completion by players {1,2}: recovers the secret exactly."""
     out1, _leftover = beam_splitter(shares.share1, shares.share2, 0.5)
@@ -169,17 +197,21 @@ def collaboration_beams(
     return kept, detected
 
 
-def _feedforward_stages(
-    shares: Shares, gains: Sequence[float], etas: Sequence[float], players: tuple[int, int]
-) -> tuple[FieldState, list[Photocurrent]]:
-    """Check the loop parameters, then run the gain-free stages: the kept
-    beam from one 2/3 splitter and its detected partner's photocurrent at each eta."""
+def _feedforward_outputs(
+    shares: Shares, gains: Sequence[float], etas: Sequence[float], players: tuple[int, int],
+    epsilon: float = 0.0,
+) -> tuple[FieldState, list[list[FieldState]]]:
+    """Check the loop parameters, then return the kept beam of one 2/3 splitter
+    and, per eta, reconstruct_ff's output at every gain, bit for bit.  The
+    splitter runs once, and the detection once per eta."""
     if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
     if not all(0.0 < eta <= 1.0 for eta in etas):
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
-    return kept, [detect(detected, eta, shares.detector) for eta in etas]
+    currents = [detect(detected, eta, shares.detector) for eta in etas]
+    return kept, [[feedforward_mix(kept, current, g, epsilon, shares.oscillator) for g in gains]
+                  for current in currents]
 
 
 def reconstruct_ff(
@@ -200,24 +232,8 @@ def reconstruct_ff(
     high-reflectivity limit, admitting the shares' oscillator vacuum; the
     closed forms assume epsilon = 0.
     """
-    kept, (current,) = _feedforward_stages(shares, (gain,), (eta,), players)
-    return feedforward_mix(kept, current, gain, epsilon, shares.oscillator)
-
-
-def _feedforward_tallies(
-    secret: FieldState, shares: Shares, gains: Sequence[float], etas: Sequence[float],
-    players: tuple[int, int], cross: bool = False,
-) -> tuple[Tally, list[tuple[list[Tally], list | None]]]:
-    """Tallies of reconstruct_ff's outputs at every (eta, gain), bit for bit: one
-    X- tally, the kept beam's, for all, and per eta the X+ tallies over gains
-    (with cross, also their _cross weights).  The splitter runs once."""
-    kept, currents = _feedforward_stages(shares, gains, etas, players)
-    passes = []
-    for current in currents:
-        outs = [feedforward_mix(kept, current, g) for g in gains]
-        passes.append(([_tally(secret, out, Quad.PLUS) for out in outs],
-                       [_cross(secret, out) for out in outs] if cross else None))
-    return _tally(secret, kept, Quad.MINUS), passes
+    _, ((out,),) = _feedforward_outputs(shares, (gain,), (eta,), players, epsilon)
+    return out
 
 
 def symplectic_correct(fld: FieldState, scale: float) -> FieldState:

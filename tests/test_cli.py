@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 import cvqss.cli
 import cvqss.metrics
+import cvqss.noise
+import cvqss.protocol
 from cvqss import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -489,6 +491,23 @@ class TestTable:
             fresh += [tv_point(psi, out) for out in outs]
         assert repr(scored) == repr(fresh)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"vm_db_large": -5.0}, "--vm-db-large must be at least 0 "),
+        ({"vm_db_large": -1e-300}, "--vm-db-large must be at least 0 "),
+        ({"cap": -1.0}, "--cap must be nonnegative"),
+        ({"cap": math.nan}, "--cap must be nonnegative"),
+    ])
+    def test_a_negative_depth_or_cap_is_rejected(self, kwargs, message):
+        # a depth of -5 dB would give a table at v_m = 0.316, and a cap of -1
+        # would print every V_q as inf, the exact 0 of {1,2} included
+        with pytest.raises(ValueError, match=re.escape(message)):
+            table_entries(**kwargs)
+
+    def test_zero_depth_and_cap_are_accepted(self):
+        rows = {(r["subset"], r["condition"]): r for r in table_entries(2.0, 0.0, 0.0)}
+        assert rows[("{1,2}", "quan_nonoise")]["v_q"] == 0.0
+        assert rows[("1", "quan_nonoise")]["v_q"] == math.inf
+
     def test_has_24_entries(self):
         rows = table_entries()
         assert len(rows) == 24
@@ -774,6 +793,8 @@ BAD_ARGV = [
     ["table", "--r-large", "nan"],
     ["table", "--vm-db-large", "inf"],
     ["table", "--cap", "nan"],
+    ["table", "--cap", "-1"],
+    ["table", "--vm-db-large", "-5"],
     ["table", "--r-large", "400"],
     # a nonzero secret mean whose square underflows: the input SNR is 0
     *[["run", "--scheme", scheme, "--means", "1e-200", "1"] for scheme in SCHEMES],
@@ -832,6 +853,19 @@ def test_overflowing_modulation_depth_names_the_option_and_limit(argv, option, c
     assert captured.err.endswith(f" below {MAX_VM_DB!r} dB\n")
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--scheme", "feedforward", "--vm-db", "-5"], "--vm-db"),
+    (["tv-curve", "--vm-db", "-5"], "--vm-db"),
+    (["table", "--vm-db-large", "-5"], "--vm-db-large"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_negative_modulation_depth_names_the_option_and_range(argv, option, capsys):
+    # table refuses a depth below 0 dB, as run and tv-curve do
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cvqss: error: {option} must be at least 0 and below {MAX_VM_DB!r} dB\n"
+
+
 def test_modulation_depth_limit_is_where_the_power_overflows():
     below = math.nextafter(MAX_VM_DB, 0.0)
     assert math.isfinite(ScenarioConfig("feedforward", vm_db=below).v_m)
@@ -879,7 +913,7 @@ class TestDealtCopy:
 
     @pytest.mark.parametrize("source", EprSource)
     def test_an_oscillator_vacuum_lands_where_a_fresh_basis_puts_it(self, source):
-        template = cvqss.cli._dealer(source)[0].basis
+        template = cvqss.protocol._dealer(source)[0].basis
         beams = []
         for secret, shares in (cvqss.cli._dealt(SECRET_MEANS, source), dealt(0.5, 2.0, source)):
             assert len(secret.basis) == 6  # deal declared the oscillator vacuum
@@ -891,8 +925,20 @@ class TestDealtCopy:
 
     @pytest.mark.parametrize("source", EprSource)
     def test_no_scheme_changes_the_template(self, source):
-        secret, shares = cvqss.cli._dealer(source)
+        secret, shares = cvqss.protocol._dealer(source)
         before = self.tables(secret.basis) + self.beams(secret, shares)
         for cfg in every_scenario():
             run_scenario(cfg)
         assert self.tables(secret.basis) + self.beams(secret, shares) == before
+
+
+def test_protocol_builds_beams_and_metrics_alone_scores_them():
+    """Only metrics tallies coefficients or reads variance classes: protocol
+    returns beams, and cli drives both through their entry points."""
+    assert not {"_tally", "_cross", "Tally", "_scores", "_pair"} & vars(cvqss.protocol).keys()
+    noise_private = {name for name in vars(cvqss.noise) if name[:1] == "_" and name[:2] != "__"}
+    assert "_derived_field" in noise_private
+    assert not noise_private & vars(cvqss.cli).keys()
+    assert not {"_tally", "_moments", "_transfer", "_FfGains"} & vars(cvqss.cli).keys()
+    source = Path(cvqss.cli.__file__).read_text(encoding="utf-8")
+    assert [line for line in source.splitlines() if "._classes" in line] == []

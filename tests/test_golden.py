@@ -46,3 +46,8 @@ CASES = {
 def test_output_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_every_golden_file_is_a_case():
+    # a golden file without a case would sit in the repo unchecked
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(CASES)

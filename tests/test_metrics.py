@@ -33,6 +33,7 @@ from cvqss import (
     variance,
 )
 
+from cvqss.cli import verify_grid
 from cvqss.metrics import _ff_gain_terms, _square, ff_cp_column
 from cvqss.noise import MAX_SQUEEZING
 
@@ -362,10 +363,48 @@ class TestFeedforwardColumn:
         column = ff_cp_column(0.5, 0.0, 1.0, [1.0, g])
         assert repr(column) == repr([closed_form("ff_cp", 0.5, 0.0, 1.0, x) for x in (1.0, g)])
 
+    @pytest.mark.parametrize("grid, columns", [
+        ({}, 36),
+        ({"r_values": (0.5,), "vm_values": (0.0,), "eta_values": (1.0,)}, 1),
+        ({"r_values": (0.0, 1.0, 4.0), "vm_values": (0.0, 1.0), "eta_values": (1.0, 0.9, 0.5),
+          "gains": (0.0, 8, 2.5)}, 18),
+    ])
+    def test_one_verify_grid_forms_the_gain_terms_once(self, grid, columns):
+        _ff_gain_terms.cache_clear()
+        assert verify_grid(**grid)["pass"] is True
+        info = _ff_gain_terms.cache_info()
+        assert (info.misses, info.hits) == (1, columns - 1)
+
+    @pytest.mark.parametrize("r, v_m, eta", [(0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 100.0, 0.5)])
+    def test_gains_equal_as_keys_share_the_memo_without_moving_a_digit(self, r, v_m, eta):
+        # -0.0 and 0.0, and 8 and 8.0, are equal keys: each tuple is served the
+        # other's terms, and its column stays repr-equal to a cold cache's
+        def column(gains, after=()):
+            _ff_gain_terms.cache_clear()
+            for earlier in after:
+                ff_cp_column(r, v_m, eta, earlier)
+            return repr(ff_cp_column(r, v_m, eta, gains)), _ff_gain_terms.cache_info().hits
+
+        signed, unsigned = [-0.0, 8, 2.5], [0.0, 8.0, 2.5]
+        assert column(signed, after=[unsigned]) == (column(signed)[0], 1)
+        assert column(unsigned, after=[signed]) == (column(unsigned)[0], 1)
+        assert column(signed)[1] == 0
+
+    @pytest.mark.parametrize("g", [8, 3, 2 ** 520, -(2 ** 600)])
+    def test_an_int_gain_scores_as_its_float(self, g):
+        # the memo keys on floats, so an int and its float share terms; an int
+        # above 2^510, squared exactly, would overflow its conversion to float
+        def cold(r, v_m, eta, gain):
+            _ff_gain_terms.cache_clear()
+            return repr(closed_form("ff_cp", r, v_m, eta, gain))
+
+        for point in ((0.5, 0.0, 1.0), (4.0, 100.0, 0.5)):
+            assert cold(*point, g) == cold(*point, float(g))
+
     @pytest.mark.parametrize("g", [1e155, -1e155, 1e200, 1.7e308])
     def test_a_gain_whose_square_overflows_scores_without_nan(self, g):
         # the terms are formed divided by g^2, and only V_q's factor g^2 overflows
-        *terms, g2 = _ff_gain_terms([g])[0]
+        *terms, g2 = _ff_gain_terms((g,))[0]
         assert all(map(math.isfinite, terms)) and g2 == math.inf
         for r, v_m, eta in ((0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 0.0, 0.5)):
             t_q, v_q = closed_form("ff_cp", r, v_m, eta, g)

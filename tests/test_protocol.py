@@ -40,10 +40,10 @@ from cvqss import (
     variance,
 )
 from cvqss import cli, metrics, protocol
-from cvqss.metrics import _scores
+from cvqss.metrics import _pair, _scores
 from cvqss.noise import MAX_SQUEEZING
 from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
-from cvqss.protocol import _feedforward_tallies, _psa2_outputs
+from cvqss.protocol import _feedforward_outputs, _psa2_outputs
 
 from conftest import dealt, fields_close, secret_coefficient
 
@@ -56,11 +56,11 @@ M = Quad.MINUS
 
 
 def ff_sweep(psi, shares, gains, etas, players=(2, 3), cross=False):
-    """The CLI's feedforward sweep: _feedforward_tallies scored by _scores,
-    one list per eta of one score per gain (with cross, Metrics)."""
-    minus, passes = _feedforward_tallies(psi, shares, gains, etas, players, cross)
+    """The CLI's feedforward sweep: _feedforward_outputs tallied by _pair and
+    scored by _scores, one list per eta of one score per gain (with cross, Metrics)."""
+    kept, passes = _feedforward_outputs(shares, gains, etas, players)
     variances = psi.basis._class_variances
-    return [_scores(variances, pluses, minus, crosses) for pluses, crosses in passes]
+    return [_scores(variances, *_pair(psi, kept, cross, outs)) for outs in passes]
 
 
 def mode_ids(basis):
@@ -607,7 +607,7 @@ class TestDealOnce:
 
 
 class TestDealerNetwork:
-    """deal runs _noise_beams on the deal's own basis; cli._dealt reuses the
+    """deal runs _noise_beams on the deal's own basis; _dealt reuses the
     shares dealt once per source, and runs no network per call."""
 
     @staticmethod
@@ -653,9 +653,9 @@ class TestDealerNetwork:
     @pytest.mark.parametrize("source", EprSource)
     def test_deals_share_the_templates_dicts_and_modes(self, source):
         # no dict is copied: only share 1 and 2 and the secret get fresh means
-        template_secret, template = cli._dealer(source)
+        template_secret, template = protocol._dealer(source)
         for means in ((4.0, 2.0), (-1.5, 0.0)):
-            secret, shares = cli._dealt(means, source)
+            secret, shares = protocol._dealt(means, source)
             assert (secret.mean_plus, secret.mean_minus) == means
             assert shares.share3 is template.share3 and shares[3:] == template[3:]
             for fld, owner in zip((secret, *shares[:3]), (template_secret, *template[:3])):
@@ -665,7 +665,7 @@ class TestDealerNetwork:
 
     @pytest.mark.parametrize("source", EprSource)
     def test_a_second_deal_runs_no_network(self, source, monkeypatch):
-        expected = self.snapshot(cli._dealt((4.0, 2.0), source)[1])
+        expected = self.snapshot(protocol._dealt((4.0, 2.0), source)[1])
         basis = NoiseBasis()
         secret = field_from_mode(basis, basis.vacuum())
 
@@ -675,7 +675,7 @@ class TestDealerNetwork:
         monkeypatch.setattr(protocol, "_noise_beams", refuse)
         monkeypatch.setattr(protocol, "phase_modulate", refuse)
         monkeypatch.setattr(NoiseBasis, "register", refuse)
-        assert self.snapshot(cli._dealt((4.0, 2.0), source)[1]) == expected
+        assert self.snapshot(protocol._dealt((4.0, 2.0), source)[1]) == expected
         with pytest.raises(AssertionError, match="built again"):
             deal(secret, DealerConfig(1.0, 2.0, source))
 

@@ -29,12 +29,11 @@ from .metrics import (
     r_from_squeezing_pct,
     squeezing_pct,
 )
-from .noise import Quad
+from .noise import MAX_SQUEEZING, Quad, check_squeezing_limit
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
     PSA_GAIN_OPTIMAL,
-    DealerConfig,
     Shares,
     _dealt,
     _feedforward_outputs,
@@ -119,6 +118,7 @@ class ScenarioConfig(namedtuple(
         _require_finite(*numbers)
         if self.r < 0:
             raise ValueError("squeezing parameter must be nonnegative")
+        check_squeezing_limit(self.r)
         if not 0.0 <= vm_db < MAX_VM_DB:
             raise ValueError(f"--vm-db must be at least 0 and below {MAX_VM_DB!r} dB")
         if not 0.0 < self.eta <= 1.0:
@@ -169,9 +169,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     class_variances(r, v_m) as every command scores.  A single_quadrature out is
     a readout beam, scored in cfg.quad alone: the other V_cv and v_q print as inf.
     """
-    dealer = DealerConfig(cfg.r, cfg.v_m, EprSource(cfg.source))  # as deal checks
-    secret, shares = _dealt(cfg.secret_means, dealer.source)
-    variances = secret.basis.class_variances(dealer.r, dealer.v_m)
+    secret, shares = _dealt(cfg.secret_means, EprSource(cfg.source))
+    variances = secret.basis.class_variances(cfg.r, cfg.v_m)
     gain = _resolve_gain(cfg, shares, variances)
     out = _SCHEMES[cfg.scheme][0](shares, gain, cfg)
     if cfg.scheme != "single_quadrature":
@@ -195,30 +194,26 @@ def tv_curve_records(
 
     One family per entry of vm_dbs (None meaning no added modulation); the
     single-player point does not depend on the gain so it appears once per
-    family.  No coefficient depends on v_m, so one deal serves every
-    family: each output is built and tallied once, and each family scores
-    the tallies under its class variances.  Every row equals the
-    run_scenario record of its configuration bit for bit.
+    family, as run_scenario records it.  No coefficient depends on v_m, so
+    one deal serves every family: the sweep is built and tallied once, and
+    each family scores the tallies under its class variances.  Every row
+    equals the run_scenario record of its configuration bit for bit.
     """
     if not gains:
         raise ValueError("gain sweep must be nonempty")
     if list(gains) != sorted(gains):
         raise ValueError("gain sweep must be monotone increasing")
+    ff = ScenarioConfig("feedforward", r, None, eta, None, secret_means, source)
     floats = [float(g) for g in gains]
-    # r passes deal's checks here, each vm_db ScenarioConfig's below
-    secret, shares = _dealt(secret_means, DealerConfig(r, 0.0, EprSource(source)).source)
+    secret, shares = _dealt(secret_means, EprSource(source))
     kept, (outs,) = _feedforward_outputs(shares, floats, (eta,), (2, 3))
     swept_pair = _pair(secret, kept, cross=True, sweep=outs)
-    single_pair = _pair(secret, shares.share1, cross=True)
     rows = []
     for vm_db in vm_dbs:
-        ff = ScenarioConfig("feedforward", r, vm_db, eta, None, secret_means, source)
-        single = ScenarioConfig("single_player_1", r, vm_db, eta, None, secret_means, source)
-        variances = secret.basis.class_variances(r, ff.v_m)
-        swept = _scores(variances, *swept_pair)
+        ff = ff._replace(vm_db=vm_db)
+        swept = _scores(secret.basis.class_variances(r, ff.v_m), *swept_pair)
         rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
-        (m,) = _scores(variances, *single_pair)
-        rows.append(_row(single, _resolve_gain(single, shares, variances), _score_columns(m)))
+        rows.append(run_scenario(ff._replace(scheme="single_player_1")))
     return rows
 
 
@@ -240,6 +235,9 @@ def table_entries(
     one deal serves all four conditions: each output is tallied once and
     scored under each condition's class variances.
     """
+    _require_real("r_large", r_large)
+    if not 0.0 <= r_large <= MAX_SQUEEZING:
+        raise ValueError(f"--r-large must be at least 0 and at most {MAX_SQUEEZING!r}")
     if not 0.0 <= vm_db_large < MAX_VM_DB:
         raise ValueError(f"--vm-db-large must be at least 0 and below {MAX_VM_DB!r} dB")
     if not cap >= 0.0:
@@ -258,7 +256,6 @@ def table_entries(
     pairs_tallied = [_pair(secret, out) for out in outs]
     rows = []
     for cond, r, v_m in conditions:
-        DealerConfig(r, v_m)  # each condition passes the dealer's checks
         variances = secret.basis.class_variances(r, v_m)
         points = [_scores(variances, *pair)[0] for pair in pairs_tallied]
         for i, players in enumerate(pairs, 4):
@@ -349,7 +346,6 @@ def verify_grid(
                   for fld in (out, symplectic_correct(out, FF_SYMPLECTIC_SCALE))]
     for r in r_values:
         for v_m in vm_values:
-            DealerConfig(r, v_m)  # each point passes the dealer's checks
             variances = secret.basis.class_variances(r, v_m)
             ref = metrics.closed_form("sp", r, v_m)
             sims = [_scores(variances, *pair)[0] for pair in singles]
@@ -423,6 +419,14 @@ def _parse_gain(text: str):
     return float(text)
 
 
+def _parse_squeezing_pct(text: str) -> float:
+    """--squeezing-pct read as the r it names."""
+    try:
+        return r_from_squeezing_pct(float(text) / 100.0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_gains(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -443,13 +447,14 @@ def _build_parser() -> argparse.ArgumentParser:
         group = p.add_mutually_exclusive_group()
         group.add_argument("--r", type=float, default=0.0, help="squeezing parameter")
         group.add_argument(
-            "--squeezing-pct", type=float, help="squeezing as a percentage, alternative to --r"
+            "--squeezing-pct", type=_parse_squeezing_pct, dest="r", metavar="SQUEEZING_PCT",
+            help="squeezing as a percentage, alternative to --r",
         )
 
     def add_scenario(p: argparse.ArgumentParser) -> None:
         p.add_argument("--eta", type=float, default=1.0)
         p.add_argument("--means", type=float, nargs=2, default=DEFAULT_MEANS,
-                       metavar=("XPLUS", "XMINUS"))
+                       metavar=("XPLUS", "XMINUS"), dest="secret_means")
         p.add_argument("--source", choices=("type1", "type2"), default="type1")
 
     run_p = sub.add_parser("run", help="run a single scenario")
@@ -510,12 +515,6 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
-def _resolve_r(args: argparse.Namespace) -> float:
-    if args.squeezing_pct is not None:
-        return r_from_squeezing_pct(args.squeezing_pct / 100.0)
-    return args.r
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -527,17 +526,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             if args.scheme is None:
                 raise ValueError("run needs --scheme (or a config file providing it)")
-            cfg = ScenarioConfig(
-                scheme=args.scheme,
-                r=_resolve_r(args),
-                vm_db=args.vm_db,
-                eta=args.eta,
-                gain=args.gain,
-                secret_means=tuple(args.means),
-                source=args.source,
-                quad=args.quad,
-                epsilon=args.epsilon,
-            )
+            fields = {**vars(args), "secret_means": tuple(args.secret_means)}
+            cfg = ScenarioConfig(**{name: fields[name] for name in ScenarioConfig._fields})
             _render([run_scenario(cfg)], CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "tv-curve":
@@ -545,13 +535,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.vm_db is not None:
                 vm_dbs.append(args.vm_db)
             rows = tv_curve_records(
-                _resolve_r(args), args.gains, vm_dbs, args.eta,
-                tuple(args.means), args.source,
+                args.r, args.gains, vm_dbs, args.eta, tuple(args.secret_means), args.source
             )
             _render(rows, CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "table":
-            _require_finite(args.r_large, args.vm_db_large, args.cap)
+            _require_finite(args.cap)  # table_entries takes an infinite cap, and checks the rest
             rows = table_entries(args.r_large, args.vm_db_large, args.cap)
             _render(rows, ("subset", "condition", "t_q", "v_q"), args.format, args.output)
             return 0

@@ -109,24 +109,23 @@ def _transfer(moments: Moments) -> float:
 
 def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, crosses=None) -> list:
     """(T_q, V_q) of each X+ tally in pluses paired with one X- tally under
-    these class variances; given each one's _cross weights, its Metrics.  The
-    (T_q, V_q) loop inlines _moments' and _transfer's float operations, in order."""
+    these class variances; given each one's _cross weights, its Metrics.  Each
+    X+ tally is scored inline with _moments' and _transfer's float operations,
+    in order, and its overlap is formed before its zero-mean check."""
     mm, vcv_minus = _moments(minus, variances)
     t_minus = _transfer(mm)
-    if crosses is not None:
-        return [
-            Metrics(_overlap(mp, mm, _dot(cw, variances)), _transfer(mp), t_minus,
-                    vcv_plus, vcv_minus)
-            for (mp, vcv_plus), cw in zip((_moments(p, variances) for p in pluses), crosses)
-        ]
     scored = []
-    for ms, a2, mo, own2, own, weights in pluses:
+    for (ms, a2, mo, own2, own, weights), cw in zip(pluses, crosses or [None] * len(pluses)):
         vcv = sum([w * variances[c] for c, w in weights], 0.0)
         v_own = variances[own]
+        vs, vo = a2 * v_own, vcv + own2 * v_own
+        if cw is not None:
+            overlap = _overlap((ms, vs, mo, vo), mm, _dot(cw, variances))
         if ms * ms == 0.0:
             raise ValueError(_ZERO_SECRET_MEAN)
-        t_plus = (mo * mo / (vcv + own2 * v_own)) / (ms * ms / (a2 * v_own))
-        scored.append((t_plus + t_minus, vcv * vcv_minus))
+        t_plus = (mo * mo / vo) / (ms * ms / vs)
+        scored.append((t_plus + t_minus, vcv * vcv_minus) if cw is None
+                      else Metrics(overlap, t_plus, t_minus, vcv, vcv_minus))
     return scored
 
 

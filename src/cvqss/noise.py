@@ -32,6 +32,16 @@ def check_squeezing_limit(r: float) -> None:
         )
 
 
+def _require_point(r: float, v_m: float) -> None:
+    """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a
+    negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (r, v_m)):
+        raise ValueError(f"squeezing and modulation power must be real numbers, not {(r, v_m)!r}")
+    if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf):
+        raise ValueError("squeezing and modulation power must be finite and nonnegative")
+    check_squeezing_limit(r)
+
+
 class Quad(Enum):
     """Quadrature selector: amplitude (PLUS) or phase (MINUS)."""
 
@@ -144,7 +154,9 @@ class NoiseBasis:
         """The class variances had each squeezed mode been registered by squeezed(r)
         and each modulation mode by modulation(v_m): a deal's beams, of either
         source, score under these as a fresh deal's at (r, v_m), bit for bit.
-        So one deal serves every (r, v_m), and every CLI command scores it so."""
+        So one deal serves every (r, v_m), and every CLI command scores it so.
+        A point that DealerConfig rejects raises ValueError here too."""
+        _require_point(r, v_m)
         squeezed = {Quad.PLUS: math.exp(-2.0 * r), Quad.MINUS: math.exp(2.0 * r)}
         return [
             squeezed[quad] if kind is ModeKind.SQUEEZED

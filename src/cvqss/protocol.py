@@ -13,9 +13,9 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .entanglement import EprSource, epr_type1, epr_type2
-from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2, _require_real
+from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
-from .noise import check_squeezing_limit, lincomb
+from .noise import _require_point, lincomb
 from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -41,10 +41,7 @@ class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, Epr
 
     def __new__(cls, *args, **kwargs) -> DealerConfig:
         self = super().__new__(cls, *args, **kwargs)
-        _require_real("squeezing and modulation power", *self[:2])
-        if not (0.0 <= self.r < math.inf and 0.0 <= self.v_m < math.inf):
-            raise ValueError("squeezing and modulation power must be nonnegative")
-        check_squeezing_limit(self.r)
+        _require_point(self.r, self.v_m)
         if not isinstance(self.source, EprSource):
             raise ValueError(f"source must be EprSource.TYPE1 or EprSource.TYPE2, not {self.source!r}")
         return self

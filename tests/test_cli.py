@@ -52,6 +52,7 @@ from cvqss.cli import (
     tv_curve_records,
     verify_grid,
 )
+from cvqss.noise import MAX_SQUEEZING
 
 from conftest import SECRET_MEANS, dealt
 
@@ -142,6 +143,7 @@ class TestRunScenario:
         ("scheme", "bogus"),
         ("r", -1.0),
         ("r", math.nan),
+        ("r", 400.0),  # above MAX_SQUEEZING: e^(2r) overflows
         ("vm_db", -3.0),
         ("vm_db", math.inf),
         ("eta", 0.0),
@@ -354,6 +356,11 @@ class TestRunCommand:
         assert main(["run", "--r", "0.5"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_run_options_are_named_as_the_scenario_fields(self):
+        # so main builds its ScenarioConfig by field name, with no option mapped by hand
+        args = cvqss.cli._build_parser().parse_args(["run"])
+        assert set(vars(args)) == {*ScenarioConfig._fields, "command", "format", "output", "config"}
+
     def test_unknown_scheme_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--scheme", "nonsense"])
@@ -395,6 +402,11 @@ class TestTvCurve:
             tv_curve_records(0.5, [], [None])
         with pytest.raises(ValueError):
             tv_curve_records(0.5, [2.0, 1.0], [None])
+
+    @pytest.mark.parametrize("r", [-1.0, math.nan, 400.0, True])
+    def test_squeezing_is_checked_without_any_family(self, r):
+        with pytest.raises(ValueError):
+            tv_curve_records(r, [1.0], [])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -651,6 +663,11 @@ class TestVerify:
                    if f["family"] == "single_player"]
         assert players == [1, 2]
 
+    @pytest.mark.parametrize("r", [True, -1.0, math.nan, 400.0])
+    def test_a_point_the_dealer_rejects_is_rejected(self, r):
+        with pytest.raises(ValueError):
+            verify_grid(r_values=(r,), vm_values=(0.0,), eta_values=(1.0,), gains=(1.0,))
+
     def test_verify_grid_shape(self):
         summary = verify_grid(r_values=(0.0, 0.5), vm_values=(0.0,), eta_values=(1.0,),
                               gains=(0.0, TWO_SQRT2))
@@ -864,6 +881,14 @@ def test_a_negative_modulation_depth_names_the_option_and_range(argv, option, ca
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cvqss: error: {option} must be at least 0 and below {MAX_VM_DB!r} dB\n"
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "400"])
+def test_a_squeezing_out_of_range_names_the_option_and_range(value, capsys):
+    assert _exit_code(["table", "--r-large", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cvqss: error: --r-large must be at least 0 and at most {MAX_SQUEEZING!r}\n"
 
 
 def test_modulation_depth_limit_is_where_the_power_overflows():

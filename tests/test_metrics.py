@@ -204,8 +204,8 @@ class TestTvPoint:
     def test_equals_the_per_quadrature_metrics_exactly(
         self, r, v_m, source, means, output, gain, eta, epsilon, psa_gain
     ):
-        # tv_point scores in _scores' inline loop, the others through
-        # _moments and _transfer: this pins the two copies of that arithmetic
+        # tv_point and evaluate score X+ in _scores' inline loop, the per-quadrature
+        # metrics through _moments and _transfer: this pins the two copies of that arithmetic
         psi, shares = dealt(r, v_m, source, means)
         if output == "feedforward":
             out = reconstruct_ff(shares, gain, eta, epsilon=epsilon)

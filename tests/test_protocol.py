@@ -138,7 +138,7 @@ class TestDeal:
             DealerConfig(r, v_m)
         with pytest.raises(ValueError, match="real numbers"):
             DealerConfig(0.5)._replace(r=r, v_m=v_m)
-        if v_m == 0.0:  # tv-curve deals at v_m = 0 and checks r as deal does
+        if v_m == 0.0:  # tv-curve checks r as its ScenarioConfig does
             with pytest.raises(ValueError, match="real numbers"):
                 cli.tv_curve_records(r, [1.0], [None])
 
@@ -604,6 +604,23 @@ class TestDealOnce:
         fresh, _ = dealt(r, v_m)
         assert fresh.basis._classes == psi.basis._classes
         assert repr(psi.basis.class_variances(r, v_m)) == repr(fresh.basis._class_variances)
+
+    @pytest.mark.parametrize("r, v_m, message", [
+        (math.nan, 0.0, "finite and nonnegative"),
+        (math.inf, 0.0, "finite and nonnegative"),
+        (0.5, math.nan, "finite and nonnegative"),
+        (0.5, math.inf, "finite and nonnegative"),
+        (-1.0, 0.0, "finite and nonnegative"),
+        (0.5, -1.0, "finite and nonnegative"),
+        (True, 0.0, "real numbers"),
+        (0.5, "1", "real numbers"),
+        (400.0, 0.0, re.escape(repr(MAX_SQUEEZING))),
+    ])
+    def test_class_variances_reject_what_the_dealer_rejects(self, r, v_m, message):
+        psi, _ = dealt(0.5, 1.0)
+        for build in (lambda: psi.basis.class_variances(r, v_m), lambda: DealerConfig(r, v_m)):
+            with pytest.raises(ValueError, match=message):
+                build()
 
 
 class TestDealerNetwork:

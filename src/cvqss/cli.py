@@ -23,13 +23,12 @@ from .metrics import (
     _quadrature_score,
     _regression_gain,
     _require_finite,
-    _require_real,
     _scores,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
 )
-from .noise import MAX_SQUEEZING, Quad, check_squeezing_limit
+from .noise import MAX_SQUEEZING, Quad, check_real, check_squeezing_limit
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -110,14 +109,12 @@ class ScenarioConfig(namedtuple(
             raise ValueError(f"secret_means must be two real numbers, not {self.secret_means!r}")
         vm_db = 0.0 if self.vm_db is None else self.vm_db
         numbers = [self.r, vm_db, self.eta, self.epsilon, *self.secret_means]
-        _require_real("r, vm_db, eta, epsilon and the secret means", *numbers)
+        check_real("r, vm_db, eta, epsilon and the secret means", *numbers)
         if self.gain is not None and self.gain != "optimal":
             if isinstance(self.gain, bool) or not isinstance(self.gain, (int, float)):
                 raise ValueError(f'gain must be a number, "optimal" or None, not {self.gain!r}')
             numbers.append(self.gain)
         _require_finite(*numbers)
-        if self.r < 0:
-            raise ValueError("squeezing parameter must be nonnegative")
         check_squeezing_limit(self.r)
         if not 0.0 <= vm_db < MAX_VM_DB:
             raise ValueError(f"--vm-db must be at least 0 and below {MAX_VM_DB!r} dB")
@@ -174,7 +171,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     gain = _resolve_gain(cfg, shares, variances)
     out = _SCHEMES[cfg.scheme][0](shares, gain, cfg)
     if cfg.scheme != "single_quadrature":
-        (m,) = _scores(variances, *_pair(secret, out, cross=True))
+        (m,) = _scores(variances, *_pair(secret, [out], cross=True))
         return _row(cfg, gain, _score_columns(m))
     t, vcv = _quadrature_score(secret, out, cfg.quadrature, variances)
     if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
@@ -206,8 +203,8 @@ def tv_curve_records(
     ff = ScenarioConfig("feedforward", r, None, eta, None, secret_means, source)
     floats = [float(g) for g in gains]
     secret, shares = _dealt(secret_means, EprSource(source))
-    kept, (outs,) = _feedforward_outputs(shares, floats, (eta,), (2, 3))
-    swept_pair = _pair(secret, kept, cross=True, sweep=outs)
+    (outs,) = _feedforward_outputs(shares, floats, (eta,), (2, 3))
+    swept_pair = _pair(secret, outs, cross=True)
     rows = []
     for vm_db in vm_dbs:
         ff = ff._replace(vm_db=vm_db)
@@ -235,7 +232,7 @@ def table_entries(
     one deal serves all four conditions: each output is tallied once and
     scored under each condition's class variances.
     """
-    _require_real("r_large", r_large)
+    check_real("r_large", r_large)
     if not 0.0 <= r_large <= MAX_SQUEEZING:
         raise ValueError(f"--r-large must be at least 0 and at most {MAX_SQUEEZING!r}")
     if not 0.0 <= vm_db_large < MAX_VM_DB:
@@ -253,7 +250,7 @@ def table_entries(
     pairs = ((1, 3), (2, 3))
     outs = [shares.share1, shares.share2, shares.share3, reconstruct_12(shares)]
     outs += [reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players) for players in pairs]
-    pairs_tallied = [_pair(secret, out) for out in outs]
+    pairs_tallied = [_pair(secret, [out]) for out in outs]
     rows = []
     for cond, r, v_m in conditions:
         variances = secret.basis.class_variances(r, v_m)
@@ -337,12 +334,12 @@ def verify_grid(
             )
 
     secret, shares = _dealt(DEFAULT_MEANS)
-    singles = [_pair(secret, shares.share(player)) for player in (1, 2)]
-    kept, passes = _feedforward_outputs(shares, gains, eta_values, (2, 3))
-    sweeps = [_pair(secret, kept, sweep=outs) for outs in passes]
-    psa2 = _pair(secret, reconstruct_2psa(shares, PSA_GAIN_OPTIMAL))
+    singles = [_pair(secret, [shares.share(player)]) for player in (1, 2)]
+    passes = _feedforward_outputs(shares, gains, eta_values, (2, 3))
+    sweeps = [_pair(secret, outs) for outs in passes if outs]  # no gains: no column, no X-
+    psa2 = _pair(secret, [reconstruct_2psa(shares, PSA_GAIN_OPTIMAL)])
     out = reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0)
-    fidelities = [_pair(secret, fld, cross=True)
+    fidelities = [_pair(secret, [fld], cross=True)
                   for fld in (out, symplectic_correct(out, FF_SYMPLECTIC_SCALE))]
     for r in r_values:
         for v_m in vm_values:
@@ -540,7 +537,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             _render(rows, CSV_COLUMNS, args.format, args.output)
             return 0
         if args.command == "table":
-            _require_finite(args.cap)  # table_entries takes an infinite cap, and checks the rest
             rows = table_entries(args.r_large, args.vm_db_large, args.cap)
             _render(rows, ("subset", "condition", "t_q", "v_q"), args.format, args.output)
             return 0

@@ -129,13 +129,11 @@ def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, cross
     return scored
 
 
-def _pair(secret: FieldState, out: FieldState, cross: bool = False, sweep=None) -> tuple:
-    """_scores' arguments after the variances for one (secret, output) pair, or for
-    each output of a feedforward sweep: its X+ tally (and _cross weights) and one X-
-    tally, out's, the sweep's kept beam.  At epsilon = 0 the loop leaves the kept
-    beam's X- as it is, and no sweep passes epsilon, so that is every output's X-."""
-    outs = [out] if sweep is None else sweep
-    return ([_tally(secret, o, Quad.PLUS) for o in outs], _tally(secret, out, Quad.MINUS),
+def _pair(secret: FieldState, outs: list[FieldState], cross: bool = False) -> tuple:
+    """_scores' arguments after the variances for outputs that share one X-, as the
+    outputs of one feedforward loop do: each one's X+ tally (and _cross weights)
+    and the first one's X- tally."""
+    return ([_tally(secret, o, Quad.PLUS) for o in outs], _tally(secret, outs[0], Quad.MINUS),
             [_cross(secret, o) for o in outs] if cross else None)
 
 
@@ -205,24 +203,17 @@ def _regression_gain(a: FieldState, b: FieldState, quad: Quad, variances) -> flo
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
     """(T_q, V_q) for the T-V diagram; ideal reconstruction sits at (2, 0)."""
-    return _scores(out.basis._class_variances, *_pair(secret, out))[0]
+    return _scores(out.basis._class_variances, *_pair(secret, [out]))[0]
 
 
 def evaluate(secret: FieldState, out: FieldState) -> Metrics:
     """Compute the full metrics record for one (secret, output) pair."""
-    return _scores(out.basis._class_variances, *_pair(secret, out, cross=True))[0]
+    return _scores(out.basis._class_variances, *_pair(secret, [out], cross=True))[0]
 
 
 # ---------------------------------------------------------------------------
 # Closed forms.  v_m is the classical modulation power (e^{2s} in squeezing
 # notation); v_m = 0 means no added noise.
-
-
-def _require_real(what: str, *values: float) -> None:
-    """Reject a bool, or anything but an int or a float, with ValueError."""
-    for x in values:
-        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
-            raise ValueError(f"{what} must be real numbers, not {values!r}")
 
 
 def _require_finite(*values: float) -> None:

@@ -24,8 +24,17 @@ COEFF_ATOL = 1e-12
 MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
 
 
+def check_real(what: str, *values: float) -> None:
+    """Reject a bool, or anything but an int or a float, with ValueError."""
+    for x in values:
+        if type(x) is not float and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise ValueError(f"{what} must be real numbers, not {values!r}")
+
+
 def check_squeezing_limit(r: float) -> None:
-    """Reject a squeezing parameter whose e^{2r} overflows."""
+    """Reject a negative squeezing parameter, or one whose e^{2r} overflows."""
+    if r < 0:
+        raise ValueError("squeezing parameter must be nonnegative")
     if r > MAX_SQUEEZING:
         raise ValueError(
             f"squeezing parameter must be at most {MAX_SQUEEZING!r}: e^(2r) overflows above it"
@@ -35,8 +44,7 @@ def check_squeezing_limit(r: float) -> None:
 def _require_point(r: float, v_m: float) -> None:
     """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a
     negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (r, v_m)):
-        raise ValueError(f"squeezing and modulation power must be real numbers, not {(r, v_m)!r}")
+    check_real("squeezing and modulation power", r, v_m)
     if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf):
         raise ValueError("squeezing and modulation power must be finite and nonnegative")
     check_squeezing_limit(r)
@@ -136,8 +144,6 @@ class NoiseBasis:
 
     def squeezed(self, r: float) -> int:
         """Amplitude-squeezed mode: V+ = exp(-2r), V- = exp(+2r), r >= 0."""
-        if r < 0:
-            raise ValueError("squeezing parameter must be nonnegative")
         check_squeezing_limit(r)
         return self.register(ModeKind.SQUEEZED, math.exp(-2.0 * r), math.exp(2.0 * r))
 
@@ -271,12 +277,6 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
 
 
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:
-    # An empty out skips the 0.0 + k * x: that sum differs from k * x only
-    # for -0.0, and _prune drops both zeros.
-    if not out:
-        for src, x in coeffs.items():
-            out[src] = k * x
-        return
     for src, x in coeffs.items():
         out[src] = out.get(src, 0.0) + k * x
 

@@ -197,18 +197,18 @@ def collaboration_beams(
 def _feedforward_outputs(
     shares: Shares, gains: Sequence[float], etas: Sequence[float], players: tuple[int, int],
     epsilon: float = 0.0,
-) -> tuple[FieldState, list[list[FieldState]]]:
-    """Check the loop parameters, then return the kept beam of one 2/3 splitter
-    and, per eta, reconstruct_ff's output at every gain, bit for bit.  The
-    splitter runs once, and the detection once per eta."""
+) -> list[list[FieldState]]:
+    """Check the loop parameters, then return, per eta, reconstruct_ff's output at
+    every gain, bit for bit.  The 2/3 splitter runs once, and the detection once
+    per eta."""
     if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
     if not all(0.0 < eta <= 1.0 for eta in etas):
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
     currents = [detect(detected, eta, shares.detector) for eta in etas]
-    return kept, [[feedforward_mix(kept, current, g, epsilon, shares.oscillator) for g in gains]
-                  for current in currents]
+    return [[feedforward_mix(kept, current, g, epsilon, shares.oscillator) for g in gains]
+            for current in currents]
 
 
 def reconstruct_ff(
@@ -229,7 +229,7 @@ def reconstruct_ff(
     high-reflectivity limit, admitting the shares' oscillator vacuum; the
     closed forms assume epsilon = 0.
     """
-    _, ((out,),) = _feedforward_outputs(shares, (gain,), (eta,), players, epsilon)
+    ((out,),) = _feedforward_outputs(shares, (gain,), (eta,), players, epsilon)
     return out
 
 

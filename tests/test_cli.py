@@ -569,6 +569,20 @@ class TestTable:
             assert (row["subset"], row["condition"]) == (entry["subset"], entry["condition"])
             assert (float(row["t_q"]), float(row["v_q"])) == (entry["t_q"], v_q)
 
+    def test_an_infinite_cap_caps_nothing(self, capsys):
+        assert main(["table", "--cap", "inf"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = table_entries(cap=math.inf)
+        assert all(row["v_q"] != math.inf for row in rows)
+        assert captured.out == cvqss.cli._records_to_csv(
+            rows, ("subset", "condition", "t_q", "v_q")
+        )
+
+    def test_a_nan_cap_is_refused_by_name(self, capsys):
+        assert main(["table", "--cap", "nan"]) == 2
+        assert capsys.readouterr().err == "cvqss: error: --cap must be nonnegative\n"
+
     def test_json_renders_infinity_as_null(self, capsys):
         assert main(["table", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -667,6 +681,14 @@ class TestVerify:
     def test_a_point_the_dealer_rejects_is_rejected(self, r):
         with pytest.raises(ValueError):
             verify_grid(r_values=(r,), vm_values=(0.0,), eta_values=(1.0,), gains=(1.0,))
+
+    @pytest.mark.parametrize("grid", [
+        {"eta_values": (2.0,), "gains": ()},
+        {"eta_values": (), "gains": (-1.0,)},
+    ])
+    def test_a_loop_parameter_is_checked_without_a_column_to_score(self, grid):
+        with pytest.raises(ValueError):
+            verify_grid(**grid)
 
     def test_verify_grid_shape(self):
         summary = verify_grid(r_values=(0.0, 0.5), vm_values=(0.0,), eta_values=(1.0,),

@@ -55,12 +55,12 @@ P = Quad.PLUS
 M = Quad.MINUS
 
 
-def ff_sweep(psi, shares, gains, etas, players=(2, 3), cross=False):
+def ff_sweep(psi, shares, gains, etas, players=(2, 3), cross=False, epsilon=0.0):
     """The CLI's feedforward sweep: _feedforward_outputs tallied by _pair and
     scored by _scores, one list per eta of one score per gain (with cross, Metrics)."""
-    kept, passes = _feedforward_outputs(shares, gains, etas, players)
     variances = psi.basis._class_variances
-    return [_scores(variances, *_pair(psi, kept, cross, outs)) for outs in passes]
+    return [_scores(variances, *_pair(psi, outs, cross))
+            for outs in _feedforward_outputs(shares, gains, etas, players, epsilon)]
 
 
 def mode_ids(basis):
@@ -579,6 +579,37 @@ class TestFeedforwardTvSweep:
         # one raw and one corrected fidelity per r; the feedforward_tv points
         # (2 eta x 3 v_m x 17 gains per r) compute none
         assert len(calls) == 2 * len(r_values)
+
+
+class TestFeedforwardEpsilonSweep:
+    """The loop adds the photocurrent to X+ only, so every output of one sweep
+    shares its X-, at epsilon > 0 too: the oscillator vacuum enters that X-."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        v_m=st.one_of(st.just(0.0), st.floats(0.0, 100.0)),
+        source=st.sampled_from(EprSource),
+        players=st.sampled_from([(2, 3), (1, 3)]),
+        eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+        epsilon=st.floats(0.0, 0.99, exclude_min=True, exclude_max=True),
+        gains=st.lists(st.floats(0.0, 8.0), max_size=3).map(
+            lambda gs: [0.0, FF_GAIN_OPTIMAL, *gs]
+        ),
+        means=st.tuples(st.floats(0.5, 10.0), st.floats(-10.0, -0.5)),
+    )
+    def test_each_entry_is_the_single_gain_reconstruction(
+        self, r, v_m, source, players, eta, epsilon, gains, means
+    ):
+        psi, shares = dealt(r, v_m, source, means)
+        (swept,) = ff_sweep(psi, shares, gains, (eta,), players, cross=True, epsilon=epsilon)
+        (points,) = ff_sweep(psi, shares, gains, (eta,), players, epsilon=epsilon)
+        assert len(swept) == len(points) == len(gains)
+        for gain, scores, point in zip(gains, swept, points):
+            out = reconstruct_ff(shares, gain, eta, players, epsilon)
+            # no tolerance, and repr matches nan to nan
+            assert repr(scores) == repr(evaluate(psi, out))
+            assert repr(point) == repr(tv_point(psi, out))
 
 
 class TestDealOnce:

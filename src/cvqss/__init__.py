@@ -7,7 +7,6 @@ closed-form oracles.
 
 from .entanglement import (
     DUAN_SEPARABLE_BOUND,
-    EprPair,
     EprSource,
     duan_sum,
     epr_type1,

@@ -22,13 +22,12 @@ from .metrics import (
     _pair,
     _quadrature_score,
     _regression_gain,
-    _require_finite,
     _scores,
     optimal_gain,
     r_from_squeezing_pct,
     squeezing_pct,
 )
-from .noise import MAX_SQUEEZING, Quad, check_real, check_squeezing_limit
+from .noise import MAX_SQUEEZING, Quad, check_finite, check_real, check_squeezing_limit
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -109,12 +108,10 @@ class ScenarioConfig(namedtuple(
             raise ValueError(f"secret_means must be two real numbers, not {self.secret_means!r}")
         vm_db = 0.0 if self.vm_db is None else self.vm_db
         numbers = [self.r, vm_db, self.eta, self.epsilon, *self.secret_means]
-        check_real("r, vm_db, eta, epsilon and the secret means", *numbers)
         if self.gain is not None and self.gain != "optimal":
-            if isinstance(self.gain, bool) or not isinstance(self.gain, (int, float)):
-                raise ValueError(f'gain must be a number, "optimal" or None, not {self.gain!r}')
             numbers.append(self.gain)
-        _require_finite(*numbers)
+        check_real("r, vm_db, eta, epsilon, the secret means and a numeric gain", *numbers)
+        check_finite(*numbers)
         check_squeezing_limit(self.r)
         if not 0.0 <= vm_db < MAX_VM_DB:
             raise ValueError(f"--vm-db must be at least 0 and below {MAX_VM_DB!r} dB")

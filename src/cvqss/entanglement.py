@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 
 from .noise import FieldState, NoiseBasis, Quad, field_from_mode, lincomb, variance
@@ -19,13 +18,7 @@ class EprSource(Enum):
     TYPE2 = "type2"
 
 
-class EprPair(namedtuple("EprPair", "beam1 beam2")):
-    """Two beams whose joint quadratures fluctuate below the separable bound."""
-
-    __slots__ = ()
-
-
-def epr_type1(basis: NoiseBasis, r: float) -> EprPair:
+def epr_type1(basis: NoiseBasis, r: float) -> tuple[FieldState, FieldState]:
     """Entangled pair from two amplitude-squeezed beams on a 1:1 beam splitter.
 
     The beams interfere with a pi/2 relative phase and the outputs are
@@ -34,10 +27,10 @@ def epr_type1(basis: NoiseBasis, r: float) -> EprPair:
     """
     a, b = (field_from_mode(basis, basis.squeezed(r)) for _ in range(2))
     out1, out2 = beam_splitter(a, b, 0.5, phase=math.pi / 2)
-    return EprPair(phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4))
+    return phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4)
 
 
-def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
+def epr_type2(basis: NoiseBasis, r: float) -> tuple[FieldState, FieldState]:
     """Entangled signal/idler pair from a single type-II parametric interaction.
 
     In Bloch-Messiah form, a two-mode squeezer is two single-mode squeezers
@@ -49,15 +42,16 @@ def epr_type2(basis: NoiseBasis, r: float) -> EprPair:
     only in the modes' variances, not in cosh r and sinh r coefficients.
     """
     a, b = (field_from_mode(basis, basis.squeezed(r)) for _ in range(2))
-    return EprPair(*beam_splitter(a, lincomb([((0.0, -1.0, 1.0, 0.0), b)]), 0.5))
+    return beam_splitter(a, lincomb([((0.0, -1.0, 1.0, 0.0), b)]), 0.5)
 
 
-def duan_sum(pair: EprPair) -> float:
+def duan_sum(pair: tuple[FieldState, FieldState]) -> float:
     """<(dX+_1 + dX+_2)^2> + <(dX-_1 - dX-_2)^2>.
 
     Below DUAN_SEPARABLE_BOUND the pair is inseparable; both source types
     give exactly 4 exp(-2r), also after the dealer's modulation, which
     cancels in both combinations.
     """
-    joint = lincomb([(1.0, pair.beam1), ((1.0, 0.0, 0.0, -1.0), pair.beam2)])
+    beam1, beam2 = pair
+    joint = lincomb([(1.0, beam1), ((1.0, 0.0, 0.0, -1.0), beam2)])
     return variance(joint, Quad.PLUS) + variance(joint, Quad.MINUS)

@@ -4,8 +4,8 @@ Fidelity, per-quadrature signal transfer coefficients T and conditional
 variances V_cv, and the T-V summary pair (T_q = T+ + T-, V_q = V+_cv V-_cv).
 Second moments sum squared coefficients per variance class; V_cv sums every
 source but the secret's own, so it takes no V_out - cov^2/V_s difference.
-The closed forms are transcribed by hand, not yet derived independently of
-the simulation, so the two cross-check each other but are not oracles.
+The closed forms are transcribed by hand; only "sp" is yet derived apart from
+the simulation (by the tests), so the rest cross-check it but are not oracles.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress
 
-from .noise import FieldState, Quad, check_squeezing_limit, variance
+from .noise import FieldState, Quad, check_finite, check_real, check_squeezing_limit, variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -216,19 +216,15 @@ def evaluate(secret: FieldState, out: FieldState) -> Metrics:
 # notation); v_m = 0 means no added noise.
 
 
-def _require_finite(*values: float) -> None:
-    if not all(map(math.isfinite, values)):
-        raise ValueError("parameters must be finite numbers")
-
-
 def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) -> None:
-    """The domain where the simulation runs: r, v_m >= 0, 0 < eta <= 1, r within the
-    dealer's squeezing limit; free values finite."""
+    """The domain where the simulation runs: real numbers as the dealer takes them,
+    r, v_m >= 0, 0 < eta <= 1, r within the dealer's squeezing limit; free values finite."""
+    check_real("closed-form parameters", r, v_m, eta, *free)
     if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf and 0.0 < eta <= 1.0):
-        _require_finite(r, v_m, eta)
+        check_finite(r, v_m, eta)
         raise ValueError("closed forms need r >= 0, v_m >= 0 and 0 < eta <= 1")
     check_squeezing_limit(r)
-    _require_finite(*free)
+    check_finite(*free)
 
 
 def closed_form(
@@ -265,17 +261,20 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _gain_terms(g: float, scaled: bool) -> tuple[float, ...]:
+    """g's terms and V_q's factor g2 = 1.0; scaled, the terms over g^2 and g2 = g^2."""
+    a, b, g2 = (1.0 / g, 1.0, g * g) if scaled else (1.0, g, 1.0)
+    return (_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
+            _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a),
+            9.0 * b * b, 12.0 * b * b, g2)
+
+
 @functools.lru_cache(maxsize=1)
 def _ff_gain_terms(gains: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Each gain's terms, then V_q's factor g2 = 1.0.  Above 2^510, where 12 g^2
-    would near the largest float, the terms are divided by g^2 (1/g and 1 in place
-    of 1 and g) and g2 = g^2: T_q, a ratio of terms, then meets its finite limit.
-    Memoised for the last gains, given as floats: of those, only 0.0 and -0.0 are
+    """Each gain's terms, scaled above 2^510 (where 12 g^2 nears the largest float) so T_q
+    meets its finite limit.  Memoised for the last gains, as floats: only 0.0 and -0.0 are
     equal keys, and a signed zero meets only squares and sums with a nonzero float."""
-    scaled = ((1.0, g, 1.0) if abs(g) <= 2.0 ** 510 else (1.0 / g, 1.0, g * g) for g in gains)
-    return tuple((_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
-                  _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a),
-                  9.0 * b * b, 12.0 * b * b, g2) for a, b, g2 in scaled)
+    return tuple(_gain_terms(g, abs(g) > 2.0 ** 510) for g in gains)
 
 
 def ff_cp_column(
@@ -285,23 +284,30 @@ def ff_cp_column(
 
     The domain check and the terms that depend only on (r, v_m, eta) run once
     per column, those that depend only on g once per run of columns over one
-    tuple of gains; every float operation is closed_form's, in its order.
+    tuple of gains; every float operation is closed_form's, in its order.  A gain
+    above 1 whose unscaled sums overflow (e^{2r} can, below 2^510) is redone scaled.
     """
     _require_domain(r, v_m, eta, *gains)
-    terms = _ff_gain_terms(tuple(map(float, gains)))
+    gains = tuple(map(float, gains))
     em2r = math.exp(-2.0 * r)
     e2r = math.exp(2.0 * r)
     t_squeezed = 1.0 / (1.0 + 2.0 * em2r)
     v_scale = em2r / 18.0
     two_vm = 2.0 * v_m
     loss = 1.0 - eta
+    inf = math.inf
     column = []
-    for signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v, g2 in terms:
-        noise = at_e2r * e2r + at_em2r * em2r + at_vm * v_m + at_loss * loss / eta
-        v_q = v_scale * (
-            at_em2r_v * em2r + e2r * uncancelled + two_vm * uncancelled + at_loss_v * loss / eta
-        ) * g2
-        column.append((t_squeezed + signal / (signal + noise), v_q))
+    for g, terms in zip(gains, _ff_gain_terms(gains)):
+        while True:
+            signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v, g2 = terms
+            total = signal + (at_e2r * e2r + at_em2r * em2r + at_vm * v_m + at_loss * loss / eta)
+            bracket = (at_em2r_v * em2r + e2r * uncancelled + two_vm * uncancelled
+                       + at_loss_v * loss / eta)
+            # term by term the bracket is 4 times the noise, so it overflows where total does
+            if bracket < inf or g2 != 1.0 or abs(g) <= 1.0:
+                break
+            terms = _gain_terms(g, True)
+        column.append((t_squeezed + signal / total, v_scale * bracket * g2))
     return column
 
 

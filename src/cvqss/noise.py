@@ -31,6 +31,12 @@ def check_real(what: str, *values: float) -> None:
             raise ValueError(f"{what} must be real numbers, not {values!r}")
 
 
+def check_finite(*values: float) -> None:
+    """Reject NaN or an infinity with ValueError."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("parameters must be finite numbers")
+
+
 def check_squeezing_limit(r: float) -> None:
     """Reject a negative squeezing parameter, or one whose e^{2r} overflows."""
     if r < 0:
@@ -66,9 +72,6 @@ class ModeKind(Enum):
     SQUEEZED = "squeezed"
     CLASSICAL_MODULATION = "classical_modulation"
     DETECTOR_VACUUM = "detector_vacuum"
-
-    # As for Quad: the (kind, quad, variance) class key hashes in C.
-    __hash__ = object.__hash__
 
 
 # One scalar fluctuation component of a registered mode.  Each mode carries

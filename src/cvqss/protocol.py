@@ -82,9 +82,9 @@ def _require_coherent(secret: FieldState) -> None:
 
 def _noise_beams(basis: NoiseBasis, config: DealerConfig) -> tuple[FieldState, FieldState]:
     """The EPR pair after the modulators: the beams carrying the shares' noise."""
-    pair = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
+    beam1, beam2 = (epr_type1 if config.source is EprSource.TYPE1 else epr_type2)(basis, config.r)
     mod = basis.modulation(config.v_m)
-    return phase_modulate(pair.beam1, mod, +1), phase_modulate(pair.beam2, mod, -1)
+    return phase_modulate(beam1, mod, +1), phase_modulate(beam2, mod, -1)
 
 
 def deal(secret: FieldState, config: DealerConfig) -> Shares:

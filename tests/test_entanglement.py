@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cvqss import (
     DUAN_SEPARABLE_BOUND,
-    EprPair,
     ModeKind,
     NoiseBasis,
     Quad,
@@ -28,22 +27,20 @@ from conftest import is_entangled
 
 def modulated_type1(basis, r, v_m):
     """A type-1 pair and the modulation mode deal puts on it: +1 on beam 1, -1 on beam 2."""
-    pair = epr_type1(basis, r)
+    beam1, beam2 = epr_type1(basis, r)
     mod = basis.modulation(v_m)
-    return EprPair(phase_modulate(pair.beam1, mod, +1), phase_modulate(pair.beam2, mod, -1)), mod
+    return (phase_modulate(beam1, mod, +1), phase_modulate(beam2, mod, -1)), mod
 
 
 class TestType1Source:
     def test_no_squeezing_gives_vacuum_statistics(self, basis):
-        pair = epr_type1(basis, 0.0)
-        for beam in (pair.beam1, pair.beam2):
+        for beam in epr_type1(basis, 0.0):
             for quad in Quad:
                 assert variance(beam, quad) == pytest.approx(1.0, abs=1e-12)
 
     def test_individual_beams_look_thermal(self, basis):
         # cosh 2r = 1.5430806348152437 at r = 0.5
-        pair = epr_type1(basis, 0.5)
-        for beam in (pair.beam1, pair.beam2):
+        for beam in epr_type1(basis, 0.5):
             for quad in Quad:
                 assert variance(beam, quad) == pytest.approx(
                     1.5430806348152437, abs=1e-12
@@ -52,12 +49,12 @@ class TestType1Source:
     def test_modulation_correlation_signs(self, basis):
         # Anticorrelated in the amplitude quadrature, correlated in phase;
         # clean-pair parts contribute -/+ sinh 2r, modulation adds -/+ 100.
-        pair, _ = modulated_type1(basis, 0.5, 100.0)
+        (beam1, beam2), _ = modulated_type1(basis, 0.5, 100.0)
         sinh1 = math.sinh(1.0)
-        assert covariance(pair.beam1, pair.beam2, Quad.PLUS) == pytest.approx(
+        assert covariance(beam1, beam2, Quad.PLUS) == pytest.approx(
             -sinh1 - 100.0, abs=1e-12
         )
-        assert covariance(pair.beam1, pair.beam2, Quad.MINUS) == pytest.approx(
+        assert covariance(beam1, beam2, Quad.MINUS) == pytest.approx(
             sinh1 + 100.0, abs=1e-12
         )
 
@@ -70,15 +67,15 @@ class TestType1Source:
 
 class TestType2Source:
     def test_no_interaction_gives_independent_vacua(self, basis):
-        pair = epr_type2(basis, 0.0)
-        assert covariance(pair.beam1, pair.beam2, Quad.PLUS) == 0.0
-        assert variance(pair.beam1, Quad.PLUS) == pytest.approx(1.0, abs=1e-15)
+        beam1, beam2 = epr_type2(basis, 0.0)
+        assert covariance(beam1, beam2, Quad.PLUS) == 0.0
+        assert variance(beam1, Quad.PLUS) == pytest.approx(1.0, abs=1e-15)
 
     def test_joint_quadrature_variances(self, basis):
         # 2 e^{-2r} = 0.7357588823428847 and 2 e^{2r} = 5.43656365691809 at r = 0.5
-        pair = epr_type2(basis, 0.5)
-        summed = lincomb([(1.0, pair.beam1), (1.0, pair.beam2)])
-        diffed = lincomb([(1.0, pair.beam1), (-1.0, pair.beam2)])
+        beam1, beam2 = epr_type2(basis, 0.5)
+        summed = lincomb([(1.0, beam1), (1.0, beam2)])
+        diffed = lincomb([(1.0, beam1), (-1.0, beam2)])
         assert variance(summed, Quad.PLUS) == pytest.approx(
             0.7357588823428847, abs=1e-12
         )
@@ -94,29 +91,29 @@ class TestType2Source:
         h = math.sqrt(0.5)
         for r in (0.0, 0.5, 12.0):
             basis = NoiseBasis()
-            pair = epr_type2(basis, r)
+            beam1, beam2 = epr_type2(basis, r)
             assert basis._kinds == [ModeKind.SQUEEZED] * 2
             plus, minus = (0, Quad.PLUS), (0, Quad.MINUS)
             b_plus, b_minus = (1, Quad.PLUS), (1, Quad.MINUS)
-            assert pair.beam1.coeffs_plus == {plus: h, b_minus: -h}
-            assert pair.beam1.coeffs_minus == {minus: h, b_plus: h}
-            assert pair.beam2.coeffs_plus == {plus: h, b_minus: h}
-            assert pair.beam2.coeffs_minus == {minus: h, b_plus: -h}
-            assert abs(duan_sum(pair) / (4.0 * math.exp(-2.0 * r)) - 1.0) <= 1e-15
+            assert beam1.coeffs_plus == {plus: h, b_minus: -h}
+            assert beam1.coeffs_minus == {minus: h, b_plus: h}
+            assert beam2.coeffs_plus == {plus: h, b_minus: h}
+            assert beam2.coeffs_minus == {minus: h, b_plus: -h}
+            assert abs(duan_sum((beam1, beam2)) / (4.0 * math.exp(-2.0 * r)) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 4.0])
     def test_same_state_as_the_parametric_interaction(self, r):
         """Every within- and cross-quadrature covariance of the pair equals that of
         the pump-phase-flipped interaction on two vacua, in cosh r and sinh r."""
         def moments(pair):
-            basis = pair.beam1.basis
+            basis = pair[0].basis
             rows = [fld.coeffs(q) for fld in pair for q in Quad]
             return [[sum(c * row_b.get(src, 0.0) * basis.source_variance(src)
                          for src, c in row_a.items()) for row_b in rows] for row_a in rows]
 
         basis = NoiseBasis()
         signal, idler = (field_from_mode(basis, basis.vacuum()) for _ in range(2))
-        reference = moments(EprPair(*psa_type2_pair(signal, idler, -r)))
+        reference = moments(psa_type2_pair(signal, idler, -r))
         bloch_messiah = moments(epr_type2(NoiseBasis(), r))
         scale = math.cosh(2.0 * r)
         for ref_row, row in zip(reference, bloch_messiah):
@@ -157,14 +154,13 @@ class TestDuanWitness:
     def test_modulation_cancels_coefficientwise(self, basis):
         # The witness combinations carry exactly zero weight on the shared
         # modulation mode, not merely zero variance.
-        pair, mod = modulated_type1(basis, 0.3, 25.0)
-        plus_sum = lincomb([(1.0, pair.beam1), (1.0, pair.beam2)])
-        minus_diff = lincomb([(1.0, pair.beam1), (-1.0, pair.beam2)])
+        (beam1, beam2), mod = modulated_type1(basis, 0.3, 25.0)
+        plus_sum = lincomb([(1.0, beam1), (1.0, beam2)])
+        minus_diff = lincomb([(1.0, beam1), (-1.0, beam2)])
         for src in ((mod, Quad.PLUS), (mod, Quad.MINUS)):
             assert abs(plus_sum.coeff(Quad.PLUS, src)) <= 1e-12
             assert abs(minus_diff.coeff(Quad.MINUS, src)) <= 1e-12
 
     def test_swap_symmetry(self, basis):
-        pair, _ = modulated_type1(basis, 0.8, 5.0)
-        swapped = EprPair(pair.beam2, pair.beam1)
-        assert duan_sum(swapped) == pytest.approx(duan_sum(pair), abs=1e-12)
+        (beam1, beam2), _ = modulated_type1(basis, 0.8, 5.0)
+        assert duan_sum((beam2, beam1)) == pytest.approx(duan_sum((beam1, beam2)), abs=1e-12)

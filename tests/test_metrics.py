@@ -4,7 +4,7 @@ import math
 from decimal import Decimal, localcontext
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvqss import (
@@ -287,6 +287,23 @@ class TestClosedForms:
         fidelity_closed_form("psa2", MAX_SQUEEZING)
         optimal_gain(MAX_SQUEEZING)
 
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("call", [
+        lambda x: closed_form("sp", x),
+        lambda x: closed_form("ff_cp", 0.5, 0.0, 1.0, x),
+        lambda x: ff_cp_column(0.5, x, 1.0, [2.0]),
+        lambda x: ff_cp_column(0.5, 0.0, 1.0, [2.0, x]),
+        lambda x: fidelity_closed_form("psa2", x),
+        lambda x: fidelity_closed_form("ff", 0.5, (4.0, x)),
+        lambda x: optimal_gain(x),
+        lambda x: optimal_gain(0.5, 0.0, x),
+    ], ids=["sp-r", "ff_cp-gain", "column-vm", "column-gain", "fidelity-r", "fidelity-mean",
+            "gain-r", "gain-eta"])
+    def test_a_bool_or_a_string_is_refused_as_the_dealer_refuses_it(self, call, value):
+        # DealerConfig, class_variances and ScenarioConfig take only ints and floats
+        with pytest.raises(ValueError, match="real numbers"):
+            call(value)
+
     def test_psa_and_feedforward_coincide_at_the_cancellation_gain(self):
         # At G = 2 sqrt(2) and eta = 1 the feedforward forms telescope onto
         # the two-PSA ones: same T_q, same V_q product.
@@ -303,23 +320,34 @@ _ANY_FLOAT = (
 
 
 def ff_cp_transcribed(r, v_m, eta, g):
-    """The feedforward closed form written out per gain, one expression per term."""
+    """The feedforward closed form written out per gain, one expression per term.
+
+    Where its V_q sum overflows at |g| > 1, it is written out again in a = 1/g and
+    b = 1, every term divided by g^2, and V_q multiplied back by g^2.
+    """
+    t_q, v_q = _ff_cp_written_out(r, v_m, eta, 1.0, g, 1.0)
+    if v_q == math.inf and abs(g) > 1.0:
+        t_q, v_q = _ff_cp_written_out(r, v_m, eta, 1.0 / g, 1.0, g * g)
+    return t_q, v_q
+
+
+def _ff_cp_written_out(r, v_m, eta, a, b, g2):
     em2r, e2r = math.exp(-2.0 * r), math.exp(2.0 * r)
     sqrt2 = math.sqrt(2.0)
-    signal = (1.0 + g / sqrt2) ** 2
+    signal = (a + b / sqrt2) ** 2
     noise = (
-        (g / 2.0 - sqrt2) ** 2 * e2r
-        + (1.5 * g) ** 2 * em2r
-        + (2.0 - g / sqrt2) ** 2 * v_m
-        + 3.0 * g * g * (1.0 - eta) / eta
+        (b / 2.0 - sqrt2 * a) ** 2 * e2r
+        + (1.5 * b) ** 2 * em2r
+        + (2.0 * a - b / sqrt2) ** 2 * v_m
+        + 3.0 * b * b * (1.0 - eta) / eta
     )
     t_q = 1.0 / (1.0 + 2.0 * em2r) + signal / (signal + noise)
     v_q = (em2r / 18.0) * (
-        9.0 * g * g * em2r
-        + e2r * (g - 2.0 * sqrt2) ** 2
-        + 2.0 * v_m * (g - 2.0 * sqrt2) ** 2
-        + 12.0 * g * g * (1.0 - eta) / eta
-    )
+        9.0 * b * b * em2r
+        + e2r * (b - 2.0 * sqrt2 * a) ** 2
+        + 2.0 * v_m * (b - 2.0 * sqrt2 * a) ** 2
+        + 12.0 * b * b * (1.0 - eta) / eta
+    ) * g2
     return t_q, v_q
 
 
@@ -331,6 +359,8 @@ class TestFeedforwardColumn:
         eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
         gains=st.lists(st.floats(-10.0, 10.0) | st.just(TWO_SQRT2), max_size=6),
     )
+    # a V_q sum that overflows unscaled (loss / eta) and is redone scaled
+    @example(r=0.0, v_m=0.0, eta=3.5502780847687426e-307, gains=[0.5, TWO_SQRT2])
     def test_each_entry_is_the_single_gain_closed_form(self, r, v_m, eta, gains):
         # no tolerance: hoisting the per-column terms changes no float
         # operation; repr equality also matches nan to nan

@@ -7,13 +7,11 @@ import pytest
 
 from cvqss import (
     DealerConfig,
-    EprPair,
     FieldState,
     Metrics,
     Photocurrent,
     Shares,
     detect,
-    epr_type1,
     evaluate,
 )
 from cvqss.cli import ScenarioConfig
@@ -26,7 +24,6 @@ def _example(cls):
     return {
         FieldState: lambda: psi,
         Photocurrent: lambda: detect(shares.share3, 0.9, shares.detector),
-        EprPair: lambda: epr_type1(psi.basis, 0.5),
         DealerConfig: lambda: DealerConfig(0.5, 1.0),
         Shares: lambda: shares,
         Metrics: lambda: evaluate(psi, shares.share1),
@@ -34,7 +31,7 @@ def _example(cls):
     }[cls]()
 
 
-RECORDS = (FieldState, Photocurrent, EprPair, DealerConfig, Shares, Metrics, ScenarioConfig)
+RECORDS = (FieldState, Photocurrent, DealerConfig, Shares, Metrics, ScenarioConfig)
 FIELDS = [
     (cls, name) for cls in RECORDS for name in getattr(cls, "_fields", cls.__slots__)
 ]

@@ -96,11 +96,16 @@ def test_feedforward_v_q_at_the_cancellation_gain_is_accurate(r, source):
     assert rel_error(v_q, ff_cp(r, 0.0, 1.0, _TWO_SQRT2)[1]) <= 1e-9
 
 
-@pytest.mark.parametrize("g", [3.4e153, -1e154, 1e155, 1e200, -1.7e308])
-@pytest.mark.parametrize("r, v_m, eta", [(0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 1.0, 0.5)])
+@pytest.mark.parametrize(
+    "g", [1e151, 1e153, 2e153, -3e153, 3.4e153, -1e154, 1e155, 1e200, -1.7e308]
+)
+@pytest.mark.parametrize("r, v_m, eta", [
+    (0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 1.0, 0.5), (3.0, 0.0, 1.0), (10.0, 10.0, 0.9),
+])
 def test_feedforward_closed_form_is_accurate_where_the_gain_squared_overflows(r, v_m, eta, g):
-    # ff_cp forms these gains' terms divided by g^2: T_q nears its limit, and
-    # V_q is inf only where the exact value lies beyond the largest float
+    # ff_cp forms these gains' terms divided by g^2, above 2^510 or where e^{2r}
+    # overflows an unscaled sum below it: T_q nears its limit, and V_q is inf
+    # only where the exact value lies beyond the largest float
     t_q, v_q = metrics.closed_form("ff_cp", r, v_m, eta, g)
     ref_t, ref_v = ff_cp(r, v_m, eta, g)
     assert rel_error(t_q, ref_t) <= 1e-12

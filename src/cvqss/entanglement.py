@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 from .noise import FieldState, NoiseBasis, Quad, field_from_mode, lincomb, variance
@@ -21,13 +20,13 @@ class EprSource(Enum):
 def epr_type1(basis: NoiseBasis, r: float) -> tuple[FieldState, FieldState]:
     """Entangled pair from two amplitude-squeezed beams on a 1:1 beam splitter.
 
-    The beams interfere with a pi/2 relative phase and the outputs are
-    rotated by -/+ pi/4; this is the convention under which the pair feeds
-    the share equations with the published coefficient structure.
+    The beams interfere with a quarter turn of relative phase and the outputs
+    turn by -/+ an eighth turn; this is the convention under which the pair
+    feeds the share equations with the published coefficient structure.
     """
     a, b = (field_from_mode(basis, basis.squeezed(r)) for _ in range(2))
-    out1, out2 = beam_splitter(a, b, 0.5, phase=math.pi / 2)
-    return phase_shift(out1, -math.pi / 4), phase_shift(out2, math.pi / 4)
+    out1, out2 = beam_splitter(a, b, 0.5, phase=2)
+    return phase_shift(out1, -1), phase_shift(out2, 1)
 
 
 def epr_type2(basis: NoiseBasis, r: float) -> tuple[FieldState, FieldState]:

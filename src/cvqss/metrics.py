@@ -224,7 +224,7 @@ def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) 
         check_finite(r, v_m, eta)
         raise ValueError("closed forms need r >= 0, v_m >= 0 and 0 < eta <= 1")
     check_squeezing_limit(r)
-    check_finite(*free)
+    check_finite(v_m, *free)
 
 
 def closed_form(
@@ -262,11 +262,12 @@ def _square(x: float) -> float:
 
 
 def _gain_terms(g: float, scaled: bool) -> tuple[float, ...]:
-    """g's terms and V_q's factor g2 = 1.0; scaled, the terms over g^2 and g2 = g^2."""
-    a, b, g2 = (1.0 / g, 1.0, g * g) if scaled else (1.0, g, 1.0)
+    """g's terms and V_q's factor f = 1.0; scaled, the terms over g^2 and f = g.  V_q takes
+    f twice, as g * g alone overflows from |g| ~ 1.34e154."""
+    a, b, f = (1.0 / g, 1.0, g) if scaled else (1.0, g, 1.0)
     return (_square(a + b / _SQRT2), _square(b / 2.0 - _SQRT2 * a), _square(1.5 * b),
             _square(2.0 * a - b / _SQRT2), 3.0 * b * b, _square(b - _TWO_SQRT2 * a),
-            9.0 * b * b, 12.0 * b * b, g2)
+            9.0 * b * b, 12.0 * b * b, f)
 
 
 @functools.lru_cache(maxsize=1)
@@ -299,15 +300,15 @@ def ff_cp_column(
     column = []
     for g, terms in zip(gains, _ff_gain_terms(gains)):
         while True:
-            signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v, g2 = terms
+            signal, at_e2r, at_em2r, at_vm, at_loss, uncancelled, at_em2r_v, at_loss_v, f = terms
             total = signal + (at_e2r * e2r + at_em2r * em2r + at_vm * v_m + at_loss * loss / eta)
             bracket = (at_em2r_v * em2r + e2r * uncancelled + two_vm * uncancelled
                        + at_loss_v * loss / eta)
             # term by term the bracket is 4 times the noise, so it overflows where total does
-            if bracket < inf or g2 != 1.0 or abs(g) <= 1.0:
+            if bracket < inf or f != 1.0 or abs(g) <= 1.0:
                 break
             terms = _gain_terms(g, True)
-        column.append((t_squeezed + signal / total, v_scale * bracket * g2))
+        column.append((t_squeezed + signal / total, v_scale * bracket * f * f))
     return column
 
 

@@ -32,8 +32,12 @@ def check_real(what: str, *values: float) -> None:
 
 
 def check_finite(*values: float) -> None:
-    """Reject NaN or an infinity with ValueError."""
-    if not all(map(math.isfinite, values)):
+    """Reject NaN, an infinity or an int beyond the float range with ValueError."""
+    try:
+        finite = all(map(math.isfinite, values))
+    except OverflowError:  # an int that no float holds
+        finite = False
+    if not finite:
         raise ValueError("parameters must be finite numbers")
 
 
@@ -48,10 +52,10 @@ def check_squeezing_limit(r: float) -> None:
 
 
 def _require_point(r: float, v_m: float) -> None:
-    """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a
-    negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
+    """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a huge
+    int, a negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
     check_real("squeezing and modulation power", r, v_m)
-    if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf):
+    if not (0.0 <= r <= sys.float_info.max and 0.0 <= v_m <= sys.float_info.max):
         raise ValueError("squeezing and modulation power must be finite and nonnegative")
     check_squeezing_limit(r)
 

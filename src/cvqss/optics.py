@@ -13,39 +13,40 @@ from collections import namedtuple
 
 from .noise import FieldState, ModeKind, _derived_field, field_from_mode, lincomb
 
+# Every knob-free weight of the network, built once: (sqrt(1-R), sqrt(R)) by reflectivity
+# R in (0, 1), a float, and the rotation (c, -s, s, c) by k eighth turns, an int in [-4, 4].
+WEIGHTS = {R: (math.sqrt(1.0 - R), math.sqrt(R)) for R in (0.5, 2.0 / 3.0)} | {
+    k: (c, -s, s, c) for k in range(-4, 5)
+    for c, s in [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))]}
 
-def phase_shift(fld: FieldState, theta: float) -> FieldState:
-    """Optical phase shift a -> exp(i theta) a.
 
-    Rotates the quadratures: X+ -> cos(theta) X+ - sin(theta) X-,
-    X- -> sin(theta) X+ + cos(theta) X-.
-    """
-    if not math.isfinite(theta):
-        raise ValueError("phase must be finite")
-    c, s = math.cos(theta), math.sin(theta)
-    return lincomb([((c, -s, s, c), fld)])
+def phase_shift(fld: FieldState, theta: int) -> FieldState:
+    """Optical phase shift a -> exp(i theta pi/4) a by theta eighth turns, an int in [-4, 4]:
+    X+ -> cos X+ - sin X-, X- -> sin X+ + cos X- at the angle theta pi/4."""
+    if type(theta) is not int or theta not in WEIGHTS:
+        raise ValueError(f"phase must be a whole number of eighth turns in [-4, 4], not {theta!r}")
+    return lincomb([(WEIGHTS[theta], fld)])
 
 
 def beam_splitter(
-    a: FieldState, b: FieldState, reflectivity: float, phase: float = 0.0
+    a: FieldState, b: FieldState, reflectivity: float, phase: int = 0
 ) -> tuple[FieldState, FieldState]:
-    """Two-port beam splitter of power reflectivity R.
+    """Two-port beam splitter of power reflectivity R, 1/2 or 2/3.
 
-    Input b acquires the given phase before a real orthogonal mix:
+    Input b turns by phase eighth turns before a real orthogonal mix:
 
-        out1 = sqrt(1-R) a + sqrt(R)   e^{i phase} b
-        out2 = sqrt(R)   a - sqrt(1-R) e^{i phase} b
+        out1 = sqrt(1-R) a + sqrt(R)   e^{i phase pi/4} b
+        out2 = sqrt(R)   a - sqrt(1-R) e^{i phase pi/4} b
 
-    For phase in {0, pi} the coefficient weight sum(c^2) per quadrature is
+    For phase in {0, 4} the coefficient weight sum(c^2) per quadrature is
     conserved across the two outputs.
     """
-    if not 0.0 <= reflectivity <= 1.0:
-        raise ValueError("reflectivity must be in [0, 1]")
+    if not (type(reflectivity) is float and 0.0 < reflectivity < 1.0 and reflectivity in WEIGHTS):
+        raise ValueError(f"reflectivity must be 0.5 or 2/3, not {reflectivity!r}")
     if a.basis is not b.basis:
         raise ValueError("fields live on different noise bases")
-    t = math.sqrt(1.0 - reflectivity)
-    r = math.sqrt(reflectivity)
-    bp = phase_shift(b, phase) if phase != 0.0 else b
+    t, r = WEIGHTS[reflectivity]
+    bp = b if phase == 0 and type(phase) is int else phase_shift(b, phase)
     return lincomb([(t, a), (r, bp)]), lincomb([(r, a), (-t, bp)])
 
 

@@ -16,7 +16,7 @@ from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
 from .noise import _require_point, lincomb
-from .optics import beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
+from .optics import WEIGHTS, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
 # sqrt(G) + 1/sqrt(G) = 2 sqrt(2).
@@ -123,7 +123,7 @@ def _dealt(
     h m + 0.0 of each secret mean m on shares 1 and 2, and none on share 3.
     """
     zero_secret, shares = _dealer(source)
-    (m_p, m_m), h = means, math.sqrt(0.5)  # beam_splitter's weights at reflectivity 0.5
+    (m_p, m_m), (h, _) = means, WEIGHTS[0.5]  # beam_splitter's weights at reflectivity 0.5
     split = (h * m_p + 0.0, h * m_m + 0.0)
     secret, share1, share2 = (
         _derived_field(fld.basis, *mean, fld.coeffs_plus, fld.coeffs_minus)
@@ -144,11 +144,11 @@ def _mix_pair(
     """Mix the pair's other share with share 3 on one beam splitter.
 
     Mixing sign chosen so the correlated EPR combinations survive: share 2
-    enters with a pi phase on share 3, share 1 without.
+    enters with a pi phase (4 eighth turns) on share 3, share 1 without.
     """
     if tuple(players) not in _PAIRS:
         raise ValueError("collaborating pair must be (2, 3) or (1, 3); use reconstruct_12 for (1, 2)")
-    phase = math.pi if players[0] == 2 else 0.0
+    phase = 4 if players[0] == 2 else 0
     return beam_splitter(shares.share(players[0]), shares.share3, reflectivity, phase=phase)
 
 

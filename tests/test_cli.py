@@ -149,6 +149,9 @@ class TestRunScenario:
         ("eta", 0.0),
         ("eta", 1.5),
         ("gain", math.nan),
+        pytest.param("gain", 2**2000, id="gain-huge-int"),  # an int no float holds
+        pytest.param("vm_db", -2**2000, id="vm_db-huge-int"),
+        pytest.param("secret_means", (1.0, 2**2000), id="secret_means-huge-int"),
         ("secret_means", (math.nan, 1.0)),
         ("source", "type3"),
         ("quad", "both"),

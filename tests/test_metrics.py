@@ -35,7 +35,7 @@ from cvqss import (
 
 from cvqss.cli import verify_grid
 from cvqss.metrics import _ff_gain_terms, _square, ff_cp_column
-from cvqss.noise import MAX_SQUEEZING
+from cvqss.noise import MAX_SQUEEZING, check_finite
 
 from conftest import SECRET_MEANS, dealt
 
@@ -323,15 +323,15 @@ def ff_cp_transcribed(r, v_m, eta, g):
     """The feedforward closed form written out per gain, one expression per term.
 
     Where its V_q sum overflows at |g| > 1, it is written out again in a = 1/g and
-    b = 1, every term divided by g^2, and V_q multiplied back by g^2.
+    b = 1, every term divided by g^2, and V_q multiplied back by g twice.
     """
     t_q, v_q = _ff_cp_written_out(r, v_m, eta, 1.0, g, 1.0)
     if v_q == math.inf and abs(g) > 1.0:
-        t_q, v_q = _ff_cp_written_out(r, v_m, eta, 1.0 / g, 1.0, g * g)
+        t_q, v_q = _ff_cp_written_out(r, v_m, eta, 1.0 / g, 1.0, g)
     return t_q, v_q
 
 
-def _ff_cp_written_out(r, v_m, eta, a, b, g2):
+def _ff_cp_written_out(r, v_m, eta, a, b, f):
     em2r, e2r = math.exp(-2.0 * r), math.exp(2.0 * r)
     sqrt2 = math.sqrt(2.0)
     signal = (a + b / sqrt2) ** 2
@@ -347,7 +347,7 @@ def _ff_cp_written_out(r, v_m, eta, a, b, g2):
         + e2r * (b - 2.0 * sqrt2 * a) ** 2
         + 2.0 * v_m * (b - 2.0 * sqrt2 * a) ** 2
         + 12.0 * b * b * (1.0 - eta) / eta
-    ) * g2
+    ) * f * f
     return t_q, v_q
 
 
@@ -433,9 +433,9 @@ class TestFeedforwardColumn:
 
     @pytest.mark.parametrize("g", [1e155, -1e155, 1e200, 1.7e308])
     def test_a_gain_whose_square_overflows_scores_without_nan(self, g):
-        # the terms are formed divided by g^2, and only V_q's factor g^2 overflows
-        *terms, g2 = _ff_gain_terms((g,))[0]
-        assert all(map(math.isfinite, terms)) and g2 == math.inf
+        # the terms are formed divided by g^2, and V_q's factor is g, taken twice
+        *terms, f = _ff_gain_terms((g,))[0]
+        assert all(map(math.isfinite, terms)) and f == g
         for r, v_m, eta in ((0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 0.0, 0.5)):
             t_q, v_q = closed_form("ff_cp", r, v_m, eta, g)
             assert 0.0 < t_q < 2.0 and v_q == math.inf
@@ -616,6 +616,7 @@ class TestMetricsRecord:
 
 
 NAN, INF = float("nan"), float("inf")
+HUGE = 2**2000  # an int beyond the float range: finite, but no float holds it
 
 
 @pytest.mark.parametrize(
@@ -638,12 +639,21 @@ NAN, INF = float("nan"), float("inf")
         lambda: optimal_gain(INF),
         lambda: optimal_gain(0.5, NAN),
         lambda: optimal_gain(0.5, INF),
+        lambda: check_finite(HUGE),
+        lambda: check_finite(1.0, -HUGE),
+        lambda: closed_form("ff_cp", 0.5, 0.0, 1.0, HUGE),
+        lambda: closed_form("ff_cp", 0.5, HUGE, 1.0, 1.0),
+        lambda: closed_form("sp", 0.5, HUGE),
+        lambda: ff_cp_column(0.5, 0.0, 1.0, [2.0, -HUGE]),
+        lambda: fidelity_closed_form("ff", 0.5, (4.0, HUGE)),
+        lambda: optimal_gain(0.5, HUGE),
     ],
     ids=[
         "ff-r-nan", "ff-r-inf", "ff-vm-nan", "ff-vm-inf", "ff-eta-nan", "ff-gain-nan",
         "ff-gain-inf", "sp-r-nan", "psa2-r-inf", "fidelity-psa2-r-nan", "fidelity-ff-r-inf",
         "fidelity-ff-mean-nan", "fidelity-ff-mean-inf", "gain-r-nan", "gain-r-inf",
-        "gain-vm-nan", "gain-vm-inf",
+        "gain-vm-nan", "gain-vm-inf", "check-huge", "check-minus-huge", "ff-gain-huge",
+        "ff-vm-huge", "sp-vm-huge", "column-gain-huge", "fidelity-ff-mean-huge", "gain-vm-huge",
     ],
 )
 def test_non_finite_closed_form_input_is_rejected(build):

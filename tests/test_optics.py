@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqss import (
+    EprSource,
     ModeKind,
     NoiseBasis,
     Quad,
@@ -15,16 +16,24 @@ from cvqss import (
     feedforward_mix,
     field_from_mode,
     lincomb,
+    optics,
     phase_modulate,
     phase_shift,
     psa_ideal,
     psa_type2_pair,
+    reconstruct_12,
+    reconstruct_2psa,
+    reconstruct_ff,
     variance,
 )
+from cvqss.optics import WEIGHTS
 
-from conftest import fields_close
+from conftest import dealt, fields_close
 
 SQRT2 = math.sqrt(2.0)
+# The splitter reflectivities and whole eighth turns of phase that optics.WEIGHTS holds.
+REFLECTIVITIES = st.sampled_from([0.5, 2 / 3])
+EIGHTH_TURNS = st.integers(-4, 4)
 
 
 class TestBeamSplitter:
@@ -57,8 +66,8 @@ class TestBeamSplitter:
 
     @settings(max_examples=50)
     @given(
-        refl=st.floats(min_value=0.0, max_value=1.0),
-        phase=st.sampled_from([0.0, math.pi]),
+        refl=REFLECTIVITIES,
+        phase=st.sampled_from([0, 4]),
         w=st.floats(min_value=-3.0, max_value=3.0),
     )
     def test_weight_conservation_real_mixes(self, refl, phase, w):
@@ -79,13 +88,74 @@ class TestBeamSplitter:
 class TestPhaseShift:
     def test_quarter_turn_swaps_quadratures(self, basis):
         fld = field_from_mode(basis, basis.vacuum(), 3.0, 1.0)
-        rot = phase_shift(fld, math.pi / 2)
+        rot = phase_shift(fld, 2)
         assert rot.mean_plus == pytest.approx(-1.0, abs=1e-12)
         assert rot.mean_minus == pytest.approx(3.0, abs=1e-12)
 
     def test_full_turn_is_identity(self, basis):
         fld = field_from_mode(basis, basis.squeezed(0.4), 1.0, 2.0)
-        assert fields_close(phase_shift(phase_shift(fld, math.pi), math.pi), fld)
+        assert fields_close(phase_shift(phase_shift(fld, 4), 4), fld)
+
+
+class TestWeightTable:
+    """optics.WEIGHTS against exact values, and the keys the network reads from it."""
+
+    def test_every_entry_is_within_2_to_the_minus_52_of_its_exact_value(self):
+        # cos(pi/2) and sin(pi) keep residues of 6.1e-17 and 1.2e-16 in floats
+        sympy = pytest.importorskip("sympy")
+        reflectivities = {0.5: sympy.Rational(1, 2), 2 / 3: sympy.Rational(2, 3)}
+        assert set(WEIGHTS) == {*reflectivities, *range(-4, 5)}
+        for key, entry in WEIGHTS.items():
+            if type(key) is float:
+                big_r = reflectivities[key]
+                exact = (sympy.sqrt(1 - big_r), sympy.sqrt(big_r))
+            else:
+                c, s = sympy.cos(sympy.pi * key / 4), sympy.sin(sympy.pi * key / 4)
+                exact = (c, -s, s, c)
+            assert len(entry) == len(exact), key
+            for x, e in zip(entry, exact):
+                assert type(x) is float
+                assert abs(sympy.Rational(x) - e).evalf(40) <= 2.0 ** -52, (key, x, e)
+
+    def test_the_network_reads_both_splitters_and_its_four_phases(self, monkeypatch):
+        read = set()
+
+        class Recording(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(optics, "WEIGHTS", Recording(WEIGHTS))
+        for source in EprSource:
+            _, shares = dealt(0.5, 1.0, source)
+            reconstruct_12(shares)
+            for players in ((2, 3), (1, 3)):
+                reconstruct_2psa(shares, 3.0, players)
+                reconstruct_ff(shares, 2.0, 0.9, players, 0.1)
+        # the reflectivities 1/2 and 2/3; pi/2 and -/+ pi/4 in epr_type1, pi in _mix_pair
+        assert read == {0.5, 2 / 3, 2, -1, 1, 4}
+
+    @pytest.mark.parametrize("call", [
+        lambda f, g: phase_shift(f, math.pi / 2),
+        lambda f, g: phase_shift(f, True),
+        lambda f, g: phase_shift(f, 5),
+        lambda f, g: phase_shift(f, -5),
+        lambda f, g: phase_shift(f, 2.0),
+        lambda f, g: beam_splitter(f, g, 0.3),
+        lambda f, g: beam_splitter(f, g, 1.2),
+        lambda f, g: beam_splitter(f, g, 1.0),  # equal to the int key 1, a rotation's
+        lambda f, g: beam_splitter(f, g, 1),
+        lambda f, g: beam_splitter(f, g, 0.5, math.pi),
+        lambda f, g: beam_splitter(f, g, 0.5, 0.0),
+        lambda f, g: beam_splitter(f, g, 0.5, False),
+    ], ids=["phase-pi/2", "phase-True", "phase-5", "phase--5", "phase-2.0", "splitter-0.3",
+            "splitter-1.2", "splitter-1.0", "splitter-int-1", "splitter-phase-pi",
+            "splitter-phase-0.0", "splitter-phase-False"])
+    def test_a_weight_the_table_lacks_is_refused(self, basis, call):
+        f = field_from_mode(basis, basis.vacuum(), 1.0, 2.0)
+        g = field_from_mode(basis, basis.vacuum())
+        with pytest.raises(ValueError, match="eighth turns|reflectivity must be 0.5 or 2/3"):
+            call(f, g)
 
 
 class TestPsaIdeal:
@@ -186,14 +256,14 @@ class TestPhaseModulate:
 
 @given(
     r=st.floats(0.0, 2.0),
-    phase=st.floats(-math.pi, math.pi),
-    theta=st.floats(-math.pi, math.pi),
+    phase=EIGHTH_TURNS,
+    theta=EIGHTH_TURNS,
 )
 def test_phase_shift_is_undone_by_its_inverse(r, phase, theta):
     basis = NoiseBasis()
     a = field_from_mode(basis, basis.squeezed(r), 1.5, -2.0)
     b = field_from_mode(basis, basis.vacuum(), 0.5, 1.0)
-    fld, _ = beam_splitter(a, b, 0.3, phase)
+    fld, _ = beam_splitter(a, b, 2 / 3, phase)
     assert fields_close(phase_shift(phase_shift(fld, theta), -theta), fld, atol=1e-12)
 
 

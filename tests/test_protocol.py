@@ -643,6 +643,7 @@ class TestDealOnce:
         (0.5, math.inf, "finite and nonnegative"),
         (-1.0, 0.0, "finite and nonnegative"),
         (0.5, -1.0, "finite and nonnegative"),
+        pytest.param(0.5, 2**2000, "finite and nonnegative", id="an int no float holds"),
         (True, 0.0, "real numbers"),
         (0.5, "1", "real numbers"),
         (400.0, 0.0, re.escape(repr(MAX_SQUEEZING))),

@@ -11,8 +11,9 @@ derived from the same optical maps with exact trigonometry:
 u = sqrt(2) - 1, U = sqrt(2) + 1; at G = U/u this is psa2_cp's 2 e^{-2r}.
 
 Rows without a closed form are checked against the pipeline itself run at 80
-digits: the name math in every pipeline module rebound to mpmath.  That run
-shares the code's structure but not its rounding.
+digits: the name math rebound to mpmath in noise, optics and metrics, and
+optics' table of knob-free weights refilled at 80 digits from its own keys.
+That run shares the code's structure but not its rounding.
 """
 
 import csv
@@ -25,9 +26,8 @@ from types import SimpleNamespace
 import pytest
 
 from cvqss import (
-    PSA_GAIN_OPTIMAL, DealerConfig, EprSource, NoiseBasis, deal, entanglement, evaluate,
-    field_from_mode, metrics, noise, optics, protocol, reconstruct_12, reconstruct_2psa,
-    reconstruct_ff, tv_point,
+    PSA_GAIN_OPTIMAL, DealerConfig, EprSource, NoiseBasis, deal, evaluate, field_from_mode,
+    metrics, noise, optics, reconstruct_12, reconstruct_2psa, reconstruct_ff, tv_point,
 )
 from cvqss.cli import CSV_COLUMNS, DEFAULT_MEANS
 from cvqss.metrics import _TWO_SQRT2
@@ -97,7 +97,8 @@ def test_feedforward_v_q_at_the_cancellation_gain_is_accurate(r, source):
 
 
 @pytest.mark.parametrize(
-    "g", [1e151, 1e153, 2e153, -3e153, 3.4e153, -1e154, 1e155, 1e200, -1.7e308]
+    "g", [1e151, 1e153, 2e153, -3e153, 3.4e153, -1e154, 1.5e154, 2e154, -1.9e154, 1e155, 1e200,
+          -1.7e308]
 )
 @pytest.mark.parametrize("r, v_m, eta", [
     (0.5, 0.0, 1.0), (0.5, 10.0, 0.9), (4.0, 1.0, 0.5), (3.0, 0.0, 1.0), (10.0, 10.0, 0.9),
@@ -181,13 +182,23 @@ def test_golden_rows_match_the_closed_forms(name):
 # ---------------------------------------------------------------------------
 # The pipeline at 80 digits.
 
-PIPELINE_MODULES = (noise, optics, entanglement, protocol, metrics)
+# entanglement and protocol compute no weight of their own: every knob-free
+# one comes from optics.WEIGHTS, which the fixture refills at 80 digits.
+PIPELINE_MODULES = (noise, optics, metrics)
 MP_MATH = SimpleNamespace(
-    **{name: getattr(mp, name)
-       for name in ("sqrt", "exp", "log", "cos", "sin", "cosh", "sinh", "isfinite")},
-    inf=mp.inf, pi=mp.pi,
+    **{name: getattr(mp, name) for name in ("sqrt", "exp", "log", "cosh", "sinh", "isfinite")},
+    inf=mp.inf,
 )
 SCORE_COLUMNS = CSV_COLUMNS[6:]
+
+
+def weight80(key):
+    """optics.WEIGHTS[key] at the working precision: a float key is a splitter's
+    reflectivity R, an int key a rotation by that many eighth turns."""
+    if type(key) is float:
+        return mp.sqrt(1 - mp.mpf(key)), mp.sqrt(key)
+    c, s = mp.cos(key * mp.pi / 4), mp.sin(key * mp.pi / 4)
+    return c, -s, s, c
 
 
 @pytest.fixture
@@ -196,6 +207,8 @@ def pipeline80(monkeypatch):
     for module in PIPELINE_MODULES:
         monkeypatch.setattr(module, "math", MP_MATH)
     with mp.workdps(80):
+        for key in list(optics.WEIGHTS):
+            monkeypatch.setitem(optics.WEIGHTS, key, weight80(key))
         yield
 
 

@@ -43,21 +43,8 @@ from .protocol import (
 )
 from .entanglement import EprSource
 
-CSV_COLUMNS = (
-    "scheme",
-    "r",
-    "squeezing_pct",
-    "vm_db",
-    "eta",
-    "gain",
-    "t_plus",
-    "t_minus",
-    "t_q",
-    "vcv_plus",
-    "vcv_minus",
-    "v_q",
-    "fidelity",
-)
+CSV_COLUMNS = ("scheme", "r", "squeezing_pct", "vm_db", "eta", "gain", *Metrics._fields)
+TABLE_COLUMNS = ("subset", "condition", "t_q", "v_q")
 
 
 # name -> (output(shares, gain, cfg), default gain, optimal(cfg, shares, variances) or None)
@@ -141,17 +128,13 @@ def _resolve_gain(cfg: ScenarioConfig, shares: Shares, variances: list[float]) -
     return default if cfg.gain is None else float(cfg.gain)
 
 
-def _score_columns(m: Metrics) -> tuple:
-    return m.t_plus, m.t_minus, m.t_q, m.vcv_plus, m.vcv_minus, m.v_q, m.fidelity
-
-
 def _row(cfg: ScenarioConfig, gain: float, scores: tuple, unread: tuple = ()) -> dict:
-    """A CSV_COLUMNS row: cfg, the gain used, then the seven scores.
+    """A CSV_COLUMNS row: cfg, the gain used, then the seven scores in Metrics order.
 
     unread names the score columns that are inf by design; NaN, or inf in
     any other column, means float overflow.
     """
-    for name, value in zip(CSV_COLUMNS[6:], scores):
+    for name, value in zip(Metrics._fields, scores):
         if math.isnan(value) or (math.isinf(value) and name not in unread):
             raise ValueError(f"{name} came out {value!r}: these inputs overflow float arithmetic")
     config = (cfg.scheme, cfg.r, 100.0 * squeezing_pct(cfg.r), cfg.vm_db, cfg.eta, gain)
@@ -169,7 +152,7 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     out = _SCHEMES[cfg.scheme][0](shares, gain, cfg)
     if cfg.scheme != "single_quadrature":
         (m,) = _scores(variances, *_pair(secret, [out], cross=True))
-        return _row(cfg, gain, _score_columns(m))
+        return _row(cfg, gain, m)
     t, vcv = _quadrature_score(secret, out, cfg.quadrature, variances)
     if cfg.quad == "plus":  # t_q is t + 0.0, which is t: T is never -0.0
         return _row(cfg, gain, (t, 0.0, t, vcv, math.inf, math.inf, 0.0), ("vcv_minus", "v_q"))
@@ -197,16 +180,16 @@ def tv_curve_records(
         raise ValueError("gain sweep must be nonempty")
     if list(gains) != sorted(gains):
         raise ValueError("gain sweep must be monotone increasing")
+    check_real("the swept gains", *gains)
     ff = ScenarioConfig("feedforward", r, None, eta, None, secret_means, source)
-    floats = [float(g) for g in gains]
     secret, shares = _dealt(secret_means, EprSource(source))
-    (outs,) = _feedforward_outputs(shares, floats, (eta,), (2, 3))
+    (outs,) = _feedforward_outputs(shares, gains, (eta,), (2, 3))
     swept_pair = _pair(secret, outs, cross=True)
     rows = []
     for vm_db in vm_dbs:
         ff = ff._replace(vm_db=vm_db)
         swept = _scores(secret.basis.class_variances(r, ff.v_m), *swept_pair)
-        rows += [_row(ff, g, _score_columns(m)) for g, m in zip(floats, swept)]
+        rows += [_row(ff, float(g), m) for g, m in zip(gains, swept)]
         rows.append(run_scenario(ff._replace(scheme="single_player_1")))
     return rows
 
@@ -219,7 +202,6 @@ def table_entries(
     r_large: float = 8.0,
     vm_db_large: float = 60.0,
     cap: float = TABLE_VQ_CAP,
-    means: tuple[float, float] = DEFAULT_MEANS,
 ) -> list[dict]:
     """All 24 best-achievable (T_q, V_q) entries.
 
@@ -229,7 +211,7 @@ def table_entries(
     one deal serves all four conditions: each output is tallied once and
     scored under each condition's class variances.
     """
-    check_real("r_large", r_large)
+    check_real("r_large, vm_db_large and cap", r_large, vm_db_large, cap)
     if not 0.0 <= r_large <= MAX_SQUEEZING:
         raise ValueError(f"--r-large must be at least 0 and at most {MAX_SQUEEZING!r}")
     if not 0.0 <= vm_db_large < MAX_VM_DB:
@@ -243,7 +225,7 @@ def table_entries(
         ("quan_noise", r_large, 10.0 ** (vm_db_large / 10.0)),
     )
     subsets = ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}")
-    secret, shares = _dealt(means)
+    secret, shares = _dealt(DEFAULT_MEANS)
     pairs = ((1, 3), (2, 3))
     outs = [shares.share1, shares.share2, shares.share3, reconstruct_12(shares)]
     outs += [reconstruct_ff(shares, FF_GAIN_OPTIMAL, 1.0, players) for players in pairs]
@@ -256,15 +238,9 @@ def table_entries(
             ff, direct = points[i], points[players[0] - 1]
             # both strategies are available to the pair; report the better transfer
             points[i] = ff if ff[0] >= direct[0] else direct
-        for subset, (t_q, v_q) in zip(subsets, points):
-            rows.append(
-                {
-                    "subset": subset,
-                    "condition": cond,
-                    "t_q": round(t_q, 4),
-                    "v_q": float("inf") if v_q > cap else round(v_q, 4),
-                }
-            )
+        rows += [dict(zip(TABLE_COLUMNS, (subset, cond, round(t_q, 4),
+                                          math.inf if v_q > cap else round(v_q, 4))))
+                 for subset, (t_q, v_q) in zip(subsets, points)]
     # subset-major order; the sort is stable, so conditions keep theirs
     rows.sort(key=lambda row: subsets.index(row["subset"]))
     return rows
@@ -535,7 +511,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if args.command == "table":
             rows = table_entries(args.r_large, args.vm_db_large, args.cap)
-            _render(rows, ("subset", "condition", "t_q", "v_q"), args.format, args.output)
+            _render(rows, TABLE_COLUMNS, args.format, args.output)
             return 0
         if args.command == "verify":
             summary = verify_grid()

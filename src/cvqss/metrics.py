@@ -24,22 +24,15 @@ _TWO_SQRT2 = 2.0 * _SQRT2
 _ZERO_SECRET_MEAN = "signal transfer undefined for a zero secret mean; use a displaced secret"
 
 
-class Metrics(namedtuple("Metrics", "fidelity t_plus t_minus vcv_plus vcv_minus")):
-    """All figures of merit for one (secret, output) pair.
+class Metrics(namedtuple("Metrics", "t_plus t_minus t_q vcv_plus vcv_minus v_q fidelity")):
+    """All figures of merit for one (secret, output) pair, in the CLI's column order.
 
-    t_* are signal transfer coefficients (output SNR over input SNR) and
-    vcv_* conditional variances (output noise not explained by the input).
+    t_* are signal transfer coefficients (output SNR over input SNR), vcv_*
+    conditional variances (output noise not explained by the input), and
+    t_q = t_plus + t_minus, v_q = vcv_plus * vcv_minus their T-V summary.
     """
 
     __slots__ = ()
-
-    @property
-    def t_q(self) -> float:
-        return self.t_plus + self.t_minus
-
-    @property
-    def v_q(self) -> float:
-        return self.vcv_plus * self.vcv_minus
 
 
 # One quadrature of a (secret, output) pair: (secret mean, secret variance,
@@ -124,8 +117,9 @@ def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, cross
         if ms * ms == 0.0:
             raise ValueError(_ZERO_SECRET_MEAN)
         t_plus = (mo * mo / vo) / (ms * ms / vs)
-        scored.append((t_plus + t_minus, vcv * vcv_minus) if cw is None
-                      else Metrics(overlap, t_plus, t_minus, vcv, vcv_minus))
+        t_q, v_q = t_plus + t_minus, vcv * vcv_minus
+        scored.append((t_q, v_q) if cw is None
+                      else Metrics(t_plus, t_minus, t_q, vcv, vcv_minus, v_q, overlap))
     return scored
 
 

@@ -124,6 +124,7 @@ class NoiseBasis:
         """
         if not (0.0 <= v_plus < math.inf and 0.0 <= v_minus < math.inf):
             raise ValueError("noise-mode variances must be nonnegative")
+        check_finite(v_plus, v_minus)  # an int beyond the float range passes the comparisons
         if kind in (ModeKind.VACUUM, ModeKind.DETECTOR_VACUUM):
             if abs(v_plus - 1.0) > COEFF_ATOL or abs(v_minus - 1.0) > COEFF_ATOL:
                 raise ValueError(f"{kind.value} modes must have unit variance")

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
-from .noise import _require_point, lincomb
+from .noise import _require_point, check_finite, lincomb
 from .optics import WEIGHTS, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -203,6 +203,7 @@ def _feedforward_outputs(
     per eta."""
     if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
+    check_finite(*gains)  # an int beyond the float range passes the comparisons
     if not all(0.0 < eta <= 1.0 for eta in etas):
         raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
@@ -252,5 +253,7 @@ def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
     quadrature is estimated per readout, so this never amounts to
     reconstructing the state.
     """
+    if not -math.inf < gain < math.inf:
+        raise ValueError("single-quadrature gain must be finite")
     return lincomb([(1.0, shares.share2), (gain, shares.share3)])
 

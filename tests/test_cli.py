@@ -406,6 +406,16 @@ class TestTvCurve:
         with pytest.raises(ValueError):
             tv_curve_records(0.5, [2.0, 1.0], [None])
 
+    @pytest.mark.parametrize("bad, message", [
+        (True, "must be real numbers"),
+        (2**2000, "parameters must be finite numbers"),
+    ], ids=["bool", "huge_int"])
+    def test_a_gain_run_would_refuse_is_refused(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            ScenarioConfig("feedforward", 0.5, gain=bad)
+        with pytest.raises(ValueError, match=message):
+            tv_curve_records(0.5, [0, bad], [None])
+
     @pytest.mark.parametrize("r", [-1.0, math.nan, 400.0, True])
     def test_squeezing_is_checked_without_any_family(self, r):
         with pytest.raises(ValueError):
@@ -451,7 +461,7 @@ def _capture_scores(monkeypatch):
     return scored
 
 
-def _table_by_subset(r_large, vm_db_large, cap, means):
+def _table_by_subset(r_large, vm_db_large, cap):
     """Reference table: one deal per (subset, condition) entry."""
     conditions = (
         ("clas_nonoise", 0.0, 0.0),
@@ -462,7 +472,7 @@ def _table_by_subset(r_large, vm_db_large, cap, means):
     rows = []
     for subset in ("1", "2", "3", "{1,2}", "{1,3}", "{2,3}"):
         for cond, r, v_m in conditions:
-            psi, shares = dealt(r, v_m, means=means)
+            psi, shares = dealt(r, v_m)
             if subset in ("1", "2", "3"):
                 t_q, v_q = tv_point(psi, shares.share(int(subset)))
             elif subset == "{1,2}":
@@ -489,11 +499,10 @@ class TestTable:
         r_large=st.floats(0.0, 8.0),
         vm_db_large=st.floats(0.0, 60.0),
         cap=st.floats(1.0, 1e7),
-        means=st.tuples(NONZERO_MEAN, NONZERO_MEAN),
     )
-    def test_matches_one_deal_per_entry(self, r_large, vm_db_large, cap, means):
-        expected = _table_by_subset(r_large, vm_db_large, cap, means)
-        assert repr(table_entries(r_large, vm_db_large, cap, means)) == repr(expected)
+    def test_matches_one_deal_per_entry(self, r_large, vm_db_large, cap):
+        expected = _table_by_subset(r_large, vm_db_large, cap)
+        assert repr(table_entries(r_large, vm_db_large, cap)) == repr(expected)
 
     def test_unrounded_points_are_a_fresh_deals(self, monkeypatch):
         scored = _capture_scores(monkeypatch)
@@ -517,6 +526,11 @@ class TestTable:
         # would print every V_q as inf, the exact 0 of {1,2} included
         with pytest.raises(ValueError, match=re.escape(message)):
             table_entries(**kwargs)
+
+    @pytest.mark.parametrize("args", [(2.0, "60"), (2.0, 10.0, "x"), (2.0, True), (2.0, 10.0, True)])
+    def test_a_depth_or_cap_that_is_not_a_real_number_is_rejected(self, args):
+        with pytest.raises(ValueError, match="must be real numbers"):
+            table_entries(*args)
 
     def test_zero_depth_and_cap_are_accepted(self):
         rows = {(r["subset"], r["condition"]): r for r in table_entries(2.0, 0.0, 0.0)}

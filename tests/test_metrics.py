@@ -604,6 +604,34 @@ class TestMetricsRecord:
                     assert m.v_q >= -1e-12
                     assert m.fidelity <= 1.0 + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.0, 4.0),
+        v_m=st.floats(0.0, 1e4),
+        source=st.sampled_from(EprSource),
+        players=st.sampled_from(((1, 3), (2, 3))),
+        gain=st.floats(0.1, 8.0),
+        eta=st.floats(0.1, 1.0, exclude_max=True),
+        epsilon=st.floats(1e-6, 0.5),
+    )
+    def test_both_scoring_branches_store_one_tv_pair(
+        self, r, v_m, source, players, gain, eta, epsilon
+    ):
+        # evaluate stores t_q and v_q as fields, and tv_point returns its own pair:
+        # both must be the sum and the product of the stored per-quadrature scores
+        psi, shares = dealt(r, v_m, source)
+        outs = (
+            reconstruct_12(shares),
+            reconstruct_2psa(shares, gain, players),
+            reconstruct_ff(shares, gain, eta, players, epsilon),
+            shares.share(players[0]),
+        )
+        for out in outs:
+            m = evaluate(psi, out)
+            assert m.t_q == m.t_plus + m.t_minus
+            assert m.v_q == m.vcv_plus * m.vcv_minus
+            assert repr(tv_point(psi, out)) == repr((m.t_q, m.v_q))
+
     def test_symplectic_invariance_of_the_tv_pair(self):
         # The T-V point does not move under symplectic rescaling of the
         # output, unlike the fidelity.

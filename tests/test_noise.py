@@ -39,8 +39,13 @@ class TestRegistry:
         assert basis.kind(mid) is ModeKind.CLASSICAL_MODULATION
 
     def test_negative_variance_rejected(self, basis):
-        with pytest.raises(ValueError):
-            basis.register(ModeKind.CLASSICAL_MODULATION, -1.0, -1.0)
+        for v in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="noise-mode variances must be nonnegative"):
+                basis.register(ModeKind.CLASSICAL_MODULATION, v, v)
+        # an int beyond the float range: finite, but no float variance holds it
+        with pytest.raises(ValueError, match="must be finite"):
+            basis.modulation(2**2000)
+        assert len(basis) == 0
 
     def test_non_minimum_uncertainty_squeezed_rejected(self, basis):
         with pytest.raises(ValueError):

@@ -816,6 +816,13 @@ class TestSingleQuadrature:
         assert est.mean(P) == shares.share2.mean_plus
         assert variance(est, P) == pytest.approx(variance(shares.share2, P), abs=1e-15)
 
+    @pytest.mark.parametrize("gain", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_gain_is_rejected(self, gain):
+        # as feedforward_mix and psa_ideal reject theirs: no score can be read off a beam of NaNs
+        psi, shares = dealt(r=0.5)
+        with pytest.raises(ValueError, match="single-quadrature gain must be finite"):
+            single_quadrature_readout(shares, gain)
+
     def test_strong_entanglement_recovers_the_signal_classically(self):
         # Brute-force gain grid (coarse, then refined around the bracket):
         # the normalized estimator noise approaches the secret's own variance.

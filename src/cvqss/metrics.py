@@ -16,7 +16,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress
 
-from .noise import FieldState, Quad, check_finite, check_real, check_squeezing_limit, variance
+from .noise import FieldState, Quad, check_finite, check_real, check_squeezing_limit, left_sum
+from .noise import variance
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -48,7 +49,7 @@ Tally = tuple[float, float, float, float, int, list]
 
 
 def _dot(weights: list[tuple[int, float]], variances: Sequence[float]) -> float:
-    return sum([w * variances[c] for c, w in weights], 0.0)
+    return left_sum([w * variances[c] for c, w in weights], 0.0)
 
 
 def _sparse(dense: list[float]) -> list[tuple[int, float]]:
@@ -89,7 +90,7 @@ def _moments(tally: Tally, variances: Sequence[float]) -> tuple[Moments, float]:
     """A tallied quadrature's moments under these class variances, and its
     V_cv: the output's weights alone.  V_out adds the secret's source back."""
     ms, a2, mo, own2, own, weights = tally
-    vcv = sum([w * variances[c] for c, w in weights], 0.0)  # _dot, inline on the hot path
+    vcv = left_sum([w * variances[c] for c, w in weights], 0.0)  # _dot, inline on the hot path
     return (ms, a2 * variances[own], mo, vcv + own2 * variances[own]), vcv
 
 
@@ -109,7 +110,7 @@ def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, cross
     t_minus = _transfer(mm)
     scored = []
     for (ms, a2, mo, own2, own, weights), cw in zip(pluses, crosses or [None] * len(pluses)):
-        vcv = sum([w * variances[c] for c, w in weights], 0.0)
+        vcv = left_sum([w * variances[c] for c, w in weights], 0.0)
         v_own = variances[own]
         vs, vo = a2 * v_own, vcv + own2 * v_own
         if cw is not None:
@@ -191,8 +192,8 @@ def _regression_gain(a: FieldState, b: FieldState, quad: Quad, variances) -> flo
     quadratic in g: -cov(a, b) / var(b).  + 0.0 turns the -0.0 of an uncorrelated
     pair into the gain 0.0."""
     ca, cb, classes = a.coeffs(quad), b.coeffs(quad), b.basis._classes
-    cov = sum(c * ca[src] * variances[classes[src]] for src, c in cb.items() if src in ca)
-    return -cov / sum(c * c * variances[classes[src]] for src, c in cb.items()) + 0.0
+    cov = left_sum(c * ca[src] * variances[classes[src]] for src, c in cb.items() if src in ca)
+    return -cov / left_sum(c * c * variances[classes[src]] for src, c in cb.items()) + 0.0
 
 
 def tv_point(secret: FieldState, out: FieldState) -> tuple[float, float]:
@@ -228,7 +229,8 @@ def closed_form(
 
     Schemes: "ff_cp" (feedforward, collaborating players; needs gain and
     eta, see ff_cp_column), "psa2_cp" (two-PSA scheme at its optimal gain),
-    "sp" (a single player measuring a secret-bearing share directly).
+    "sp" (a single player measuring a secret-bearing share directly); the
+    last two take no gain.
 
     The two-PSA scheme has equal conditional variances 2 e^{-2r} in both
     quadratures, so its V_q product is 4 e^{-4r}.
@@ -238,14 +240,16 @@ def closed_form(
             raise ValueError("feedforward closed form needs a gain")
         (point,) = ff_cp_column(r, v_m, eta, (gain,))
         return point
-    _require_domain(r, v_m, eta, 0.0 if gain is None else gain)
+    if scheme not in ("psa2_cp", "sp"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if gain is not None:
+        raise ValueError(f"the {scheme!r} closed form takes no gain")
+    _require_domain(r, v_m, eta)
     em2r = math.exp(-2.0 * r)
     if scheme == "psa2_cp":
         return 2.0 / (1.0 + 2.0 * em2r), (2.0 * em2r) ** 2
-    if scheme == "sp":
-        bulge = math.cosh(2.0 * r) + v_m
-        return 2.0 / (1.0 + bulge), _square(bulge / 2.0)
-    raise ValueError(f"unknown scheme {scheme!r}")
+    bulge = math.cosh(2.0 * r) + v_m
+    return 2.0 / (1.0 + bulge), _square(bulge / 2.0)
 
 
 def _square(x: float) -> float:

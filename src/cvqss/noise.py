@@ -24,6 +24,14 @@ COEFF_ATOL = 1e-12
 MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
 
 
+def left_sum(terms: Iterable[float], start: float = 0) -> float:
+    """Add left to right, as sum() adds floats below Python 3.12 (from 3.12 on it
+    compensates rounding), so each Python the package accepts prints the same bytes."""
+    for term in terms:
+        start += term
+    return start
+
+
 def check_real(what: str, *values: float) -> None:
     """Reject a bool, or anything but an int or a float, with ValueError."""
     for x in values:
@@ -270,7 +278,7 @@ def field_from_mode(
 def variance(fld: FieldState, quad: Quad) -> float:
     """Fluctuation variance of one quadrature, in shot-noise units."""
     classes, table = fld.basis._classes, fld.basis._class_variances
-    return sum(c * c * table[classes[src]] for src, c in fld.coeffs(quad).items())
+    return left_sum(c * c * table[classes[src]] for src, c in fld.coeffs(quad).items())
 
 
 def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
@@ -281,7 +289,7 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     if len(cb) < len(ca):
         ca, cb = cb, ca
     classes, table = a.basis._classes, a.basis._class_variances
-    return sum(c * cb[src] * table[classes[src]] for src, c in ca.items() if src in cb)
+    return left_sum(c * cb[src] * table[classes[src]] for src, c in ca.items() if src in cb)
 
 
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .noise import FieldState, ModeKind, _derived_field, field_from_mode, lincomb
+from .noise import FieldState, ModeKind, _derived_field, check_finite, field_from_mode, lincomb
 
 # Every knob-free weight of the network, built once: (sqrt(1-R), sqrt(R)) by reflectivity
 # R in (0, 1), a float, and the rotation (c, -s, s, c) by k eighth turns, an int in [-4, 4].
@@ -43,8 +43,6 @@ def beam_splitter(
     """
     if not (type(reflectivity) is float and 0.0 < reflectivity < 1.0 and reflectivity in WEIGHTS):
         raise ValueError(f"reflectivity must be 0.5 or 2/3, not {reflectivity!r}")
-    if a.basis is not b.basis:
-        raise ValueError("fields live on different noise bases")
     t, r = WEIGHTS[reflectivity]
     bp = b if phase == 0 and type(phase) is int else phase_shift(b, phase)
     return lincomb([(t, a), (r, bp)]), lincomb([(r, a), (-t, bp)])
@@ -58,6 +56,7 @@ def psa_ideal(fld: FieldState, gain: float) -> FieldState:
     """
     if not 0.0 < gain < math.inf:
         raise ValueError("PSA gain must be positive")
+    check_finite(gain)  # an int beyond the float range passes the comparisons
     s = math.sqrt(gain)
     return _derived_field(
         fld.basis,
@@ -80,10 +79,9 @@ def psa_type2_pair(
 
     Negative r is the pump-phase-flipped interaction.
     """
-    if signal.basis is not idler.basis:
-        raise ValueError("fields live on different noise bases")
-    if not math.isfinite(r):
+    if not -math.inf < r < math.inf:
         raise ValueError("interaction strength must be finite")
+    check_finite(r)  # an int beyond the float range passes the comparisons
     ch, sh = math.cosh(r), math.sinh(r)
     direct, cross = (ch, 0.0, 0.0, ch), (sh, 0.0, 0.0, -sh)
     return lincomb([(direct, signal), (cross, idler)]), lincomb([(direct, idler), (cross, signal)])
@@ -117,14 +115,14 @@ class Photocurrent(namedtuple("Photocurrent", "beam eta")):
 
 
 def detect(fld: FieldState, eta: float, d_mode: int) -> Photocurrent:
-    """Detect the amplitude quadrature with efficiency eta.
+    """Detect the amplitude quadrature with efficiency eta in (0, 1].
 
     d_mode must be a detector_vacuum mode (deal declares one per set of
     shares); it models the vacuum noise entering through the detector's
     loss port.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("detection efficiency must be in [0, 1]")
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("detection efficiency must be in (0, 1]")
     if fld.basis.kind(d_mode) is not ModeKind.DETECTOR_VACUUM:
         raise ValueError("detect requires a detector_vacuum mode")
     loss_port = field_from_mode(fld.basis, d_mode)
@@ -154,18 +152,16 @@ def feedforward_mix(
     of the vacuum mode oscillator (deal declares one per set of shares), which
     neither beam may carry, enters both quadratures; epsilon = 0 ignores it.
     """
-    if b.basis is not current.beam.basis:
-        raise ValueError("photocurrent built over a different noise basis")
-    if not math.isfinite(total_gain):
+    if not -math.inf < total_gain < math.inf:
         raise ValueError("feedforward gain must be finite")
-    if current.eta <= 0.0 and total_gain != 0.0:
-        raise ValueError("cannot feed forward a dark detector's photocurrent")
+    check_finite(total_gain)  # an int beyond the float range passes the comparisons
+    if not 0.0 < current.eta <= 1.0:  # detect's rule, for a Photocurrent built by hand
+        raise ValueError("detection efficiency must be in (0, 1]")
     if not 0.0 <= epsilon < 1.0:
         raise ValueError("mixing transmission epsilon must be in [0, 1)")
 
-    terms = [(math.sqrt(1.0 - epsilon), b)]
-    if total_gain != 0.0:
-        terms.append(((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam))
+    terms = [(math.sqrt(1.0 - epsilon), b),
+             ((total_gain / math.sqrt(current.eta), 0.0, 0.0, 0.0), current.beam)]
     if epsilon > 0.0:
         keys = [*b.coeffs_plus, *b.coeffs_minus, *current.beam.coeffs_plus, *current.beam.coeffs_minus]
         if oscillator is None or b.basis.kind(oscillator) is not ModeKind.VACUUM or any(

@@ -157,6 +157,8 @@ def _psa2_outputs(
 ) -> tuple[FieldState, FieldState]:
     arm_a, arm_b = _mix_pair(shares, players, 0.5)
     amplified = psa_ideal(arm_a, gain)
+    if 1.0 / gain == math.inf:
+        raise ValueError("PSA gain is too small: the deamplifier's gain 1/G overflows")
     deamplified = psa_ideal(arm_b, 1.0 / gain)
     return beam_splitter(amplified, deamplified, 0.5)
 
@@ -198,14 +200,12 @@ def _feedforward_outputs(
     shares: Shares, gains: Sequence[float], etas: Sequence[float], players: tuple[int, int],
     epsilon: float = 0.0,
 ) -> list[list[FieldState]]:
-    """Check the loop parameters, then return, per eta, reconstruct_ff's output at
-    every gain, bit for bit.  The 2/3 splitter runs once, and the detection once
-    per eta."""
+    """Check the gains, then return, per eta, reconstruct_ff's output at every gain,
+    bit for bit.  The 2/3 splitter runs once, and the detection, which checks its
+    eta, once per eta."""
     if not all(0.0 <= g < math.inf for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
     check_finite(*gains)  # an int beyond the float range passes the comparisons
-    if not all(0.0 < eta <= 1.0 for eta in etas):
-        raise ValueError("detection efficiency must be in (0, 1]")
     kept, detected = collaboration_beams(shares, players)
     currents = [detect(detected, eta, shares.detector) for eta in etas]
     return [[feedforward_mix(kept, current, g, epsilon, shares.oscillator) for g in gains]
@@ -242,6 +242,7 @@ def symplectic_correct(fld: FieldState, scale: float) -> FieldState:
     """
     if not 0.0 < scale < math.inf:
         raise ValueError("scale must be positive")
+    check_finite(scale)  # an int beyond the float range passes the comparisons
     return psa_ideal(fld, 1.0 / (scale * scale))
 
 
@@ -255,5 +256,6 @@ def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
     """
     if not -math.inf < gain < math.inf:
         raise ValueError("single-quadrature gain must be finite")
+    check_finite(gain)  # an int beyond the float range passes the comparisons
     return lincomb([(1.0, shares.share2), (gain, shares.share3)])
 

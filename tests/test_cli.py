@@ -896,6 +896,15 @@ def test_overflowing_scores_are_a_usage_error_naming_the_column(argv, column, fm
     assert captured.err.startswith(f"cvqss: error: {column} came out ")
 
 
+def test_a_psa2_gain_whose_reciprocal_overflows_is_a_usage_error_saying_so(capsys):
+    # the gain is positive: it is the deamplifier's 1/G that overflows
+    assert _exit_code(["run", "--scheme", "psa2", "--r", "0.5", "--gain", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cvqss: error: PSA gain is too small: the deamplifier's gain 1/G overflows\n")
+
+
 @pytest.mark.parametrize("argv, option", [
     (["run", "--scheme", "feedforward", "--vm-db", "1e6"], "--vm-db"),
     (["tv-curve", "--vm-db", "1e6"], "--vm-db"),

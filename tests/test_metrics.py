@@ -269,6 +269,16 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="closed forms need"):
             form(*args)
 
+    @pytest.mark.parametrize("args", [
+        ("psa2_cp", 0.5, 0.0, 1.0, 3.0),
+        ("psa2_cp", 0.5, 0.0, 1.0, 0.0),
+        ("sp", 0.5, 0.0, 1.0, 5.0),
+    ], ids=repr)
+    def test_a_gain_for_a_formula_that_takes_none_is_rejected(self, args):
+        # the pair would otherwise come back as if no gain were given
+        with pytest.raises(ValueError, match="closed form takes no gain"):
+            closed_form(*args)
+
     @pytest.mark.parametrize("form, args", [
         (closed_form, ("sp", 400.0)),
         (closed_form, ("ff_cp", 400.0, 0.0, 1.0, 2.0)),

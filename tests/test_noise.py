@@ -16,7 +16,10 @@ from cvqss import (
     lincomb,
     variance,
 )
-from cvqss.optics import beam_splitter, phase_shift, psa_ideal, psa_type2_pair
+from cvqss.metrics import evaluate
+from cvqss.noise import left_sum
+from cvqss.optics import beam_splitter, detect, feedforward_mix, phase_shift, psa_ideal
+from cvqss.optics import psa_type2_pair
 
 from conftest import dealt, fields_close
 
@@ -185,6 +188,36 @@ class TestCovariance:
         assert covariance(mix, mix, Quad.PLUS) == pytest.approx(
             variance(mix, Quad.PLUS), abs=1e-15
         )
+
+
+# Each place two fields meet, given a field a and a field b from another basis.
+MEETINGS = {
+    "lincomb": lambda a, b: lincomb([(1.0, a), (1.0, b)]),
+    "splitter-phase-0": lambda a, b: beam_splitter(a, b, 0.5),
+    "splitter-phase-4": lambda a, b: beam_splitter(a, b, 0.5, phase=4),
+    "type2-pair": lambda a, b: psa_type2_pair(a, b, 0.5),
+    "mix-gain-0": lambda a, b: feedforward_mix(a, detect(b, 0.9, b.basis.detector()), 0.0),
+    "mix-gain-1.7": lambda a, b: feedforward_mix(a, detect(b, 0.9, b.basis.detector()), 1.7),
+    "evaluate": evaluate,
+}
+
+
+@pytest.mark.parametrize("meet", MEETINGS.values(), ids=MEETINGS)
+def test_fields_on_different_bases_never_meet(basis, meet):
+    # lincomb owns the check for the optical elements; the metrics make their own
+    a = field_from_mode(basis, basis.vacuum(), 1.0, 1.0)
+    other = NoiseBasis()
+    b = field_from_mode(other, other.vacuum(), 1.0, 1.0)
+    with pytest.raises(ValueError, match="different noise bas"):
+        meet(a, b)
+
+
+def test_left_sum_adds_left_to_right_from_its_start():
+    # compensated or exact summation would give 1.0 here, on any Python
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0
+    assert left_sum([1.0, 1e16, -1e16]) == 0.0
+    assert repr(left_sum([], 0.0)) == "0.0"
+    assert repr(left_sum([-0.0], 0.0)) == "0.0"
 
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

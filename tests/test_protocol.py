@@ -933,6 +933,25 @@ def test_non_finite_input_is_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda x: psa_ideal(_shares().share1, x),
+    lambda x: symplectic_correct(_shares().share1, x),
+    lambda x: single_quadrature_readout(_shares(), x),
+    _mix,
+    _type2_pair,
+], ids=["psa", "symplectic", "single-quadrature", "mix-gain", "type2-pair"])
+def test_an_int_no_float_holds_is_refused_by_every_element(build):
+    # 2**2000 passes every comparison with a float, then math.sqrt or float() overflows
+    with pytest.raises(ValueError, match="parameters must be finite numbers"):
+        build(2**2000)
+
+
+def test_a_psa_gain_whose_reciprocal_overflows_is_refused_by_name():
+    # the gain is positive, but the deamplifier's 1/G is inf
+    with pytest.raises(ValueError, match=r"deamplifier's gain 1/G overflows"):
+        reconstruct_2psa(_shares(), 1e-320)
+
+
 def test_overflowing_squeezing_is_rejected_with_the_limit():
     # the limit is the largest r whose anti-squeezed variance e^{2r} is finite
     above = math.nextafter(MAX_SQUEEZING, math.inf)

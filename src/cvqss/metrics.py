@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress
 
-from .noise import FieldState, Quad, check_finite, check_real, check_squeezing_limit, left_sum
+from .noise import FieldState, Quad, _require_point, check_finite, check_real, left_sum
 from .noise import variance
 
 _SQRT2 = math.sqrt(2.0)
@@ -212,14 +212,13 @@ def evaluate(secret: FieldState, out: FieldState) -> Metrics:
 
 
 def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) -> None:
-    """The domain where the simulation runs: real numbers as the dealer takes them,
-    r, v_m >= 0, 0 < eta <= 1, r within the dealer's squeezing limit; free values finite."""
-    check_real("closed-form parameters", r, v_m, eta, *free)
-    if not (0.0 <= r < math.inf and 0.0 <= v_m < math.inf and 0.0 < eta <= 1.0):
-        check_finite(r, v_m, eta)
-        raise ValueError("closed forms need r >= 0, v_m >= 0 and 0 < eta <= 1")
-    check_squeezing_limit(r)
-    check_finite(v_m, *free)
+    """The domain where the simulation runs: a point (r, v_m) the dealer takes,
+    0 < eta <= 1 and finite free values, all real numbers."""
+    _require_point(r, v_m)
+    check_real("closed-form parameters", eta, *free)
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("closed forms need 0 < eta <= 1")
+    check_finite(*free)
 
 
 def closed_form(
@@ -372,9 +371,11 @@ def squeezing_pct(r: float) -> float:
 
 
 def r_from_squeezing_pct(p: float) -> float:
+    """squeezing_pct's inverse: -ln(1 - p) / 2, + 0.0 so that p = 0 gives r = 0.0, not -0.0."""
+    check_real("squeezing fraction", p)
     if not 0.0 <= p < 1.0:
         raise ValueError("squeezing fraction must be in [0, 1)")
-    return -0.5 * math.log(1.0 - p)
+    return -0.5 * math.log(1.0 - p) + 0.0
 
 
 def crossover_squeezing() -> float:

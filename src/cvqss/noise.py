@@ -19,9 +19,12 @@ from enum import Enum
 # Absolute tolerance for coefficient / variance equality checks.
 COEFF_ATOL = 1e-12
 
+# Each knob's range ends at most here, so its one comparison refuses NaN, inf and huge ints.
+FLOAT_MAX = sys.float_info.max
+
 # Largest squeezing parameter r whose anti-squeezed variance e^{2r} is a
 # finite float.
-MAX_SQUEEZING = 0.5 * math.log(sys.float_info.max)
+MAX_SQUEEZING = 0.5 * math.log(FLOAT_MAX)
 
 
 def left_sum(terms: Iterable[float], start: float = 0) -> float:
@@ -63,7 +66,7 @@ def _require_point(r: float, v_m: float) -> None:
     """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a huge
     int, a negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
     check_real("squeezing and modulation power", r, v_m)
-    if not (0.0 <= r <= sys.float_info.max and 0.0 <= v_m <= sys.float_info.max):
+    if not (0.0 <= r <= FLOAT_MAX and 0.0 <= v_m <= FLOAT_MAX):
         raise ValueError("squeezing and modulation power must be finite and nonnegative")
     check_squeezing_limit(r)
 
@@ -130,9 +133,8 @@ class NoiseBasis:
         (v_plus * v_minus = 1), classical modulation has equal variance in
         both quadratures (0 means no added noise).
         """
-        if not (0.0 <= v_plus < math.inf and 0.0 <= v_minus < math.inf):
-            raise ValueError("noise-mode variances must be nonnegative")
-        check_finite(v_plus, v_minus)  # an int beyond the float range passes the comparisons
+        if not (0.0 <= v_plus <= FLOAT_MAX and 0.0 <= v_minus <= FLOAT_MAX):
+            raise ValueError("noise-mode variances must be finite and nonnegative")
         if kind in (ModeKind.VACUUM, ModeKind.DETECTOR_VACUUM):
             if abs(v_plus - 1.0) > COEFF_ATOL or abs(v_minus - 1.0) > COEFF_ATOL:
                 raise ValueError(f"{kind.value} modes must have unit variance")

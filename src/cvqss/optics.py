@@ -11,13 +11,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .noise import FieldState, ModeKind, _derived_field, check_finite, field_from_mode, lincomb
+from .noise import FLOAT_MAX, FieldState, ModeKind, _derived_field, field_from_mode, lincomb
 
 # Every knob-free weight of the network, built once: (sqrt(1-R), sqrt(R)) by reflectivity
 # R in (0, 1), a float, and the rotation (c, -s, s, c) by k eighth turns, an int in [-4, 4].
 WEIGHTS = {R: (math.sqrt(1.0 - R), math.sqrt(R)) for R in (0.5, 2.0 / 3.0)} | {
     k: (c, -s, s, c) for k in range(-4, 5)
     for c, s in [(math.cos(k * math.pi / 4), math.sin(k * math.pi / 4))]}
+
+# Largest interaction strength |r| whose cosh(r) is a finite float.
+MAX_INTERACTION = math.acosh(FLOAT_MAX)
 
 
 def phase_shift(fld: FieldState, theta: int) -> FieldState:
@@ -54,9 +57,8 @@ def psa_ideal(fld: FieldState, gain: float) -> FieldState:
     Symplectic (the two scale factors multiply to one), applied to means and
     fluctuation coefficients alike.
     """
-    if not 0.0 < gain < math.inf:
-        raise ValueError("PSA gain must be positive")
-    check_finite(gain)  # an int beyond the float range passes the comparisons
+    if not 0.0 < gain <= FLOAT_MAX:
+        raise ValueError("PSA gain must be positive and finite")
     s = math.sqrt(gain)
     return _derived_field(
         fld.basis,
@@ -79,9 +81,8 @@ def psa_type2_pair(
 
     Negative r is the pump-phase-flipped interaction.
     """
-    if not -math.inf < r < math.inf:
-        raise ValueError("interaction strength must be finite")
-    check_finite(r)  # an int beyond the float range passes the comparisons
+    if not -MAX_INTERACTION <= r <= MAX_INTERACTION:
+        raise ValueError(f"interaction strength must be finite, |r| at most {MAX_INTERACTION!r}")
     ch, sh = math.cosh(r), math.sinh(r)
     direct, cross = (ch, 0.0, 0.0, ch), (sh, 0.0, 0.0, -sh)
     return lincomb([(direct, signal), (cross, idler)]), lincomb([(direct, idler), (cross, signal)])
@@ -152,9 +153,8 @@ def feedforward_mix(
     of the vacuum mode oscillator (deal declares one per set of shares), which
     neither beam may carry, enters both quadratures; epsilon = 0 ignores it.
     """
-    if not -math.inf < total_gain < math.inf:
+    if not -FLOAT_MAX <= total_gain <= FLOAT_MAX:
         raise ValueError("feedforward gain must be finite")
-    check_finite(total_gain)  # an int beyond the float range passes the comparisons
     if not 0.0 < current.eta <= 1.0:  # detect's rule, for a Photocurrent built by hand
         raise ValueError("detection efficiency must be in (0, 1]")
     if not 0.0 <= epsilon < 1.0:

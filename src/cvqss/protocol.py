@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
-from .noise import _require_point, check_finite, lincomb
+from .noise import FLOAT_MAX, _require_point, lincomb
 from .optics import WEIGHTS, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -59,7 +59,9 @@ class Shares(namedtuple("Shares", "share1 share2 share3 detector oscillator")):
     __slots__ = ()
 
     def share(self, i: int) -> FieldState:
-        return (self.share1, self.share2, self.share3)[i - 1]
+        if type(i) is not int or not 1 <= i <= 3:
+            raise ValueError(f"share must be 1, 2 or 3, not {i!r}")
+        return self[i - 1]
 
 
 def _require_coherent(secret: FieldState) -> None:
@@ -203,9 +205,8 @@ def _feedforward_outputs(
     """Check the gains, then return, per eta, reconstruct_ff's output at every gain,
     bit for bit.  The 2/3 splitter runs once, and the detection, which checks its
     eta, once per eta."""
-    if not all(0.0 <= g < math.inf for g in gains):
+    if not all(0.0 <= g <= FLOAT_MAX for g in gains):
         raise ValueError("feedforward gain must be finite and nonnegative")
-    check_finite(*gains)  # an int beyond the float range passes the comparisons
     kept, detected = collaboration_beams(shares, players)
     currents = [detect(detected, eta, shares.detector) for eta in etas]
     return [[feedforward_mix(kept, current, g, epsilon, shares.oscillator) for g in gains]
@@ -240,10 +241,12 @@ def symplectic_correct(fld: FieldState, scale: float) -> FieldState:
     With scale = FF_SYMPLECTIC_SCALE this turns the optimal feedforward
     output back into the secret plus 2 e^{-2r} of added noise per quadrature.
     """
-    if not 0.0 < scale < math.inf:
-        raise ValueError("scale must be positive")
-    check_finite(scale)  # an int beyond the float range passes the comparisons
-    return psa_ideal(fld, 1.0 / (scale * scale))
+    if not 0.0 < scale <= FLOAT_MAX:
+        raise ValueError("scale must be positive and finite")
+    square = scale * scale
+    if not 0.0 < square <= FLOAT_MAX or 1.0 / square > FLOAT_MAX:
+        raise ValueError(f"scale {scale!r} leaves 1/scale^2 no positive finite float")
+    return psa_ideal(fld, 1.0 / square)
 
 
 def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
@@ -254,8 +257,7 @@ def single_quadrature_readout(shares: Shares, gain: float) -> FieldState:
     quadrature is estimated per readout, so this never amounts to
     reconstructing the state.
     """
-    if not -math.inf < gain < math.inf:
+    if not -FLOAT_MAX <= gain <= FLOAT_MAX:
         raise ValueError("single-quadrature gain must be finite")
-    check_finite(gain)  # an int beyond the float range passes the comparisons
     return lincomb([(1.0, shares.share2), (gain, shares.share3)])
 

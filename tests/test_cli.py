@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -333,6 +336,13 @@ class TestRunCommand:
         _, rows = parse_csv(capsys.readouterr().out)
         assert float(rows[0]["squeezing_pct"]) == pytest.approx(40.0, abs=1e-9)
 
+    @pytest.mark.parametrize("command", [["run", "--scheme", "mz12"], ["tv-curve"]])
+    def test_no_squeezing_prints_r_as_a_positive_zero(self, command, capsys):
+        # -0.5 * log(1.0 - 0.0) is -0.0
+        assert main([*command, "--squeezing-pct", "0"]) == 0
+        _, rows = parse_csv(capsys.readouterr().out)
+        assert {row["r"] for row in rows} == {"0.0"}
+
     def test_config_file_provides_defaults(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scheme": "mz12", "r": 0.5}))
@@ -406,14 +416,16 @@ class TestTvCurve:
         with pytest.raises(ValueError):
             tv_curve_records(0.5, [2.0, 1.0], [None])
 
-    @pytest.mark.parametrize("bad, message", [
-        (True, "must be real numbers"),
-        (2**2000, "parameters must be finite numbers"),
+    @pytest.mark.parametrize("bad, message, loop_message", [
+        (True, "must be real numbers", "must be real numbers"),
+        # run's ScenarioConfig checks the gain itself; tv-curve leaves it to the loop
+        (2**2000, "parameters must be finite numbers",
+         "feedforward gain must be finite and nonnegative"),
     ], ids=["bool", "huge_int"])
-    def test_a_gain_run_would_refuse_is_refused(self, bad, message):
+    def test_a_gain_run_would_refuse_is_refused(self, bad, message, loop_message):
         with pytest.raises(ValueError, match=message):
             ScenarioConfig("feedforward", 0.5, gain=bad)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=loop_message):
             tv_curve_records(0.5, [0, bad], [None])
 
     @pytest.mark.parametrize("r", [-1.0, math.nan, 400.0, True])
@@ -1015,3 +1027,22 @@ def test_protocol_builds_beams_and_metrics_alone_scores_them():
     assert not {"_tally", "_moments", "_transfer", "_FfGains"} & vars(cvqss.cli).keys()
     source = Path(cvqss.cli.__file__).read_text(encoding="utf-8")
     assert [line for line in source.splitlines() if "._classes" in line] == []
+
+
+def test_the_cli_runs_as_a_process():
+    """python -m cvqss.cli goes through entrypoint's sys.exit and the __main__ guard."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def cli(*args):
+        command = [sys.executable, "-m", "cvqss.cli", "run", "--scheme", "mz12", *args]
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    ok = cli("--r", "0.5")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("scheme,r,")
+    refused = cli("--r", "nan")
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert [line for line in refused.stderr.splitlines() if line.startswith("cvqss: error:")] == [
+        "cvqss: error: parameters must be finite numbers"]
+    assert "Traceback" not in refused.stderr

@@ -223,6 +223,11 @@ class TestTvPoint:
         assert repr((m.t_plus, m.t_minus, m.vcv_plus, m.vcv_minus)) == repr((t[P], t[M], v[P], v[M]))
 
 
+# The closed forms' messages: the dealer's, for (r, v_m), and their own, for eta.
+_POINT = "squeezing and modulation power must be finite and nonnegative"
+_ETA = "closed forms need 0 < eta <= 1"
+
+
 class TestClosedForms:
     def test_feedforward_ideal_limits(self):
         t_q, v_q = closed_form("ff_cp", 8.0, 0.0, 1.0, TWO_SQRT2)
@@ -250,23 +255,26 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form("bogus", 0.5)
 
-    @pytest.mark.parametrize("form, args", [
-        (closed_form, ("ff_cp", 0.5, 0.0, 2.0, 2.8)),
-        (closed_form, ("ff_cp", -0.5, 0.0, 1.0, 2.8)),
-        (closed_form, ("ff_cp", 0.5, -1.0, 1.0, 2.8)),
-        (closed_form, ("sp", 0.5, -3.0)),
-        (closed_form, ("sp", -0.5)),
-        (closed_form, ("psa2_cp", -0.5)),
-        (fidelity_closed_form, ("psa2", -0.5)),
-        (fidelity_closed_form, ("ff", -0.5, (4.0, 2.0))),
-        (optimal_gain, (0.5, 0.0, 2.0)),
-        (optimal_gain, (0.5, 0.0, -1.0)),
-        (optimal_gain, (0.5, -1.0)),
-        (optimal_gain, (-0.5,)),
-    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
-    def test_inputs_the_simulation_rejects_are_rejected(self, form, args):
-        # DealerConfig and the feedforward loop refuse r < 0, v_m < 0 and eta outside (0, 1]
-        with pytest.raises(ValueError, match="closed forms need"):
+    @pytest.mark.parametrize("form, args, message", [
+        pytest.param(form, args, message, id=f"{form.__name__}-{args!r}")
+        for form, args, message in [
+            (closed_form, ("ff_cp", 0.5, 0.0, 2.0, 2.8), _ETA),
+            (closed_form, ("ff_cp", -0.5, 0.0, 1.0, 2.8), _POINT),
+            (closed_form, ("ff_cp", 0.5, -1.0, 1.0, 2.8), _POINT),
+            (closed_form, ("sp", 0.5, -3.0), _POINT),
+            (closed_form, ("sp", -0.5), _POINT),
+            (closed_form, ("psa2_cp", -0.5), _POINT),
+            (fidelity_closed_form, ("psa2", -0.5), _POINT),
+            (fidelity_closed_form, ("ff", -0.5, (4.0, 2.0)), _POINT),
+            (optimal_gain, (0.5, 0.0, 2.0), _ETA),
+            (optimal_gain, (0.5, 0.0, -1.0), _ETA),
+            (optimal_gain, (0.5, -1.0), _POINT),
+            (optimal_gain, (-0.5,), _POINT),
+        ]
+    ])
+    def test_inputs_the_simulation_rejects_are_rejected(self, form, args, message):
+        # DealerConfig refuses r < 0 and v_m < 0, the feedforward loop eta outside (0, 1]
+        with pytest.raises(ValueError, match=message):
             form(*args)
 
     @pytest.mark.parametrize("args", [
@@ -597,6 +605,11 @@ class TestSqueezingScale:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             r_from_squeezing_pct(1.0)
+
+    @pytest.mark.parametrize("bad", ["x", None, True])
+    def test_a_fraction_that_is_no_real_number_is_rejected(self, bad):
+        with pytest.raises(ValueError, match="squeezing fraction must be real"):
+            r_from_squeezing_pct(bad)
 
 
 class TestMetricsRecord:

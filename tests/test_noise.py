@@ -42,11 +42,12 @@ class TestRegistry:
         assert basis.kind(mid) is ModeKind.CLASSICAL_MODULATION
 
     def test_negative_variance_rejected(self, basis):
+        message = "noise-mode variances must be finite and nonnegative"
         for v in (-1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="noise-mode variances must be nonnegative"):
+            with pytest.raises(ValueError, match=message):
                 basis.register(ModeKind.CLASSICAL_MODULATION, v, v)
         # an int beyond the float range: finite, but no float variance holds it
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match=message):
             basis.modulation(2**2000)
         assert len(basis) == 0
 

@@ -42,7 +42,7 @@ from cvqss import (
 from cvqss import cli, metrics, protocol
 from cvqss.metrics import _pair, _scores
 from cvqss.noise import MAX_SQUEEZING
-from cvqss.optics import feedforward_mix, phase_shift, psa_type2_pair
+from cvqss.optics import MAX_INTERACTION, feedforward_mix, phase_shift, psa_type2_pair
 from cvqss.protocol import _feedforward_outputs, _psa2_outputs
 
 from conftest import dealt, fields_close, secret_coefficient
@@ -82,6 +82,14 @@ def assert_coeffs(field, quad, expected, atol=1e-12):
 
 
 class TestDeal:
+    def test_share_takes_the_player_numbers_only(self):
+        _, shares = dealt(r=0.5)
+        for i, share in zip((1, 2, 3), (shares.share1, shares.share2, shares.share3)):
+            assert shares.share(i) is share
+        for bad in (0, -1, 4, True, 1.0, "1", None):
+            with pytest.raises(ValueError, match="share must be 1, 2 or 3"):
+                shares.share(bad)
+
     def test_means_split_between_shares_1_and_2(self):
         psi, shares = dealt(r=0.0)
         assert shares.share1.mean_plus == pytest.approx(4.0 / SQRT2, abs=1e-12)
@@ -808,6 +816,21 @@ class TestSymplecticCorrect:
         with pytest.raises(ValueError):
             symplectic_correct(fld, 0.0)
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 7.4e-155, 1.4e154, 1e200])
+    def test_a_scale_whose_gain_is_no_positive_finite_float_is_refused_by_name(self, basis, scale):
+        # scale^2 underflows to 0 or overflows, or 1/scale^2 overflows: the gain is 1/0, inf or 0
+        fld = field_from_mode(basis, basis.vacuum())
+        with pytest.raises(ValueError, match=r"scale .* leaves 1/scale\^2 no positive finite float"):
+            symplectic_correct(fld, scale)
+
+    @pytest.mark.parametrize("scale", [7.5e-155, 1e154])
+    def test_the_extreme_scales_whose_gain_is_a_float_are_taken(self, basis, scale):
+        mid = basis.vacuum()
+        out = symplectic_correct(field_from_mode(basis, mid), scale)
+        s = math.sqrt(1.0 / (scale * scale))
+        assert out.coeffs_plus == {(mid, P): s}
+        assert out.coeffs_minus == {(mid, M): 1.0 / s}
+
 
 class TestSingleQuadrature:
     def test_zero_gain_is_share2_homodyne(self):
@@ -933,17 +956,52 @@ def test_non_finite_input_is_rejected(build):
         build()
 
 
-@pytest.mark.parametrize("build", [
-    lambda x: psa_ideal(_shares().share1, x),
-    lambda x: symplectic_correct(_shares().share1, x),
-    lambda x: single_quadrature_readout(_shares(), x),
-    _mix,
-    _type2_pair,
-], ids=["psa", "symplectic", "single-quadrature", "mix-gain", "type2-pair"])
-def test_an_int_no_float_holds_is_refused_by_every_element(build):
-    # 2**2000 passes every comparison with a float, then math.sqrt or float() overflows
-    with pytest.raises(ValueError, match="parameters must be finite numbers"):
+# Each element's knob, with the message that names it.
+_KNOBS = [
+    pytest.param(lambda x: psa_ideal(_shares().share1, x), "PSA gain must be positive and finite",
+                 id="psa"),
+    pytest.param(lambda x: symplectic_correct(_shares().share1, x),
+                 "scale must be positive and finite", id="symplectic"),
+    pytest.param(lambda x: single_quadrature_readout(_shares(), x),
+                 "single-quadrature gain must be finite", id="single-quadrature"),
+    pytest.param(_mix, "feedforward gain must be finite$", id="mix-gain"),
+    pytest.param(_type2_pair, "interaction strength must be finite", id="type2-pair"),
+    pytest.param(lambda x: NoiseBasis().register(ModeKind.CLASSICAL_MODULATION, x, x),
+                 "noise-mode variances must be finite and nonnegative", id="register"),
+    pytest.param(lambda x: reconstruct_ff(_shares(), x),
+                 "feedforward gain must be finite and nonnegative", id="loop-gain"),
+]
+
+
+@pytest.mark.parametrize("build, message", _KNOBS)
+def test_an_int_no_float_holds_is_refused_by_every_element(build, message):
+    # 2**2000 passes a comparison with inf, but not the one with the largest float
+    with pytest.raises(ValueError, match=message):
         build(2**2000)
+
+
+@pytest.mark.parametrize("build, message", _KNOBS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -2**2000],
+                         ids=["nan", "inf", "-inf", "-int"])
+def test_every_knob_ends_at_the_largest_float(build, message, bad):
+    with pytest.raises(ValueError, match=message):
+        build(bad)
+
+
+@pytest.mark.parametrize("r", [1000.0, -1000.0, math.nextafter(MAX_INTERACTION, math.inf),
+                               -math.nextafter(MAX_INTERACTION, math.inf)])
+def test_an_interaction_whose_cosh_overflows_is_refused(r):
+    with pytest.raises(ValueError, match=re.escape(repr(MAX_INTERACTION))):
+        _type2_pair(r)
+
+
+def test_the_strongest_interaction_whose_cosh_is_a_float_is_taken(basis):
+    assert MAX_INTERACTION == 710.4758600739439
+    s, i = basis.vacuum(), basis.vacuum()
+    for r in (MAX_INTERACTION, -MAX_INTERACTION):
+        out, _ = psa_type2_pair(field_from_mode(basis, s), field_from_mode(basis, i), r)
+        assert out.coeffs_plus == {(s, P): math.cosh(r), (i, P): math.sinh(r)}
+        assert all(map(math.isfinite, out.coeffs_plus.values()))
 
 
 def test_a_psa_gain_whose_reciprocal_overflows_is_refused_by_name():

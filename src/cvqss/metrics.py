@@ -90,7 +90,7 @@ def _moments(tally: Tally, variances: Sequence[float]) -> tuple[Moments, float]:
     """A tallied quadrature's moments under these class variances, and its
     V_cv: the output's weights alone.  V_out adds the secret's source back."""
     ms, a2, mo, own2, own, weights = tally
-    vcv = left_sum([w * variances[c] for c, w in weights], 0.0)  # _dot, inline on the hot path
+    vcv = _dot(weights, variances)
     return (ms, a2 * variances[own], mo, vcv + own2 * variances[own]), vcv
 
 
@@ -104,20 +104,15 @@ def _transfer(moments: Moments) -> float:
 def _scores(variances: Sequence[float], pluses: list[Tally], minus: Tally, crosses=None) -> list:
     """(T_q, V_q) of each X+ tally in pluses paired with one X- tally under
     these class variances; given each one's _cross weights, its Metrics.  Each
-    X+ tally is scored inline with _moments' and _transfer's float operations,
-    in order, and its overlap is formed before its zero-mean check."""
+    X+ tally's overlap is formed before its zero-mean check."""
     mm, vcv_minus = _moments(minus, variances)
     t_minus = _transfer(mm)
     scored = []
-    for (ms, a2, mo, own2, own, weights), cw in zip(pluses, crosses or [None] * len(pluses)):
-        vcv = left_sum([w * variances[c] for c, w in weights], 0.0)
-        v_own = variances[own]
-        vs, vo = a2 * v_own, vcv + own2 * v_own
+    for tally, cw in zip(pluses, crosses or [None] * len(pluses)):
+        mp, vcv = _moments(tally, variances)
         if cw is not None:
-            overlap = _overlap((ms, vs, mo, vo), mm, _dot(cw, variances))
-        if ms * ms == 0.0:
-            raise ValueError(_ZERO_SECRET_MEAN)
-        t_plus = (mo * mo / vo) / (ms * ms / vs)
+            overlap = _overlap(mp, mm, _dot(cw, variances))
+        t_plus = _transfer(mp)
         t_q, v_q = t_plus + t_minus, vcv * vcv_minus
         scored.append((t_q, v_q) if cw is None
                       else Metrics(t_plus, t_minus, t_q, vcv, vcv_minus, v_q, overlap))
@@ -367,6 +362,7 @@ def optimal_gain(
 
 def squeezing_pct(r: float) -> float:
     """Squeezing as a fraction: 1 - e^{-2r} (0.4 means V+ = 0.6 shot noise)."""
+    _require_point(r, 0.0)
     return 1.0 - math.exp(-2.0 * r)
 
 

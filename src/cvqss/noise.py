@@ -278,9 +278,11 @@ def field_from_mode(
 
 
 def variance(fld: FieldState, quad: Quad) -> float:
-    """Fluctuation variance of one quadrature, in shot-noise units."""
+    """Fluctuation variance of one quadrature, in shot-noise units.  A source of
+    zero variance adds nothing, even where its coefficient's square overflows."""
     classes, table = fld.basis._classes, fld.basis._class_variances
-    return left_sum(c * c * table[classes[src]] for src, c in fld.coeffs(quad).items())
+    return left_sum((c * c * v for src, c in fld.coeffs(quad).items()
+                     if (v := table[classes[src]])), 0.0)
 
 
 def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
@@ -291,7 +293,8 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
     if len(cb) < len(ca):
         ca, cb = cb, ca
     classes, table = a.basis._classes, a.basis._class_variances
-    return left_sum(c * cb[src] * table[classes[src]] for src, c in ca.items() if src in cb)
+    return left_sum((c * cb[src] * v for src, c in ca.items()
+                     if src in cb and (v := table[classes[src]])), 0.0)
 
 
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:

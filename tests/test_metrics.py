@@ -204,8 +204,8 @@ class TestTvPoint:
     def test_equals_the_per_quadrature_metrics_exactly(
         self, r, v_m, source, means, output, gain, eta, epsilon, psa_gain
     ):
-        # tv_point and evaluate score X+ in _scores' inline loop, the per-quadrature
-        # metrics through _moments and _transfer: this pins the two copies of that arithmetic
+        # tv_point and evaluate score through _scores, the per-quadrature metrics through
+        # _moments and _transfer alone: this checks _scores against the per-quadrature API
         psi, shares = dealt(r, v_m, source, means)
         if output == "feedforward":
             out = reconstruct_ff(shares, gain, eta, epsilon=epsilon)
@@ -610,6 +610,20 @@ class TestSqueezingScale:
     def test_a_fraction_that_is_no_real_number_is_rejected(self, bad):
         with pytest.raises(ValueError, match="squeezing fraction must be real"):
             r_from_squeezing_pct(bad)
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [(-1.0, _POINT), (-1000.0, _POINT), (math.nan, _POINT), (math.inf, _POINT),
+         (True, "must be real numbers"), ("x", "must be real numbers"),
+         (math.nextafter(MAX_SQUEEZING, math.inf), "squeezing parameter must be at most")],
+    )
+    def test_a_squeezing_parameter_the_dealer_refuses_is_refused(self, r, message):
+        with pytest.raises(ValueError, match=message):
+            squeezing_pct(r)
+
+    def test_the_dealers_extreme_squeezing_parameters_are_taken(self):
+        assert squeezing_pct(0.0) == 0.0
+        assert squeezing_pct(MAX_SQUEEZING) == 1.0
 
 
 class TestMetricsRecord:

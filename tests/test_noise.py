@@ -146,6 +146,18 @@ class TestVariance:
             1.2715403174076219, abs=1e-12
         )
 
+    def test_a_field_with_no_sources_has_a_float_zero_variance(self, basis):
+        assert repr(variance(FieldState(basis), Quad.PLUS)) == "0.0"
+
+    def test_a_zero_variance_source_adds_nothing_where_its_square_overflows(self):
+        # At v_m = 0 the modulation class has variance 0.0.  The type-II pair at r = 400
+        # weighs that source by ~e^400, whose square overflows, and inf * 0.0 is NaN.
+        psi, shares = dealt(r=0.5)
+        a, b = psa_type2_pair(shares.share1, shares.share3, 400.0)
+        assert variance(a, Quad.PLUS) == math.inf
+        assert covariance(a, a, Quad.PLUS) == math.inf
+        assert not math.isnan(covariance(a, b, Quad.PLUS))
+
 
 class TestCovariance:
     def test_independent_vacua(self, basis):

@@ -49,7 +49,8 @@ Tally = tuple[float, float, float, float, int, list]
 
 
 def _dot(weights: list[tuple[int, float]], variances: Sequence[float]) -> float:
-    return left_sum([w * variances[c] for c, w in weights], 0.0)
+    """Weights times class variances; a zero-variance class adds nothing, even at an inf weight."""
+    return left_sum([w * v for c, w in weights if (v := variances[c])], 0.0)
 
 
 def _sparse(dense: list[float]) -> list[tuple[int, float]]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
 from enum import Enum
 
@@ -69,6 +70,13 @@ def _require_point(r: float, v_m: float) -> None:
     if not (0.0 <= r <= FLOAT_MAX and 0.0 <= v_m <= FLOAT_MAX):
         raise ValueError("squeezing and modulation power must be finite and nonnegative")
     check_squeezing_limit(r)
+
+
+def _require_means(mean_plus: float, mean_minus: float) -> None:
+    """Reject a field mean that check_real refuses, NaN, inf or an int beyond the float range."""
+    check_real("field means", mean_plus, mean_minus)
+    if not (-FLOAT_MAX <= mean_plus <= FLOAT_MAX and -FLOAT_MAX <= mean_minus <= FLOAT_MAX):
+        raise ValueError("field means must be finite real numbers")
 
 
 class Quad(Enum):
@@ -196,45 +204,40 @@ def _prune(coeffs: dict[Source, float]) -> dict[Source, float]:
     return {k: v for k, v in coeffs.items() if v != 0.0}
 
 
-class FieldState:
+class FieldState(namedtuple("FieldState", "basis mean_plus mean_minus coeffs_plus coeffs_minus")):
     """One optical beam: quadrature means plus fluctuation coefficients.
 
     The fluctuation of quadrature q is sum_k coeffs_q[k] * (source k), with
     the sources independent, so variances and covariances are quadratic
-    forms over the coefficient vectors.  Immutable; every optical element
-    returns a new instance.
+    forms over the coefficient vectors.  A namedtuple, so immutable and
+    compared by value; every optical element returns a new one.
 
-    Building one checks that every coefficient key is a registered source
-    of the basis.  The algebra below (lincomb, field_from_mode, psa_ideal)
-    builds its results with _derived_field, which skips that check: their
-    keys are a subset of keys already checked, on the same append-only
-    basis, so they stay registered.
+    Building one, or _replace, checks that every coefficient key is a
+    registered (mid, Quad) source of the basis and each mean a finite real.
+    The algebra below (lincomb, field_from_mode, psa_ideal) builds its
+    results with _derived_field, which skips both: their keys are a subset
+    of keys already checked, on the same append-only basis, so they stay
+    registered, and a mean is checked where a caller gives it.
     """
 
-    __slots__ = ("basis", "mean_plus", "mean_minus", "coeffs_plus", "coeffs_minus")
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __init__(
-        self, basis: NoiseBasis, mean_plus: float = 0.0, mean_minus: float = 0.0,
+    def __new__(
+        cls, basis: NoiseBasis, mean_plus: float = 0.0, mean_minus: float = 0.0,
         coeffs_plus: Mapping[Source, float] | None = None,
         coeffs_minus: Mapping[Source, float] | None = None,
-    ) -> None:
-        coeffs_plus = {} if coeffs_plus is None else coeffs_plus
-        coeffs_minus = {} if coeffs_minus is None else coeffs_minus
-        # Every key must be a registered (mid, Quad) source: this rejects
-        # stale ids and malformed quadratures alike.
-        known = basis._classes.keys()
-        for coeffs in (coeffs_plus, coeffs_minus):
+    ) -> FieldState:
+        return tuple.__new__(cls, (basis, mean_plus, mean_minus, coeffs_plus or {}, coeffs_minus or {}))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # Here, not in __new__: a tracer wraps __init__, and a wrapped object.__init__ refuses args.
+        known = self.basis._classes.keys()
+        for coeffs in (self.coeffs_plus, self.coeffs_minus):
             if not coeffs.keys() <= known:
                 bad = next(src for src in coeffs if src not in known)
                 raise KeyError(f"unknown noise mode id in source {bad!r}")
-        _set_basis(self, basis)
-        _set_mean_plus(self, mean_plus)
-        _set_mean_minus(self, mean_minus)
-        _set_coeffs_plus(self, coeffs_plus)
-        _set_coeffs_minus(self, coeffs_minus)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"FieldState is immutable: cannot assign {name!r}")
+        _require_means(self.mean_plus, self.mean_minus)
 
     def mean(self, quad: Quad) -> float:
         return self.mean_plus if quad is Quad.PLUS else self.mean_minus
@@ -246,25 +249,12 @@ class FieldState:
         return self.coeffs(quad).get(source, 0.0)
 
 
-# The slots' own setters, which bypass FieldState.__setattr__: half the cost
-# of object.__setattr__ per field, and FieldState is built once per element.
-_set_basis, _set_mean_plus, _set_mean_minus, _set_coeffs_plus, _set_coeffs_minus = (
-    getattr(FieldState, name).__set__ for name in FieldState.__slots__
-)
-
-
 def _derived_field(
     basis: NoiseBasis, mean_plus: float, mean_minus: float,
     coeffs_plus: dict[Source, float], coeffs_minus: dict[Source, float],
 ) -> FieldState:
     """FieldState(...) without its key check, for keys known to be registered."""
-    fld = object.__new__(FieldState)
-    _set_basis(fld, basis)
-    _set_mean_plus(fld, mean_plus)
-    _set_mean_minus(fld, mean_minus)
-    _set_coeffs_plus(fld, coeffs_plus)
-    _set_coeffs_minus(fld, coeffs_minus)
-    return fld
+    return tuple.__new__(FieldState, (basis, mean_plus, mean_minus, coeffs_plus, coeffs_minus))
 
 
 def field_from_mode(
@@ -272,6 +262,7 @@ def field_from_mode(
 ) -> FieldState:
     """A beam whose fluctuations are exactly one registered mode's."""
     basis.kind(mid)  # an int id in range, so both keys are registered (0.0 or False is not)
+    _require_means(mean_plus, mean_minus)
     return _derived_field(
         basis, mean_plus, mean_minus, {(mid, Quad.PLUS): 1.0}, {(mid, Quad.MINUS): 1.0}
     )

@@ -23,6 +23,7 @@ from cvqss import (
     field_from_mode,
     lincomb,
     optimal_gain,
+    psa_type2_pair,
     r_from_squeezing_pct,
     reconstruct_12,
     reconstruct_2psa,
@@ -126,6 +127,16 @@ class TestConditionalVariance:
         assert conditional_variance(psi, shares.share3, P) == pytest.approx(
             expected, abs=1e-12
         )
+
+    def test_a_zero_variance_class_adds_nothing_where_its_weight_overflows(self):
+        # At v_m = 0 the modulation class has variance 0.0.  The type-II pair at r = 400
+        # weighs that source by ~e^400, whose square overflows, and inf * 0.0 is NaN.
+        psi, shares = dealt(r=0.5)
+        out, _ = psa_type2_pair(shares.share1, shares.share3, 400.0)
+        for quad in Quad:
+            assert conditional_variance(psi, out, quad) == variance(out, quad) == math.inf
+        scores = evaluate(psi, out)
+        assert (scores.vcv_plus, scores.vcv_minus, scores.v_q) == (math.inf,) * 3
 
 
 class TestVarianceClasses:

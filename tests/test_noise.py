@@ -130,6 +130,20 @@ class TestFieldConstruction:
         with pytest.raises(KeyError, match="unknown noise mode id"):
             FieldState(basis, 0.0, 0.0, {(mid, quad): 1.0}, {})
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, True, "x", 2**2000],
+                             ids=["nan", "inf", "-inf", "True", "str", "2**2000"])
+    def test_a_mean_that_is_not_a_finite_int_or_float_is_refused(self, basis, mean):
+        mid = basis.vacuum()
+        for build in (lambda: field_from_mode(basis, mid, mean, 2.0),
+                      lambda: FieldState(basis, 2.0, mean),
+                      lambda: field_from_mode(basis, mid)._replace(mean_plus=mean)):
+            with pytest.raises(ValueError, match="^field means must be"):
+                build()
+
+    def test_an_int_mean_is_accepted(self, basis):
+        fld = field_from_mode(basis, basis.vacuum(), 3, -2)
+        assert (fld.mean_plus, fld.mean_minus) == (3, -2)
+
 
 class TestVariance:
     def test_balanced_mix_of_vacua_stays_at_shot_noise(self, basis):

@@ -1,7 +1,10 @@
 """Every record the library returns or takes is immutable.
 
-Assigning to any field raises AttributeError and leaves the value as it was.
+Assigning to any field raises AttributeError and leaves the value as it was,
+and _replace refuses what the constructor refuses.
 """
+
+import math
 
 import pytest
 
@@ -9,10 +12,13 @@ from cvqss import (
     DealerConfig,
     FieldState,
     Metrics,
+    NoiseBasis,
     Photocurrent,
+    Quad,
     Shares,
     detect,
     evaluate,
+    field_from_mode,
 )
 from cvqss.cli import ScenarioConfig
 
@@ -32,9 +38,7 @@ def _example(cls):
 
 
 RECORDS = (FieldState, Photocurrent, DealerConfig, Shares, Metrics, ScenarioConfig)
-FIELDS = [
-    (cls, name) for cls in RECORDS for name in getattr(cls, "_fields", cls.__slots__)
-]
+FIELDS = [(cls, name) for cls in RECORDS for name in cls._fields]
 
 
 @pytest.mark.parametrize(
@@ -55,7 +59,20 @@ def test_no_attribute_can_be_added(cls):
         _example(cls).extra = 0.0
 
 
-@pytest.mark.parametrize("cls, name", [(DealerConfig, "r"), (ScenarioConfig, "eta")])
-def test_replace_checks_like_the_constructor(cls, name):
-    with pytest.raises(ValueError):
-        _example(cls)._replace(**{name: -1.0})
+@pytest.mark.parametrize("cls, name, value, error", [
+    (DealerConfig, "r", -1.0, ValueError),
+    (ScenarioConfig, "eta", -1.0, ValueError),
+    (FieldState, "coeffs_plus", {(10**6, Quad.PLUS): 1.0}, KeyError),
+    (FieldState, "mean_minus", math.nan, ValueError),
+], ids=["DealerConfig-r", "ScenarioConfig-eta", "FieldState-coeffs_plus", "FieldState-mean_minus"])
+def test_replace_checks_like_the_constructor(cls, name, value, error):
+    with pytest.raises(error):
+        _example(cls)._replace(**{name: value})
+
+
+def test_fields_with_the_same_basis_means_and_dicts_compare_equal():
+    basis = NoiseBasis()
+    mid = basis.vacuum()
+    built = FieldState(basis, 1.0, 2.0, {(mid, Quad.PLUS): 1.0}, {(mid, Quad.MINUS): 1.0})
+    assert built == field_from_mode(basis, mid, 1.0, 2.0)
+    assert built != field_from_mode(basis, mid, 1.0, 2.5)

@@ -1,10 +1,11 @@
 """Each of metrics' scoring formulas is written once.
 
 Read from the source with ast, so a renamed or reflowed copy is still found:
-the per-class dot product (a comprehension that weighs variances[c] for each
-(c, w) pair) appears only inside _dot, and the transfer ratio (one SNR over
-another, (m * m / v) / (m' * m' / v')) and its zero-mean refusal only inside
-_transfer.  _scores and _moments reach them by calling those functions.
+the per-class dot product (a comprehension that reads variances[c] for each
+(c, w) pair, in its terms or its condition) appears only inside _dot, and the
+transfer ratio (one SNR over another, (m * m / v) / (m' * m' / v')) and its
+zero-mean refusal only inside _transfer.  _scores and _moments reach them by
+calling those functions.
 """
 
 import ast
@@ -25,14 +26,15 @@ def _owners(is_copy):
 
 
 def _is_class_dot(node):
-    """A comprehension whose terms read variances[c] for a name c it binds."""
+    """A comprehension whose terms or conditions read variances[c] for a name c it binds."""
     if not isinstance(node, (ast.ListComp, ast.GeneratorExp)):
         return False
     bound = {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
     return any(
         isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name) and n.value.id == "variances"
         and isinstance(n.slice, ast.Name) and n.slice.id in bound
-        for n in ast.walk(node.elt))
+        for part in [node.elt, *(cond for g in node.generators for cond in g.ifs)]
+        for n in ast.walk(part))
 
 
 def _is_snr(node):

@@ -27,7 +27,7 @@ from .metrics import (
     r_from_squeezing_pct,
     squeezing_pct,
 )
-from .noise import MAX_SQUEEZING, Quad, check_finite, check_real, check_squeezing_limit
+from .noise import MAX_SQUEEZING, Quad, check_finite, check_point, check_real
 from .protocol import (
     FF_GAIN_OPTIMAL,
     FF_SYMPLECTIC_SCALE,
@@ -93,13 +93,12 @@ class ScenarioConfig(namedtuple(
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not isinstance(self.secret_means, (tuple, list)) or len(self.secret_means) != 2:
             raise ValueError(f"secret_means must be two real numbers, not {self.secret_means!r}")
+        check_point(self.r, 0.0)
         vm_db = 0.0 if self.vm_db is None else self.vm_db
-        numbers = [self.r, vm_db, self.eta, self.epsilon, *self.secret_means]
+        check_real("vm_db, eta and epsilon", vm_db, self.eta, self.epsilon)
+        check_finite("secret means", *self.secret_means)
         if self.gain is not None and self.gain != "optimal":
-            numbers.append(self.gain)
-        check_real("r, vm_db, eta, epsilon, the secret means and a numeric gain", *numbers)
-        check_finite(*numbers)
-        check_squeezing_limit(self.r)
+            check_finite("gain", self.gain)
         if not 0.0 <= vm_db < MAX_VM_DB:
             raise ValueError(f"--vm-db must be at least 0 and below {MAX_VM_DB!r} dB")
         if not 0.0 < self.eta <= 1.0:
@@ -271,10 +270,10 @@ def verify_grid(
     """Compare simulated metrics with the closed forms over a full grid.
 
     At every (r, v_m): single_player for players 1 and 2, and feedforward_tv
-    (T_q, V_q) at every (eta, gain).  Where v_m == 0, since their closed
-    forms assume an unmodulated dealer: psa2_tv at the optimal PSA gain, and
-    feedforward_fidelity (raw and after symplectic correction) at the
-    cancellation gain, the only family that computes a fidelity.  The grid
+    (T_q, V_q) at every (eta, gain).  Where v_m == 0: psa2_tv at the optimal
+    PSA gain (psa2_cp holds at every v_m; verify keeps its points as they were),
+    and feedforward_fidelity (raw and symplectically corrected) at the cancellation
+    gain, whose closed forms assume an unmodulated dealer.  The grid
     is dealt and tallied once; each (r, v_m) scores the tallies under its
     class variances, bit for bit as a fresh deal there would.  Each family
     is scored and recorded a column at a time, one column per (r, v_m[, eta]),

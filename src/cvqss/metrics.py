@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress
 
-from .noise import FieldState, Quad, _require_point, check_finite, check_real, left_sum
+from .noise import FieldState, Quad, check_finite, check_point, check_real, left_sum
 from .noise import variance
 
 _SQRT2 = math.sqrt(2.0)
@@ -50,7 +50,7 @@ Tally = tuple[float, float, float, float, int, list]
 
 def _dot(weights: list[tuple[int, float]], variances: Sequence[float]) -> float:
     """Weights times class variances; a zero-variance class adds nothing, even at an inf weight."""
-    return left_sum([w * v for c, w in weights if (v := variances[c])], 0.0)
+    return left_sum([w * v for c, w in weights if (v := variances[c])])
 
 
 def _sparse(dense: list[float]) -> list[tuple[int, float]]:
@@ -210,11 +210,11 @@ def evaluate(secret: FieldState, out: FieldState) -> Metrics:
 def _require_domain(r: float, v_m: float = 0.0, eta: float = 1.0, *free: float) -> None:
     """The domain where the simulation runs: a point (r, v_m) the dealer takes,
     0 < eta <= 1 and finite free values, all real numbers."""
-    _require_point(r, v_m)
-    check_real("closed-form parameters", eta, *free)
+    check_point(r, v_m)
+    check_real("closed-form parameters", eta)
     if not 0.0 < eta <= 1.0:
         raise ValueError("closed forms need 0 < eta <= 1")
-    check_finite(*free)
+    check_finite("closed-form parameters", *free)
 
 
 def closed_form(
@@ -363,7 +363,7 @@ def optimal_gain(
 
 def squeezing_pct(r: float) -> float:
     """Squeezing as a fraction: 1 - e^{-2r} (0.4 means V+ = 0.6 shot noise)."""
-    _require_point(r, 0.0)
+    check_point(r, 0.0)
     return 1.0 - math.exp(-2.0 * r)
 
 

@@ -28,12 +28,13 @@ FLOAT_MAX = sys.float_info.max
 MAX_SQUEEZING = 0.5 * math.log(FLOAT_MAX)
 
 
-def left_sum(terms: Iterable[float], start: float = 0) -> float:
-    """Add left to right, as sum() adds floats below Python 3.12 (from 3.12 on it
-    compensates rounding), so each Python the package accepts prints the same bytes."""
+def left_sum(terms: Iterable[float]) -> float:
+    """Add left to right from 0.0, as sum() adds floats below Python 3.12 (from 3.12 on
+    it compensates rounding), so each Python the package accepts prints the same bytes."""
+    total = 0.0
     for term in terms:
-        start += term
-    return start
+        total += term
+    return total
 
 
 def check_real(what: str, *values: float) -> None:
@@ -43,40 +44,27 @@ def check_real(what: str, *values: float) -> None:
             raise ValueError(f"{what} must be real numbers, not {values!r}")
 
 
-def check_finite(*values: float) -> None:
-    """Reject NaN, an infinity or an int beyond the float range with ValueError."""
+def check_finite(what: str, *values: float) -> None:
+    """check_real, then reject NaN, an infinity or an int beyond the float range with ValueError."""
+    check_real(what, *values)
     try:
         finite = all(map(math.isfinite, values))
     except OverflowError:  # an int that no float holds
         finite = False
     if not finite:
-        raise ValueError("parameters must be finite numbers")
+        raise ValueError(f"{what} must be finite")
 
 
-def check_squeezing_limit(r: float) -> None:
-    """Reject a negative squeezing parameter, or one whose e^{2r} overflows."""
-    if r < 0:
-        raise ValueError("squeezing parameter must be nonnegative")
-    if r > MAX_SQUEEZING:
-        raise ValueError(
-            f"squeezing parameter must be at most {MAX_SQUEEZING!r}: e^(2r) overflows above it"
-        )
-
-
-def _require_point(r: float, v_m: float) -> None:
+def check_point(r: float, v_m: float) -> None:
     """Reject a dealer point (r, v_m) with a bool or non-real value, NaN, inf, a huge
     int, a negative value or r above MAX_SQUEEZING: the points no deal is scored at."""
     check_real("squeezing and modulation power", r, v_m)
     if not (0.0 <= r <= FLOAT_MAX and 0.0 <= v_m <= FLOAT_MAX):
         raise ValueError("squeezing and modulation power must be finite and nonnegative")
-    check_squeezing_limit(r)
-
-
-def _require_means(mean_plus: float, mean_minus: float) -> None:
-    """Reject a field mean that check_real refuses, NaN, inf or an int beyond the float range."""
-    check_real("field means", mean_plus, mean_minus)
-    if not (-FLOAT_MAX <= mean_plus <= FLOAT_MAX and -FLOAT_MAX <= mean_minus <= FLOAT_MAX):
-        raise ValueError("field means must be finite real numbers")
+    if r > MAX_SQUEEZING:
+        raise ValueError(
+            f"squeezing parameter must be at most {MAX_SQUEEZING!r}: e^(2r) overflows above it"
+        )
 
 
 class Quad(Enum):
@@ -141,6 +129,12 @@ class NoiseBasis:
         (v_plus * v_minus = 1), classical modulation has equal variance in
         both quadratures (0 means no added noise).
         """
+        check_real("noise-mode variances", v_plus, v_minus)
+        return self._register(kind, v_plus, v_minus)
+
+    def _register(self, kind: ModeKind, v_plus: float, v_minus: float) -> int:
+        # register without its real-number check, for squeezed, whose variances are
+        # e^(-/+2r) of a checked r: floats, or mpmath's in the 80-digit reference pipeline
         if not (0.0 <= v_plus <= FLOAT_MAX and 0.0 <= v_minus <= FLOAT_MAX):
             raise ValueError("noise-mode variances must be finite and nonnegative")
         if kind in (ModeKind.VACUUM, ModeKind.DETECTOR_VACUUM):
@@ -170,8 +164,8 @@ class NoiseBasis:
 
     def squeezed(self, r: float) -> int:
         """Amplitude-squeezed mode: V+ = exp(-2r), V- = exp(+2r), r >= 0."""
-        check_squeezing_limit(r)
-        return self.register(ModeKind.SQUEEZED, math.exp(-2.0 * r), math.exp(2.0 * r))
+        check_point(r, 0.0)
+        return self._register(ModeKind.SQUEEZED, math.exp(-2.0 * r), math.exp(2.0 * r))
 
     def modulation(self, v_m: float) -> int:
         return self.register(ModeKind.CLASSICAL_MODULATION, v_m, v_m)
@@ -188,7 +182,7 @@ class NoiseBasis:
         source, score under these as a fresh deal's at (r, v_m), bit for bit.
         So one deal serves every (r, v_m), and every CLI command scores it so.
         A point that DealerConfig rejects raises ValueError here too."""
-        _require_point(r, v_m)
+        check_point(r, v_m)
         squeezed = {Quad.PLUS: math.exp(-2.0 * r), Quad.MINUS: math.exp(2.0 * r)}
         return [
             squeezed[quad] if kind is ModeKind.SQUEEZED
@@ -237,7 +231,7 @@ class FieldState(namedtuple("FieldState", "basis mean_plus mean_minus coeffs_plu
             if not coeffs.keys() <= known:
                 bad = next(src for src in coeffs if src not in known)
                 raise KeyError(f"unknown noise mode id in source {bad!r}")
-        _require_means(self.mean_plus, self.mean_minus)
+        check_finite("field means", self.mean_plus, self.mean_minus)
 
     def mean(self, quad: Quad) -> float:
         return self.mean_plus if quad is Quad.PLUS else self.mean_minus
@@ -262,7 +256,7 @@ def field_from_mode(
 ) -> FieldState:
     """A beam whose fluctuations are exactly one registered mode's."""
     basis.kind(mid)  # an int id in range, so both keys are registered (0.0 or False is not)
-    _require_means(mean_plus, mean_minus)
+    check_finite("field means", mean_plus, mean_minus)
     return _derived_field(
         basis, mean_plus, mean_minus, {(mid, Quad.PLUS): 1.0}, {(mid, Quad.MINUS): 1.0}
     )
@@ -273,7 +267,7 @@ def variance(fld: FieldState, quad: Quad) -> float:
     zero variance adds nothing, even where its coefficient's square overflows."""
     classes, table = fld.basis._classes, fld.basis._class_variances
     return left_sum((c * c * v for src, c in fld.coeffs(quad).items()
-                     if (v := table[classes[src]])), 0.0)
+                     if (v := table[classes[src]])))
 
 
 def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
@@ -285,7 +279,7 @@ def covariance(a: FieldState, b: FieldState, quad: Quad) -> float:
         ca, cb = cb, ca
     classes, table = a.basis._classes, a.basis._class_variances
     return left_sum((c * cb[src] * v for src, c in ca.items()
-                     if src in cb and (v := table[classes[src]])), 0.0)
+                     if src in cb and (v := table[classes[src]])))
 
 
 def _accumulate(out: dict[Source, float], coeffs: Mapping[Source, float], k: float) -> None:

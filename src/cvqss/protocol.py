@@ -15,7 +15,7 @@ from collections.abc import Sequence
 from .entanglement import EprSource, epr_type1, epr_type2
 from .metrics import _SQRT2, _SQRT3, _TWO_SQRT2
 from .noise import FieldState, ModeKind, NoiseBasis, Quad, _derived_field, field_from_mode
-from .noise import FLOAT_MAX, _require_point, lincomb
+from .noise import FLOAT_MAX, check_point, lincomb
 from .optics import WEIGHTS, beam_splitter, detect, feedforward_mix, phase_modulate, psa_ideal
 
 # Parametric gain that cancels the entanglement modes in the 2PSA scheme:
@@ -41,7 +41,7 @@ class DealerConfig(namedtuple("DealerConfig", "r v_m source", defaults=(0.0, Epr
 
     def __new__(cls, *args, **kwargs) -> DealerConfig:
         self = super().__new__(cls, *args, **kwargs)
-        _require_point(self.r, self.v_m)
+        check_point(self.r, self.v_m)
         if not isinstance(self.source, EprSource):
             raise ValueError(f"source must be EprSource.TYPE1 or EprSource.TYPE2, not {self.source!r}")
         return self
@@ -175,8 +175,8 @@ def reconstruct_2psa(
     recombining on a second 1:1 beam splitter leaves output 1 carrying the
     secret.  At gain PSA_GAIN_OPTIMAL the entanglement contributions collapse
     to e^{-r}-weighted squeezed terms, i.e. added noise 2 e^{-2r} per
-    quadrature.  The analysis assumes a dealer without added modulation;
-    modulated shares are accepted but not covered by the closed forms.
+    quadrature, and the modulation cancels with them: closed_form("psa2_cp")
+    holds for every v_m, source and pair.
     """
     out1, _out2 = _psa2_outputs(shares, gain, players)
     return out1

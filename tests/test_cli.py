@@ -419,7 +419,7 @@ class TestTvCurve:
     @pytest.mark.parametrize("bad, message, loop_message", [
         (True, "must be real numbers", "must be real numbers"),
         # run's ScenarioConfig checks the gain itself; tv-curve leaves it to the loop
-        (2**2000, "parameters must be finite numbers",
+        (2**2000, "^gain must be finite$",
          "feedforward gain must be finite and nonnegative"),
     ], ids=["bool", "huge_int"])
     def test_a_gain_run_would_refuse_is_refused(self, bad, message, loop_message):
@@ -1044,5 +1044,5 @@ def test_the_cli_runs_as_a_process():
     assert refused.returncode == 2
     assert refused.stdout == ""
     assert [line for line in refused.stderr.splitlines() if line.startswith("cvqss: error:")] == [
-        "cvqss: error: parameters must be finite numbers"]
+        "cvqss: error: squeezing and modulation power must be finite and nonnegative"]
     assert "Traceback" not in refused.stderr

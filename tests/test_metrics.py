@@ -715,8 +715,8 @@ HUGE = 2**2000  # an int beyond the float range: finite, but no float holds it
         lambda: optimal_gain(INF),
         lambda: optimal_gain(0.5, NAN),
         lambda: optimal_gain(0.5, INF),
-        lambda: check_finite(HUGE),
-        lambda: check_finite(1.0, -HUGE),
+        lambda: check_finite("parameters", HUGE),
+        lambda: check_finite("parameters", 1.0, -HUGE),
         lambda: closed_form("ff_cp", 0.5, 0.0, 1.0, HUGE),
         lambda: closed_form("ff_cp", 0.5, HUGE, 1.0, 1.0),
         lambda: closed_form("sp", 0.5, HUGE),

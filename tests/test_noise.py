@@ -16,8 +16,10 @@ from cvqss import (
     lincomb,
     variance,
 )
-from cvqss.metrics import evaluate
-from cvqss.noise import left_sum
+from cvqss.cli import ScenarioConfig
+from cvqss.metrics import closed_form, evaluate, squeezing_pct
+from cvqss.noise import MAX_SQUEEZING, left_sum
+from cvqss.protocol import DealerConfig
 from cvqss.optics import beam_splitter, detect, feedforward_mix, phase_shift, psa_ideal
 from cvqss.optics import psa_type2_pair
 
@@ -49,6 +51,17 @@ class TestRegistry:
         # an int beyond the float range: finite, but no float variance holds it
         with pytest.raises(ValueError, match=message):
             basis.modulation(2**2000)
+        assert len(basis) == 0
+
+    @pytest.mark.parametrize("build", [
+        lambda basis: basis.modulation("x"),
+        lambda basis: basis.modulation(True),
+        lambda basis: basis.register(ModeKind.VACUUM, "x", 1.0),
+        lambda basis: basis.register(ModeKind.VACUUM, 1.0, True),
+    ], ids=["modulation-str", "modulation-bool", "register-str", "register-bool"])
+    def test_a_variance_that_is_not_an_int_or_float_is_refused(self, basis, build):
+        with pytest.raises(ValueError, match="^noise-mode variances must be real numbers"):
+            build(basis)
         assert len(basis) == 0
 
     def test_non_minimum_uncertainty_squeezed_rejected(self, basis):
@@ -90,6 +103,35 @@ class TestRegistry:
             basis.kind(mid)
         with pytest.raises(KeyError, match=f"unknown noise mode id {mid}"):
             field_from_mode(basis, mid)
+
+
+# Every entry point that takes the squeezing parameter r, called with r alone.
+R_ENTRY_POINTS = {
+    "ScenarioConfig": lambda r: ScenarioConfig("mz12", r),
+    "DealerConfig": DealerConfig,
+    "class_variances": lambda r: NoiseBasis().class_variances(r, 0.0),
+    "squeezing_pct": squeezing_pct,
+    "closed_form-sp": lambda r: closed_form("sp", r),
+    "squeezed": lambda r: NoiseBasis().squeezed(r),
+}
+
+
+def _answer(call, r):
+    try:
+        call(r)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+@pytest.mark.parametrize("r", [math.nan, -1.0, True, "x", 2**2000,
+                               math.nextafter(MAX_SQUEEZING, math.inf)],
+                         ids=["nan", "negative", "bool", "str", "2**2000", "above-limit"])
+def test_every_entry_point_taking_r_gives_one_answer_per_bad_r(r):
+    answers = {name: _answer(call, r) for name, call in R_ENTRY_POINTS.items()}
+    dealer = answers["DealerConfig"]
+    assert dealer[0] is ValueError
+    assert answers == dict.fromkeys(R_ENTRY_POINTS, dealer)
 
 
 class TestFieldConstruction:
@@ -243,8 +285,8 @@ def test_left_sum_adds_left_to_right_from_its_start():
     # compensated or exact summation would give 1.0 here, on any Python
     assert left_sum([1e16, 1.0, -1e16]) == 0.0
     assert left_sum([1.0, 1e16, -1e16]) == 0.0
-    assert repr(left_sum([], 0.0)) == "0.0"
-    assert repr(left_sum([-0.0], 0.0)) == "0.0"
+    assert repr(left_sum([])) == "0.0"
+    assert repr(left_sum([-0.0])) == "0.0"
 
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)

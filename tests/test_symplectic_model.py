@@ -1,15 +1,18 @@
-"""The single-player closed form derived from an exact model of the dealer.
+"""The single-player and two-PSA closed forms derived from an exact model of the optics.
 
 The model is written here from the optics, not from cvqss.optics: every beam
 is its pair of quadratures (X+, X-), each a sympy expression in the secret
 means and in independent unit-variance noise symbols, and every element is
-its quadrature map.  Both dealers are built as deal builds them.  T and V_cv
-then follow from their definitions, so closed_form("sp"), transcribed by
-hand in cvqss.metrics, is checked against a derivation that shares none of
-its code.
+its quadrature map.  Both dealers are built as deal builds them, and the
+two-PSA network as reconstruct_2psa builds it.  T and V_cv then follow from
+their definitions, so closed_form("sp") and closed_form("psa2_cp"),
+transcribed by hand in cvqss.metrics, are checked against a derivation that
+shares none of their code.
 """
 
 import math
+from functools import partial
+from operator import itemgetter
 
 import pytest
 
@@ -20,6 +23,7 @@ sp = pytest.importorskip("sympy")
 r, v_m = sp.symbols("r v_m", nonnegative=True)
 MEANS = sp.symbols("m_plus m_minus", positive=True)
 H = 1 / sp.sqrt(2)  # a 1:1 splitter's amplitude weights
+SQRT_G = 1 + sp.sqrt(2)  # sqrt(G) at the two-PSA gain: sqrt(G) + 1/sqrt(G) = 2 sqrt(2)
 
 
 def mode(name, v_plus, v_minus):
@@ -54,8 +58,15 @@ def modulate(beam, modulation, sign_plus):
     return x_plus + sign_plus * m_plus, x_minus + m_minus
 
 
-def dealt(source):
-    """Secret quadratures, its noise symbols, the three shares and every noise symbol."""
+def amplify(beam, s):
+    """Ideal phase-sensitive amplifier of amplitude gain s: X+ times s, X- over s."""
+    x_plus, x_minus = beam
+    return s * x_plus, x_minus / s
+
+
+def dealt(source, vm=v_m):
+    """Secret quadratures, its noise symbols, the three shares and every noise symbol,
+    with classical modulation of power vm."""
     vacuum, secret_noise = mode("s", 1, 1)
     secret = tuple(m + x for m, x in zip(MEANS, vacuum))
     a, a_noise = mode("a", sp.exp(-2 * r), sp.exp(2 * r))
@@ -65,19 +76,28 @@ def dealt(source):
         beam1, beam2 = rotate(out1, -sp.pi / 4), rotate(out2, sp.pi / 4)
     else:
         beam1, beam2 = splitter(a, quarter_turn(b))
-    modulation, m_noise = mode("mod", v_m, v_m)
+    modulation, m_noise = mode("mod", vm, vm)
     share1, share2 = splitter(secret, modulate(beam1, modulation, +1))
     shares = (share1, share2, modulate(beam2, modulation, -1))
     return secret, secret_noise, shares, (*secret_noise, *a_noise, *b_noise, *m_noise)
 
 
-def scores(source, share):
-    """(T_q, V_q) of one share from the definitions: T = SNR_out / SNR_secret and
-    V_cv = V_out - cov^2 / V_secret, per quadrature."""
-    secret, secret_noise, shares, noises = dealt(source)
+def two_psa(shares, pair):
+    """The pair's share and share 3 on a 1:1 splitter, share 3 turned by pi for {2,3}
+    and not for {1,3}; arm a amplified in X+, arm b in X-; output 1 of a second 1:1
+    splitter."""
+    arm_a, arm_b = splitter(shares[pair[0] - 1], shares[2], sp.pi if pair[0] == 2 else 0)
+    out1, _ = splitter(amplify(arm_a, SQRT_G), amplify(arm_b, 1 / SQRT_G))
+    return out1
+
+
+def scores(source, reconstruct, vm=v_m):
+    """(T_q, V_q) of the beam reconstruct(shares) from the definitions: T = SNR_out /
+    SNR_secret and V_cv = V_out - cov^2 / V_secret, per quadrature."""
+    secret, secret_noise, shares, noises = dealt(source, vm)
     quiet = {n: 0 for n in noises}
     t_q, v_q = 0, 1
-    for x_s, x_o, own in zip(secret, shares[share - 1], secret_noise):
+    for x_s, x_o, own in zip(secret, reconstruct(shares), secret_noise):
         x_s, x_o = sp.expand(x_s), sp.expand(x_o)
         v_s, v_o = (sum(x.coeff(n) ** 2 for n in noises) for x in (x_s, x_o))
         cov = x_o.coeff(own) * x_s.coeff(own)  # the secret's one noise symbol
@@ -97,7 +117,22 @@ CASES = [(source, share) for source in ("type1", "type2") for share in (1, 2, 3)
 
 @pytest.fixture(scope="module")
 def derived():
-    return {case: scores(*case) for case in CASES}
+    return {(source, i): scores(source, itemgetter(i - 1)) for source, i in CASES}
+
+
+def psa2_closed_form():
+    """closed_form("psa2_cp")'s formula, transcribed."""
+    em2r = sp.exp(-2 * r)
+    return 2 / (1 + 2 * em2r), (2 * em2r) ** 2
+
+
+PSA2_CASES = [(source, pair, vm) for source in ("type1", "type2")
+              for pair in ((2, 3), (1, 3)) for vm in (0, v_m)]
+
+
+@pytest.fixture(scope="module")
+def derived_psa2():
+    return {case: scores(case[0], partial(two_psa, pair=case[1]), case[2]) for case in PSA2_CASES}
 
 
 def _vanishes(expr):
@@ -123,5 +158,25 @@ def test_closed_form_sp_evaluates_the_derived_scores(derived, r_value, vm_value)
         if case[1] == 3:
             continue
         for value, expr in zip(got, derived[case]):
+            exact = float(sp.N(expr.subs(point), 30))
+            assert math.isclose(value, exact, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("source, pair, vm", PSA2_CASES,
+                         ids=[f"{s}-pair{p[0]}{p[1]}-v_m={v}" for s, p, v in PSA2_CASES])
+def test_the_two_psa_scores_are_derived_exactly(derived_psa2, source, pair, vm):
+    # at the optimal gain the modulation cancels with the entanglement, for any v_m
+    t_q, v_q = derived_psa2[source, pair, vm]
+    expected = psa2_closed_form()
+    assert _vanishes(t_q - expected[0])
+    assert _vanishes(v_q - expected[1])
+
+
+@pytest.mark.parametrize("r_value, vm_value", [(0.0, 0.0), (0.3, 0.0), (1.0, 2.5), (4.0, 100.0)])
+def test_closed_form_psa2_cp_evaluates_the_derived_scores(derived_psa2, r_value, vm_value):
+    point = {r: sp.Float(r_value, 40), v_m: sp.Float(vm_value, 40)}
+    got = closed_form("psa2_cp", r_value, vm_value)
+    for exprs in derived_psa2.values():
+        for value, expr in zip(got, exprs):
             exact = float(sp.N(expr.subs(point), 30))
             assert math.isclose(value, exact, rel_tol=1e-13)
